@@ -9,7 +9,7 @@ from .corpus import (
     Sample, build_corpus, content_hash, deduplicate, extract_from_source,
     extract_samples, split_corpus,
 )
-from .dfg import DataFlowGraph, DfgNode, build_dfg, serialize_dfg
+from .dfg import DataFlowGraph, DfgNode, build_dfg
 from .encode import EncodedInput, Vocabulary, build_attention_mask, build_vocabulary, encode_sample
 from .metrics import Confusion, compute_metrics, evaluate
 from .model import (

@@ -310,6 +310,9 @@ def execute_command(argv):
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.command == "train" and args.max_code + args.max_dfg + 2 > ModelConfig.max_len:
+            parser.error(f"--max-code + --max-dfg + 2 must not exceed the model's "
+                         f"{ModelConfig.max_len} positions")
     except UsageError as err:
         print(f"usage error: {err}", file=sys.stderr)
         return 1

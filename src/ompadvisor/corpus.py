@@ -7,9 +7,7 @@ split 80/10/10 with optional benchmark holdout.
 """
 
 import json
-import os
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -204,7 +202,7 @@ def _context_statements(container, loop, used, out):
                 init = stmt.children[0]
                 if init.kind == "Declaration" and _declared_name(init) in used:
                     out.append(init)
-                elif _assign_target_name_expr(init) in used:
+                elif _assign_target_name(init) in used:
                     out.append(init)
                 return _context_statements(stmt.children[3], loop, used, out)
             if stmt.kind == "WhileStmt":
@@ -221,14 +219,54 @@ def _context_statements(container, loop, used, out):
     return False
 
 
-def _assign_target_name_expr(init):
-    if init.kind != "ExprStmt":
-        return None
-    return _assign_target_name(init)
-
-
 def _render_context(statements):
     return "\n".join(render(_strip_pragmas(stmt)) for stmt in statements)
+
+
+def _loops(unit, tokens):
+    """(function, loop, line) for every for-loop of every function, outermost
+    first, in program order."""
+    for func in unit.children:
+        if func.kind == "FunctionDef":
+            for loop in iter_nodes(func.children[-1]):
+                if loop.kind == "ForStmt":
+                    yield func, loop, tokens[loop.token_span[0]].line
+
+
+def _loop_code(loop):
+    return render(_strip_pragmas(loop))
+
+
+def _build_sample(func, loop, loop_code, with_scope, **fields):
+    """The sample for one loop: its scope context when asked for, and the
+    data-flow graph of context plus loop."""
+    context_code = ""
+    if with_scope:
+        used = _used_variables(loop)
+        collected = [p for p in func.children[:-1] if _declared_name(p) in used]
+        _context_statements(func.children[-1], loop, used, collected)
+        context_code = _render_context(collected)
+    sample = Sample(loop_code=loop_code, context_code=context_code, dfg={},
+                    offset=loop.token_span[0], **fields)
+    snippet, snippet_tokens = parse_snippet(sample.source_text())
+    sample.dfg = dfg_to_json(build_dfg(snippet, snippet_tokens))
+    return sample
+
+
+def _labels(attached):
+    """pragma_raw and the three labels a loop's attached pragma line gives."""
+    pragma = None
+    if attached:
+        try:
+            pragma = parse_omp_pragma(attached)
+        except PragmaError:
+            pass
+    if pragma is None or pragma.directive not in POSITIVE_DIRECTIVES:
+        return {"pragma_raw": None, "label_pragma": 0, "label_private": 0,
+                "label_reduction": 0}
+    return {"pragma_raw": attached, "label_pragma": 1,
+            "label_private": int(pragma.has_clause("private")),
+            "label_reduction": int(pragma.has_clause("reduction"))}
 
 
 def extract_from_source(source_text, path, with_scope=False):
@@ -238,75 +276,30 @@ def extract_from_source(source_text, path, with_scope=False):
     parse_error reject; loops are otherwise judged independently, at every
     nesting depth.
     """
-    rejects = []
     try:
         unit, tokens = parse_source(source_text)
     except ParseError as err:
-        rejects.append(Reject(path, err.line, "parse_error"))
-        return [], rejects
+        return [], [Reject(path, err.line, "parse_error")]
 
     parents = _parent_map(unit)
-    samples = []
+    samples, rejects = [], []
     seen_hashes = set()
-    for func in unit.children:
-        if func.kind != "FunctionDef":
+    for func, loop, line in _loops(unit, tokens):
+        attached = _attached_pragma(loop, parents)
+        if _loop_is_empty(loop):
+            rejects.append(Reject(path, line, "empty_loop"))
             continue
-        body = func.children[-1]
-        loops = [n for n in iter_nodes(body) if n.kind == "ForStmt"]
-        for loop in loops:
-            line = tokens[loop.token_span[0]].line
-            attached = _attached_pragma(loop, parents)
-            if _loop_is_empty(loop):
-                rejects.append(Reject(path, line, "empty_loop"))
-                continue
-            if _has_blocking_pragma(loop, attached):
-                rejects.append(Reject(path, line, "barrier_critical_atomic"))
-                continue
-
-            loop_code = render(_strip_pragmas(loop))
-            sample_id = content_hash(loop_code)
-            if sample_id in seen_hashes:
-                rejects.append(Reject(path, line, "nested_duplicate"))
-                continue
-            seen_hashes.add(sample_id)
-
-            label_pragma = label_private = label_reduction = 0
-            pragma_raw = None
-            if attached:
-                try:
-                    pragma = parse_omp_pragma(attached)
-                except PragmaError:
-                    pragma = None
-                if pragma is not None and pragma.directive in POSITIVE_DIRECTIVES:
-                    label_pragma = 1
-                    pragma_raw = attached
-                    label_private = int(pragma.has_clause("private"))
-                    label_reduction = int(pragma.has_clause("reduction"))
-
-            context_code = ""
-            if with_scope:
-                used = _used_variables(loop)
-                collected = [p for p in func.children[:-1] if _declared_name(p) in used]
-                _context_statements(body, loop, used, collected)
-                context_code = _render_context(collected)
-
-            sample = Sample(
-                id=sample_id,
-                path=path,
-                loop_code=loop_code,
-                context_code=context_code,
-                pragma_raw=pragma_raw,
-                label_pragma=label_pragma,
-                label_private=label_private,
-                label_reduction=label_reduction,
-                dfg={},
-                split="none",
-                offset=loop.token_span[0],
-            )
-            text = sample.source_text()
-            snippet, snippet_tokens = parse_snippet(text)
-            sample.dfg = dfg_to_json(build_dfg(snippet, snippet_tokens))
-            samples.append(sample)
+        if _has_blocking_pragma(loop, attached):
+            rejects.append(Reject(path, line, "barrier_critical_atomic"))
+            continue
+        loop_code = _loop_code(loop)
+        sample_id = content_hash(loop_code)
+        if sample_id in seen_hashes:
+            rejects.append(Reject(path, line, "nested_duplicate"))
+            continue
+        seen_hashes.add(sample_id)
+        samples.append(_build_sample(func, loop, loop_code, with_scope, id=sample_id,
+                                     path=path, **_labels(attached)))
     return samples, rejects
 
 
@@ -324,34 +317,11 @@ def extract_for_prediction(source_text, with_scope=False):
     """
     unit, tokens = parse_source(source_text)
     out = []
-    for func in unit.children:
-        if func.kind != "FunctionDef":
-            continue
-        body = func.children[-1]
-        for loop in (n for n in iter_nodes(body) if n.kind == "ForStmt"):
-            loop_code = render(_strip_pragmas(loop))
-            context_code = ""
-            if with_scope:
-                used = _used_variables(loop)
-                collected = [p for p in func.children[:-1] if _declared_name(p) in used]
-                _context_statements(body, loop, used, collected)
-                context_code = _render_context(collected)
-            sample = Sample(
-                id=content_hash(loop_code),
-                path="<input>",
-                loop_code=loop_code,
-                context_code=context_code,
-                pragma_raw=None,
-                label_pragma=0,
-                label_private=0,
-                label_reduction=0,
-                dfg={},
-                split="none",
-                offset=loop.token_span[0],
-            )
-            snippet, snippet_tokens = parse_snippet(sample.source_text())
-            sample.dfg = dfg_to_json(build_dfg(snippet, snippet_tokens))
-            out.append({"sample": sample, "line": tokens[loop.token_span[0]].line})
+    for func, loop, line in _loops(unit, tokens):
+        loop_code = _loop_code(loop)
+        sample = _build_sample(func, loop, loop_code, with_scope, id=content_hash(loop_code),
+                               path="<input>", **_labels(None))
+        out.append({"sample": sample, "line": line})
     return out
 
 
@@ -435,34 +405,15 @@ def _list_c_files(root):
     return sorted(p for p in root.rglob("*.c") if p.is_file())
 
 
-def _extract_tree(root, with_scope, threads):
-    files = _list_c_files(root)
-    rels = [str(p.relative_to(root)) for p in files]
-
-    def work(pair):
-        path, rel = pair
-        return extract_samples(path, with_scope, rel_path=rel)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(work, zip(files, rels)))
-    else:
-        results = [work(pair) for pair in zip(files, rels)]
-
+def _extract_tree(root, with_scope):
     samples, rejects = [], []
-    for s, r in results:
+    for path in _list_c_files(root):
+        s, r = extract_samples(path, with_scope, rel_path=str(path.relative_to(root)))
         samples.extend(s)
         rejects.extend(r)
     samples.sort(key=lambda s: (s.path, s.offset))
     rejects.sort(key=lambda r: (r.path, r.line, r.reason))
     return samples, rejects
-
-
-def thread_count():
-    try:
-        return max(1, int(os.environ.get("OMPADVISOR_THREADS", "1")))
-    except ValueError:
-        return 1
 
 
 def write_jsonl(path, dicts):
@@ -489,14 +440,13 @@ def build_corpus(src_dir, out_dir, with_scope=False, benchmarks_dir=None, seed=0
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    threads = thread_count()
 
-    samples, rejects = _extract_tree(src_dir, with_scope, threads)
+    samples, rejects = _extract_tree(src_dir, with_scope)
     samples = deduplicate(samples)
 
     holdout = frozenset()
     if benchmarks_dir is not None:
-        bench_samples, bench_rejects = _extract_tree(benchmarks_dir, with_scope, threads)
+        bench_samples, bench_rejects = _extract_tree(benchmarks_dir, with_scope)
         bench_samples = deduplicate(bench_samples)
         holdout = frozenset(s.id for s in bench_samples)
         rejects.extend(bench_rejects)

@@ -206,26 +206,9 @@ def build_dfg(unit, tokens):
     return DataFlowGraph(nodes, edges)
 
 
-def serialize_dfg(graph):
-    """Program-order serialization: (names, token alignment, edges)."""
-    names = [n.var_name for n in graph.nodes]
-    alignment = [n.code_token_index for n in graph.nodes]
-    return names, alignment, list(graph.edges)
-
-
 def dfg_to_json(graph):
     return {
         "nodes": [[n.var_name, n.code_token_index] for n in graph.nodes],
         "edges": [[t, f] for t, f in graph.edges],
     }
 
-
-def dfg_from_json(data):
-    # The wire format does not carry occurrence kinds; they are only needed
-    # while building, so deserialized nodes leave the field unset.
-    nodes = [
-        DfgNode(i, name, tok_idx, None)
-        for i, (name, tok_idx) in enumerate(data["nodes"])
-    ]
-    edges = [(t, f) for t, f in data["edges"]]
-    return DataFlowGraph(nodes, edges)

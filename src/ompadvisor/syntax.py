@@ -7,7 +7,9 @@ while, compound and expression statements, and the usual expression operators.
 other preprocessor line and all comments are stripped before lexing.
 """
 
+import re
 from dataclasses import dataclass, field
+from functools import cache
 
 KEYWORDS = frozenset({
     "void", "int", "long", "float", "double", "char",
@@ -24,13 +26,6 @@ _OPERATORS = (
     "+=", "-=", "*=", "/=", "%=", "++", "--",
     "+", "-", "*", "/", "%", "<", ">", "=", "!", "&", "|", "^", "~",
 )
-
-_PUNCTUATION = "()[]{};,"
-
-STATEMENT_KINDS = frozenset({
-    "CompoundStmt", "ForStmt", "WhileStmt", "IfStmt",
-    "ExprStmt", "ReturnStmt", "Empty",
-})
 
 
 class ParseError(Exception):
@@ -63,47 +58,25 @@ class AstNode:
     attrs: dict = field(default_factory=dict)
 
 
-def ast_equal(a: AstNode, b: AstNode) -> bool:
-    """Structural equality: kind, attrs and children, ignoring token spans."""
-    if a.kind != b.kind or a.attrs != b.attrs or len(a.children) != len(b.children):
-        return False
-    return all(ast_equal(x, y) for x, y in zip(a.children, b.children))
-
-
 # ---------------------------------------------------------------------------
 # preprocessing
 
+# Block and line comments, and the quoted literals they cannot start inside.
+# An unclosed block comment or literal runs to the end of the text.
+_COMMENT_RE = re.compile(
+    r"""/\*.*?(?:\*/|\Z)|//[^\n]*|"(?:[^"\\]|\\.?)*"?|'(?:[^'\\]|\\.?)*'?""", re.S)
+
+
+def _blank_comment(match):
+    text = match.group()
+    if text[0] in "\"'":
+        return text
+    return "\n".join(" " * len(part) for part in text.split("\n"))
+
 
 def _strip_comments(text):
-    out = []
-    i, n = 0, len(text)
-    while i < n:
-        c = text[i]
-        if c == "/" and i + 1 < n and text[i + 1] == "*":
-            j = text.find("*/", i + 2)
-            if j < 0:
-                j = n - 2
-            for k in range(i, j + 2):
-                if k < n:
-                    out.append("\n" if text[k] == "\n" else " ")
-            i = j + 2
-        elif c == "/" and i + 1 < n and text[i + 1] == "/":
-            j = text.find("\n", i)
-            if j < 0:
-                j = n
-            out.append(" " * (j - i))
-            i = j
-        elif c in "\"'":
-            j = i + 1
-            while j < n and text[j] != c:
-                j += 2 if text[j] == "\\" else 1
-            j = min(j, n - 1)
-            out.append(text[i : j + 1])
-            i = j + 1
-        else:
-            out.append(c)
-            i += 1
-    return "".join(out)
+    """Comments become spaces, keeping their newlines (and so every position)."""
+    return _COMMENT_RE.sub(_blank_comment, text)
 
 
 def _preprocess(text):
@@ -136,95 +109,69 @@ def _preprocess(text):
 # lexer
 
 
+def _lexer(digit, start):
+    """The token regex, given the contents of a digit class and of an
+    identifier-start class. A literal's backslash escapes any character,
+    a newline included; `close` is unset for an unclosed literal."""
+    spec = (
+        ("newline", r"\n"),
+        ("space", r"[ \t\r]+"),
+        ("pragma", r"#[^\n]*"),
+        ("word", rf"[{start}]\w*"),
+        ("number", rf"0[xX][{digit}a-fA-F]*[fFlLuU]*"
+                   rf"|(?=\.?[{digit}])[{digit}]*(?:\.[{digit}]*)?(?:[eE][+-]?[{digit}]+)?"
+                   r"[fFlLuU]*"),
+        ("quote", r"""(?P<q>["'])(?:(?!(?P=q))[^\\\n]|\\[\s\S])*(?P<close>(?P=q))?"""),
+        ("operator", "|".join(map(re.escape, _OPERATORS))),
+        ("punctuation", r"[()\[\]{};,]"),
+        ("other", r"."),
+    )
+    return re.compile("|".join(f"(?P<{name}>{pattern})" for name, pattern in spec))
+
+
+# Digits are str.isdigit and identifiers start at str.isalpha or "_"; in
+# ASCII text those are exactly \d and [^\W\d].
+_ASCII_LEXER = _lexer(r"\d", r"^\W\d")
+
+
+@cache
+def _unicode_lexer():
+    r"""Beyond ASCII, str.isdigit also holds for digits such as superscript
+    two that \d misses, and [^\W\d] also admits numerals such as Roman ones
+    that are not letters: name those code points in the classes."""
+    chars = "".join(map(chr, range(0x80, 0x110000)))
+    numerals = "".join(c for c in re.findall(r"[^\W\d_]", chars) if not c.isalpha())
+    digits = "".join(c for c in numerals if c.isdigit())
+    return _lexer(r"\d" + digits, r"^\W\d" + numerals)
+
+
 def tokenize(source_text):
     """Lex preprocessed source into Tokens. Raises ParseError on bad chars."""
     text = _preprocess(source_text)
+    lexer = _ASCII_LEXER if text.isascii() else _unicode_lexer()
     tokens = []
-    line, col = 1, 1
-    i, n = 0, len(text)
-    while i < n:
-        c = text[i]
-        if c == "\n":
+    line, line_start = 1, 0
+    for match in lexer.finditer(text):
+        kind, lexeme = match.lastgroup, match.group()
+        col = match.start() - line_start + 1
+        if kind == "newline":
             line += 1
-            col = 1
-            i += 1
-            continue
-        if c in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if c == "#":
-            j = text.find("\n", i)
-            if j < 0:
-                j = n
-            lexeme = text[i:j].rstrip()
-            tokens.append(Token("pragma-line", lexeme, line, col))
-            col += j - i
-            i = j
-            continue
-        if c.isalpha() or c == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            lexeme = text[i:j]
-            kind = "keyword" if lexeme in KEYWORDS else "identifier"
+            line_start = match.end()
+        elif kind == "word":
+            tokens.append(Token("keyword" if lexeme in KEYWORDS else "identifier",
+                                lexeme, line, col))
+        elif kind in ("number", "operator", "punctuation"):
             tokens.append(Token(kind, lexeme, line, col))
-            col += j - i
-            i = j
-            continue
-        if c.isdigit() or (c == "." and i + 1 < n and text[i + 1].isdigit()):
-            j = i
-            if text[j] == "0" and j + 1 < n and text[j + 1] in "xX":
-                j += 2
-                while j < n and (text[j].isdigit() or text[j].lower() in "abcdef"):
-                    j += 1
-            else:
-                while j < n and text[j].isdigit():
-                    j += 1
-                if j < n and text[j] == ".":
-                    j += 1
-                    while j < n and text[j].isdigit():
-                        j += 1
-                if j < n and text[j] in "eE":
-                    k = j + 1
-                    if k < n and text[k] in "+-":
-                        k += 1
-                    if k < n and text[k].isdigit():
-                        j = k
-                        while j < n and text[j].isdigit():
-                            j += 1
-            while j < n and text[j] in "fFlLuU":
-                j += 1
-            tokens.append(Token("number", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if c in "\"'":
-            j = i + 1
-            while j < n and text[j] != c:
-                if text[j] == "\n":
-                    raise ParseError(line, col, "closing quote", "newline")
-                j += 2 if text[j] == "\\" else 1
-            if j >= n:
-                raise ParseError(line, col, "closing quote", "end of input")
-            kind = "string-literal" if c == '"' else "char-literal"
-            tokens.append(Token(kind, text[i : j + 1], line, col))
-            col += j + 1 - i
-            i = j + 1
-            continue
-        for op in _OPERATORS:
-            if text.startswith(op, i):
-                tokens.append(Token("operator", op, line, col))
-                col += len(op)
-                i += len(op)
-                break
-        else:
-            if c in _PUNCTUATION:
-                tokens.append(Token("punctuation", c, line, col))
-                col += 1
-                i += 1
-            else:
-                raise ParseError(line, col, "a token", c)
+        elif kind == "pragma":
+            tokens.append(Token("pragma-line", lexeme.rstrip(), line, col))
+        elif kind == "quote":
+            if match["close"] is None:
+                got = "newline" if text.startswith("\n", match.end()) else "end of input"
+                raise ParseError(line, col, "closing quote", got)
+            tokens.append(Token("string-literal" if lexeme[0] == '"' else "char-literal",
+                                lexeme, line, col))
+        elif kind == "other":
+            raise ParseError(line, col, "a token", lexeme)
     return tokens
 
 
@@ -637,18 +584,26 @@ class _Parser:
         raise ParseError(t.line, t.col, "an expression", t.lexeme)
 
 
+def _parse(source_text, entry):
+    tokens = tokenize(source_text)
+    parser = _Parser(tokens)
+    try:
+        unit = entry(parser)
+    except RecursionError:
+        # Nesting deeper than the interpreter's stack: a data error at the
+        # token where the descent stopped, not a crash.
+        parser.fail("less deeply nested code")
+    return unit, tokens
+
+
 def parse_source(source_text):
     """Parse a translation unit. Returns (TranslationUnit node, token list)."""
-    tokens = tokenize(source_text)
-    unit = _Parser(tokens).parse_unit()
-    return unit, tokens
+    return _parse(source_text, _Parser.parse_unit)
 
 
 def parse_snippet(source_text):
     """Parse a bare statement/declaration sequence (loop samples, contexts)."""
-    tokens = tokenize(source_text)
-    unit = _Parser(tokens).parse_snippet()
-    return unit, tokens
+    return _parse(source_text, _Parser.parse_snippet)
 
 
 # ---------------------------------------------------------------------------
@@ -782,8 +737,3 @@ def iter_nodes(node):
     yield node
     for child in node.children:
         yield from iter_nodes(child)
-
-
-def find_loops(node):
-    """All ForStmt nodes in the subtree, outermost first, in program order."""
-    return [n for n in iter_nodes(node) if n.kind == "ForStmt"]

@@ -3,10 +3,13 @@
 The straight-line generator builds programs as plain statement tuples and
 renders them to C text; the reaching-definitions oracle computes the expected
 def/use graph from those tuples directly, never touching the parser or the
-graph builder it is checking.
+graph builder it is checking. The reference lexer is the scanner the regex
+lexer replaced, for differential tests.
 """
 
 import random
+
+from ompadvisor.syntax import KEYWORDS, ParseError, Token
 
 VARS = ["a", "b", "c", "d", "e", "f"]
 OPS = ["+", "-", "*"]
@@ -92,6 +95,13 @@ def straight_line_oracle(stmts):
     return nodes, edges
 
 
+def ast_equal(a, b):
+    """Structural equality: kind, attrs and children, ignoring token spans."""
+    if a.kind != b.kind or a.attrs != b.attrs or len(a.children) != len(b.children):
+        return False
+    return all(ast_equal(x, y) for x, y in zip(a.children, b.children))
+
+
 # ---------------------------------------------------------------------------
 # richer random programs for parser round-trip checks
 
@@ -152,3 +162,166 @@ def gen_source_program(seed):
         ret_type = "int" if "return 0" in ret else "void"
         parts.append(f"{ret_type} fn{f}(int n0) {{\n{decls}\n{body}\n{ret}\n}}")
     return "\n".join(parts)
+
+
+# ---------------------------------------------------------------------------
+# reference lexer: the character-at-a-time scanner the regex lexer in
+# ompadvisor.syntax replaced, kept verbatim as its differential oracle
+
+_OPERATORS = (
+    "<<", ">>", "<=", ">=", "==", "!=", "&&", "||",
+    "+=", "-=", "*=", "/=", "%=", "++", "--",
+    "+", "-", "*", "/", "%", "<", ">", "=", "!", "&", "|", "^", "~",
+)
+
+_PUNCTUATION = "()[]{};,"
+
+
+def reference_strip_comments(text):
+    out = []
+    i, n = 0, len(text)
+    while i < n:
+        c = text[i]
+        if c == "/" and i + 1 < n and text[i + 1] == "*":
+            j = text.find("*/", i + 2)
+            if j < 0:
+                j = n - 2
+            for k in range(i, j + 2):
+                if k < n:
+                    out.append("\n" if text[k] == "\n" else " ")
+            i = j + 2
+        elif c == "/" and i + 1 < n and text[i + 1] == "/":
+            j = text.find("\n", i)
+            if j < 0:
+                j = n
+            out.append(" " * (j - i))
+            i = j
+        elif c in "\"'":
+            j = i + 1
+            while j < n and text[j] != c:
+                j += 2 if text[j] == "\\" else 1
+            j = min(j, n - 1)
+            out.append(text[i : j + 1])
+            i = j + 1
+        else:
+            out.append(c)
+            i += 1
+    return "".join(out)
+
+
+def _reference_preprocess(text):
+    """Strip comments; keep `#pragma omp` logical lines, blank other `#` lines."""
+    lines = reference_strip_comments(text).split("\n")
+    out = []
+    i = 0
+    while i < len(lines):
+        line = lines[i]
+        stripped = line.lstrip()
+        if stripped.startswith("#"):
+            parts = [line]
+            while parts[-1].rstrip().endswith("\\") and i + 1 < len(lines):
+                i += 1
+                parts.append(lines[i])
+            logical = " ".join(p.rstrip().rstrip("\\").strip() for p in parts)
+            words = logical.split()
+            if len(words) >= 2 and words[0] == "#pragma" and words[1] == "omp":
+                out.append(" ".join(words))
+            else:
+                out.append("")
+            out.extend([""] * (len(parts) - 1))
+        else:
+            out.append(line)
+        i += 1
+    return "\n".join(out)
+
+
+def reference_tokenize(source_text):
+    """Lex preprocessed source into Tokens. Raises ParseError on bad chars."""
+    text = _reference_preprocess(source_text)
+    tokens = []
+    line, col = 1, 1
+    i, n = 0, len(text)
+    while i < n:
+        c = text[i]
+        if c == "\n":
+            line += 1
+            col = 1
+            i += 1
+            continue
+        if c in " \t\r":
+            i += 1
+            col += 1
+            continue
+        if c == "#":
+            j = text.find("\n", i)
+            if j < 0:
+                j = n
+            lexeme = text[i:j].rstrip()
+            tokens.append(Token("pragma-line", lexeme, line, col))
+            col += j - i
+            i = j
+            continue
+        if c.isalpha() or c == "_":
+            j = i
+            while j < n and (text[j].isalnum() or text[j] == "_"):
+                j += 1
+            lexeme = text[i:j]
+            kind = "keyword" if lexeme in KEYWORDS else "identifier"
+            tokens.append(Token(kind, lexeme, line, col))
+            col += j - i
+            i = j
+            continue
+        if c.isdigit() or (c == "." and i + 1 < n and text[i + 1].isdigit()):
+            j = i
+            if text[j] == "0" and j + 1 < n and text[j + 1] in "xX":
+                j += 2
+                while j < n and (text[j].isdigit() or text[j].lower() in "abcdef"):
+                    j += 1
+            else:
+                while j < n and text[j].isdigit():
+                    j += 1
+                if j < n and text[j] == ".":
+                    j += 1
+                    while j < n and text[j].isdigit():
+                        j += 1
+                if j < n and text[j] in "eE":
+                    k = j + 1
+                    if k < n and text[k] in "+-":
+                        k += 1
+                    if k < n and text[k].isdigit():
+                        j = k
+                        while j < n and text[j].isdigit():
+                            j += 1
+            while j < n and text[j] in "fFlLuU":
+                j += 1
+            tokens.append(Token("number", text[i:j], line, col))
+            col += j - i
+            i = j
+            continue
+        if c in "\"'":
+            j = i + 1
+            while j < n and text[j] != c:
+                if text[j] == "\n":
+                    raise ParseError(line, col, "closing quote", "newline")
+                j += 2 if text[j] == "\\" else 1
+            if j >= n:
+                raise ParseError(line, col, "closing quote", "end of input")
+            kind = "string-literal" if c == '"' else "char-literal"
+            tokens.append(Token(kind, text[i : j + 1], line, col))
+            col += j + 1 - i
+            i = j + 1
+            continue
+        for op in _OPERATORS:
+            if text.startswith(op, i):
+                tokens.append(Token("operator", op, line, col))
+                col += len(op)
+                i += len(op)
+                break
+        else:
+            if c in _PUNCTUATION:
+                tokens.append(Token("punctuation", c, line, col))
+                col += 1
+                i += 1
+            else:
+                raise ParseError(line, col, "a token", c)
+    return tokens

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from ompadvisor.augment import curriculum_ratio, fraction_for_mode, rename_variables
 from ompadvisor.corpus import extract_from_source
 from ompadvisor.pragmas import parse_omp_pragma
-from ompadvisor.syntax import ast_equal, iter_nodes, parse_snippet, tokenize
+from ompadvisor.syntax import iter_nodes, parse_snippet, tokenize
 
 
 @pytest.fixture

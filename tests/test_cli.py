@@ -153,6 +153,45 @@ def test_data_errors_exit_two(tmp_path, capsys):
     assert execute_command(["train", str(tmp_path), "-o", str(tmp_path / "m")]) == 2
 
 
+def test_train_rejects_sequence_past_position_table(model_dir, tmp_path, capsys):
+    corpus, _ = model_dir
+    out = tmp_path / "m"
+    code = execute_command(["train", str(corpus), "--max-code", "2000", "-o", str(out)])
+    assert code == 1
+    assert "512" in capsys.readouterr().err
+    assert not out.exists()
+    # 478 + 32 + 2 = 512 fills the table exactly and is accepted
+    assert execute_command([
+        "train", str(corpus), "--max-code", "478", "--epochs", "1",
+        "--d-model", "16", "--n-heads", "2", "--n-layers", "1", "--d-ff", "32",
+        "--min-freq", "1", "-o", str(out),
+    ]) == 0
+
+
+DEEP_SOURCE = "int f(int n) { return " + "(" * 300 + "n" + ")" * 300 + "; }\n"
+
+
+def test_build_corpus_rejects_deeply_nested_file(tmp_path, capsys):
+    src = tmp_path / "src"
+    src.mkdir()
+    (src / "deep.c").write_text(DEEP_SOURCE)
+    (src / "ok.c").write_text(
+        "void g(int n, double *a) {\nint i;\nfor (i = 0; i < n; i++) {\na[i] = 0.0;\n}\n}\n")
+    out = tmp_path / "corpus"
+    assert execute_command(["build-corpus", str(src), "-o", str(out)]) == 0
+    rejects = [json.loads(line) for line in (out / "rejects.jsonl").read_text().splitlines()]
+    assert rejects == [{"path": "deep.c", "line": 1, "reason": "parse_error"}]
+    assert len((out / "corpus.jsonl").read_text().splitlines()) == 1
+
+
+def test_predict_deeply_nested_file_exits_two(model_dir, tmp_path, capsys):
+    _, out = model_dir
+    source = tmp_path / "deep.c"
+    source.write_text(DEEP_SOURCE)
+    assert execute_command(["predict", str(out), str(source), "--json"]) == 2
+    assert "nested" in capsys.readouterr().err
+
+
 def test_predict_missing_model_exits_two(tmp_path, capsys):
     source = tmp_path / "k.c"
     source.write_text("int f(void) { return 0; }")

@@ -1,14 +1,19 @@
 import json
-import os
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
 from ompadvisor.augment import rename_variables
 from ompadvisor.corpus import (
     SAMPLE_KEYS, Sample, build_corpus, compute_stats, content_hash,
-    deduplicate, extract_from_source, extract_samples, split_corpus,
+    deduplicate, extract_for_prediction, extract_from_source, extract_samples,
+    split_corpus,
 )
+from ompadvisor.syntax import ParseError, tokenize
+
+FIXTURES = Path(__file__).parent / "fixtures"
+FIXTURE_FILES = sorted(FIXTURES.glob("corpus_c/*.c")) + sorted(FIXTURES.glob("benchmarks/**/*.c"))
 
 
 def make_sample(i, **overrides):
@@ -102,6 +107,30 @@ def test_context_empty_without_scope(fixture_corpus_dir):
     samples, _ = extract_samples(fixture_corpus_dir / "f16.c", rel_path="f16.c")
     assert samples[0].context_code == ""
     assert samples[0].source_text() == samples[0].loop_code
+
+
+@pytest.mark.parametrize("with_scope", [False, True], ids=["loop", "scoped"])
+@pytest.mark.parametrize("path", FIXTURE_FILES,
+                         ids=[str(p.relative_to(FIXTURES)) for p in FIXTURE_FILES])
+def test_prediction_walk_matches_corpus_walk(path, with_scope):
+    """Every loop the corpus keeps is the prediction entry at the same offset;
+    the corpus rules only reject, label and dedup."""
+    text = path.read_text(encoding="utf-8")
+    samples, rejects = extract_from_source(text, path.name, with_scope)
+    if [r.reason for r in rejects] == ["parse_error"]:
+        with pytest.raises(ParseError):
+            extract_for_prediction(text, with_scope)
+        return
+    entries = {e["sample"].offset: e for e in extract_for_prediction(text, with_scope)}
+    assert len(entries) == len(samples) + len(rejects)
+    tokens = tokenize(text)
+    for sample in samples:
+        entry = entries[sample.offset]
+        predicted = entry["sample"]
+        assert predicted.loop_code == sample.loop_code
+        assert predicted.context_code == sample.context_code
+        assert predicted.dfg == sample.dfg
+        assert entry["line"] == tokens[sample.offset].line
 
 
 def test_dfg_alignment_matches_sample_text(built_corpus):
@@ -257,15 +286,6 @@ def test_build_is_deterministic(tmp_path, fixture_corpus_dir):
     build_corpus(fixture_corpus_dir, tmp_path / "two", seed=5)
     for name in ("corpus.jsonl", "rejects.jsonl", "stats.json"):
         assert (tmp_path / "one" / name).read_bytes() == (tmp_path / "two" / name).read_bytes()
-
-
-def test_build_independent_of_thread_count(tmp_path, fixture_corpus_dir, monkeypatch):
-    monkeypatch.setenv("OMPADVISOR_THREADS", "1")
-    build_corpus(fixture_corpus_dir, tmp_path / "one", seed=5)
-    monkeypatch.setenv("OMPADVISOR_THREADS", "4")
-    build_corpus(fixture_corpus_dir, tmp_path / "four", seed=5)
-    assert (tmp_path / "one" / "corpus.jsonl").read_bytes() == \
-        (tmp_path / "four" / "corpus.jsonl").read_bytes()
 
 
 def test_benchmark_holdout(tmp_path, fixture_corpus_dir, fixture_benchmarks_dir):

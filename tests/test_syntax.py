@@ -1,10 +1,37 @@
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ompadvisor.syntax import (
-    AstNode, ParseError, ast_equal, find_loops, iter_nodes, parse_snippet,
-    parse_source, render, tokenize,
+    AstNode, ParseError, _strip_comments, iter_nodes, parse_snippet, parse_source,
+    render, tokenize,
 )
-from oracles import gen_source_program
+from oracles import (
+    ast_equal, gen_source_program, reference_strip_comments, reference_tokenize,
+)
+
+# Pieces of lexer input: every operator and punctuator, both quote kinds,
+# escapes and backslash-newline, comment delimiters, pragma and other
+# preprocessor lines, number parts, and non-ASCII letters, digits and
+# numerals (str.isalpha / str.isdigit are not \w / \d outside ASCII).
+LEXER_PIECES = [
+    "<<", ">>", "<=", ">=", "==", "!=", "&&", "||", "+=", "-=", "*=", "/=",
+    "%=", "++", "--", "+", "-", "*", "/", "%", "<", ">", "=", "!", "&", "|",
+    "^", "~", "(", ")", "[", "]", "{", "}", ";", ",", ".",
+    '"', "'", "\\", "\\\n", "\n", " ", "\t", "\r", "\f",
+    "/*", "*/", "//", "#pragma omp parallel for", "#pragma omp", "#define N 4", "#",
+    "x", "_", "for", "int", "e", "E", "f", "L", "u", "0", "7", "0x", "1e", "a",
+    "é", "²", "٣", "Ⅻ", "½", "@", "$",
+]
+
+lexer_inputs = st.lists(st.sampled_from(LEXER_PIECES), max_size=30).map("".join)
+
+
+def _lex_outcome(lex, text):
+    try:
+        return [(t.kind, t.lexeme, t.line, t.col) for t in lex(text)]
+    except ParseError as err:
+        return ("error", err.line, err.col, err.expected, err.got)
 
 
 def test_spec_example_parses_to_expected_shape():
@@ -14,7 +41,7 @@ def test_spec_example_parses_to_expected_shape():
     func = unit.children[0]
     assert func.kind == "FunctionDef"
     assert func.attrs["name"] == "main"
-    loops = find_loops(func)
+    loops = [n for n in iter_nodes(func) if n.kind == "ForStmt"]
     assert len(loops) == 1
     body = loops[0].children[3]
     assert body.kind == "CompoundStmt"
@@ -52,6 +79,26 @@ def test_token_coverage(seed):
     tokens = tokenize(source)
     squeezed = "".join(source.split())
     assert "".join(t.lexeme for t in tokens) == squeezed
+
+
+@settings(max_examples=400, deadline=None)
+@given(lexer_inputs)
+@example("x = \"ab\\\n")  # unclosed literal: backslash-newline, then the end
+@example("x = 'a\\\nb';\ny;")  # escaped newline inside a closed literal
+@example("²x ٣y é1 Ⅻ")
+@example("0x1fUL .5e+3f 1..2 1e+ 7.e2")
+def test_lexer_matches_reference_scanner(text):
+    assert _strip_comments(text) == reference_strip_comments(text)
+    assert _lex_outcome(tokenize, text) == _lex_outcome(reference_tokenize, text)
+
+
+def test_deep_nesting_is_a_parse_error():
+    deep = "int f(void) { return " + "(" * 300 + "1" + ")" * 300 + "; }"
+    with pytest.raises(ParseError) as err:
+        parse_source(deep)
+    assert (err.value.line, err.value.got) == (1, "(")
+    with pytest.raises(ParseError):
+        parse_snippet("x = " + "(" * 300 + "1" + ")" * 300 + ";")
 
 
 def test_token_positions_are_one_based():
