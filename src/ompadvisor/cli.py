@@ -235,8 +235,9 @@ def _cmd_evaluate(args):
     params, config, vocab, options = _load_model_dir(args.model_dir)
     samples = read_samples(args.corpus)
     if args.split != "all":
-        filtered = [s for s in samples if s.split == args.split]
-        samples = filtered if filtered else samples
+        samples = [s for s in samples if s.split == args.split]
+        if not samples:
+            raise ValueError(f"split {args.split!r} of {args.corpus} holds no samples")
     report, rows = evaluate(
         params, config, vocab, samples,
         max_code=options.get("max_code", DEFAULT_MAX_CODE),
@@ -258,6 +259,7 @@ def _cmd_evaluate(args):
     })
     mode = "gated" if args.gate else "raw"
     block = report[mode]
+    print(f"scored split {args.split}: n={len(samples)}")
     print(format_report(report), end="")
     print(f"-> {out} ({mode} macro acc {block['macro']['accuracy']:.3f})")
     return 0
@@ -283,12 +285,15 @@ def _cmd_check_gradients(args):
     worst = 0.0
     for scale_mode in ("sqrt_d", "d"):
         for mask_mode in ("open", "random"):
-            err, _ = check_gradients(
-                config=small_config(scale_mode=scale_mode),
-                mask_mode=mask_mode, seed=args.seed,
-            )
-            worst = max(worst, err)
-            print(f"scale={scale_mode:<7} mask={mask_mode:<7} max_rel_err={err:.3e}")
+            # one sample, then a batch padded to its longest sample
+            for lengths in ((6,), (3, 6, 9)):
+                err, _ = check_gradients(
+                    config=small_config(scale_mode=scale_mode),
+                    mask_mode=mask_mode, seed=args.seed, lengths=lengths,
+                )
+                worst = max(worst, err)
+                print(f"scale={scale_mode:<7} mask={mask_mode:<7} batch={len(lengths)} "
+                      f"max_rel_err={err:.3e}")
     print(f"overall max relative error: {worst:.3e} "
           f"({'OK' if worst < 1e-3 else 'FAIL'})")
     return 0 if worst < 1e-3 else 2

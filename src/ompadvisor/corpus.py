@@ -292,14 +292,21 @@ def extract_from_source(source_text, path, with_scope=False):
         if _has_blocking_pragma(loop, attached):
             rejects.append(Reject(path, line, "barrier_critical_atomic"))
             continue
-        loop_code = _loop_code(loop)
-        sample_id = content_hash(loop_code)
-        if sample_id in seen_hashes:
-            rejects.append(Reject(path, line, "nested_duplicate"))
+        try:
+            loop_code = _loop_code(loop)
+            sample_id = content_hash(loop_code)
+            if sample_id in seen_hashes:
+                rejects.append(Reject(path, line, "nested_duplicate"))
+                continue
+            sample = _build_sample(func, loop, loop_code, with_scope, id=sample_id,
+                                   path=path, **_labels(attached))
+        except (ParseError, RecursionError):
+            # The loop parsed, but its canonical text nests too deeply to
+            # render or re-read (long prefix chains like !!!...x).
+            rejects.append(Reject(path, line, "parse_error"))
             continue
         seen_hashes.add(sample_id)
-        samples.append(_build_sample(func, loop, loop_code, with_scope, id=sample_id,
-                                     path=path, **_labels(attached)))
+        samples.append(sample)
     return samples, rejects
 
 
@@ -318,9 +325,14 @@ def extract_for_prediction(source_text, with_scope=False):
     unit, tokens = parse_source(source_text)
     out = []
     for func, loop, line in _loops(unit, tokens):
-        loop_code = _loop_code(loop)
-        sample = _build_sample(func, loop, loop_code, with_scope, id=content_hash(loop_code),
-                               path="<input>", **_labels(None))
+        try:
+            loop_code = _loop_code(loop)
+            sample = _build_sample(func, loop, loop_code, with_scope,
+                                   id=content_hash(loop_code), path="<input>",
+                                   **_labels(None))
+        except (ParseError, RecursionError):
+            start = tokens[loop.token_span[0]]
+            raise ParseError(start.line, start.col, "less deeply nested code") from None
         out.append({"sample": sample, "line": line})
     return out
 

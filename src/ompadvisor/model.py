@@ -15,7 +15,9 @@ import numpy as np
 
 from .augment import fraction_for_mode, rename_variables
 from .corpus import extract_for_prediction
-from .encode import MASK_NEG, PAD_ID, build_vocabulary, encode_corpus, encode_sample
+from .encode import (
+    MASK_NEG, PAD_ID, EncodedInput, build_vocabulary, encode_corpus, encode_sample,
+)
 
 MAGIC = b"OMPF1"
 
@@ -110,9 +112,10 @@ def init_params(config, dtype=np.float32):
 def masked_softmax(scores):
     """Softmax over the last axis; entries pushed down by MASK_NEG come out
     exactly zero because their shifted exponent underflows."""
-    shifted = scores - scores.max(axis=-1, keepdims=True)
-    exp = np.exp(shifted)
-    return exp / exp.sum(axis=-1, keepdims=True)
+    out = scores - scores.max(axis=-1, keepdims=True)
+    np.exp(out, out=out)
+    out /= out.sum(axis=-1, keepdims=True)
+    return out
 
 
 def _layer_norm(x, g, b):
@@ -134,6 +137,13 @@ def _layer_norm_backward(dy, g, ln_cache):
     return dx, dg, db
 
 
+def _weight_grad(a, b):
+    """Σ over batch and position of the outer products a[i, t] ⊗ b[i, t]:
+    the (d, e) gradient of a weight applied as a @ w, as one (B·L)-row matmul
+    (np.einsum would not dispatch this contraction to BLAS)."""
+    return a.reshape(-1, a.shape[-1]).T @ b.reshape(-1, b.shape[-1])
+
+
 def _split_heads(x, n_heads):
     b, l, d = x.shape
     return x.reshape(b, l, n_heads, d // n_heads).transpose(0, 2, 1, 3)
@@ -148,7 +158,8 @@ def _dropout_mask(rng, shape, rate, dtype):
     if rng is None or rate <= 0.0:
         return None
     keep = (rng.random(shape) >= rate).astype(dtype)
-    return keep / (1.0 - rate)
+    keep /= 1.0 - rate
+    return keep
 
 
 def _apply_drop(x, mask):
@@ -172,7 +183,11 @@ def forward_batch(params, config, ids, positions, mask, train=False, rng=None):
         k = x_in @ p["wk"] + p["bk"]
         v = x_in @ p["wv"] + p["bv"]
         qh, kh, vh = (_split_heads(t, config.n_heads) for t in (q, k, v))
-        scores = qh @ kh.transpose(0, 1, 3, 2) / config.attn_scale + mask[:, None, :, :]
+        scores = qh @ kh.transpose(0, 1, 3, 2)
+        scores /= config.attn_scale
+        # A wider mask widens the scores, as an out-of-place sum would.
+        scores = scores.astype(np.result_type(scores, mask), copy=False)
+        scores += mask[:, None]
         attn = masked_softmax(scores)
         attn_drop_mask = _dropout_mask(drop_rng, attn.shape, config.dropout_rate, dtype)
         attn_dropped = _apply_drop(attn, attn_drop_mask)
@@ -215,7 +230,9 @@ def compute_loss(probs, labels):
 def backward_batch(params, config, cache, probs, labels):
     """Gradients of compute_loss w.r.t. every parameter. Returns a dict with
     the same keys as params."""
-    grads = {name: np.zeros_like(arr) for name, arr in params.items()}
+    # Only the embeddings accumulate (np.add.at); every other gradient is
+    # assigned whole below.
+    grads = {name: np.zeros_like(params[name]) for name in ("tok_emb", "pos_emb")}
     y = np.asarray(labels, dtype=probs.dtype)
     batch = probs.shape[0]
     dlogits = (probs - y) / (3.0 * batch)
@@ -234,11 +251,11 @@ def backward_batch(params, config, cache, probs, labels):
         grads[f"layer{layer}.ln2_b"] = db2
 
         dff_out = _apply_drop(dres2, c["ff_drop_mask"])
-        grads[f"layer{layer}.w2"] = np.einsum("blf,bld->fd", c["ff_hidden"], dff_out)
+        grads[f"layer{layer}.w2"] = _weight_grad(c["ff_hidden"], dff_out)
         grads[f"layer{layer}.b2"] = dff_out.sum(axis=(0, 1))
         dff_hidden = dff_out @ p["w2"].T
         dff_pre = dff_hidden * (c["ff_pre"] > 0)
-        grads[f"layer{layer}.w1"] = np.einsum("bld,blf->df", c["x1"], dff_pre)
+        grads[f"layer{layer}.w1"] = _weight_grad(c["x1"], dff_pre)
         grads[f"layer{layer}.b1"] = dff_pre.sum(axis=(0, 1))
         dx1 = dres2 + dff_pre @ p["w1"].T
 
@@ -247,7 +264,7 @@ def backward_batch(params, config, cache, probs, labels):
         grads[f"layer{layer}.ln1_b"] = db1
 
         dproj = _apply_drop(dres1, c["proj_drop_mask"])
-        grads[f"layer{layer}.wo"] = np.einsum("bld,ble->de", c["context"], dproj)
+        grads[f"layer{layer}.wo"] = _weight_grad(c["context"], dproj)
         grads[f"layer{layer}.bo"] = dproj.sum(axis=(0, 1))
         dcontext = dproj @ p["wo"].T
         dcontext_h = _split_heads(dcontext, config.n_heads)
@@ -256,8 +273,9 @@ def backward_batch(params, config, cache, probs, labels):
         dvh = c["attn_dropped"].transpose(0, 1, 3, 2) @ dcontext_h
         dattn = _apply_drop(dattn_dropped, c["attn_drop_mask"])
         attn = c["attn"]
-        dscores = attn * (dattn - (dattn * attn).sum(axis=-1, keepdims=True))
-        dscores = dscores / config.attn_scale
+        dscores = dattn - (dattn * attn).sum(axis=-1, keepdims=True)
+        dscores *= attn
+        dscores /= config.attn_scale
         dqh = dscores @ c["kh"]
         dkh = dscores.transpose(0, 1, 3, 2) @ c["qh"]
 
@@ -265,11 +283,11 @@ def backward_batch(params, config, cache, probs, labels):
         dk = _merge_heads(dkh)
         dv = _merge_heads(dvh)
         x_in = c["x_in"]
-        grads[f"layer{layer}.wq"] = np.einsum("bld,ble->de", x_in, dq)
+        grads[f"layer{layer}.wq"] = _weight_grad(x_in, dq)
         grads[f"layer{layer}.bq"] = dq.sum(axis=(0, 1))
-        grads[f"layer{layer}.wk"] = np.einsum("bld,ble->de", x_in, dk)
+        grads[f"layer{layer}.wk"] = _weight_grad(x_in, dk)
         grads[f"layer{layer}.bk"] = dk.sum(axis=(0, 1))
-        grads[f"layer{layer}.wv"] = np.einsum("bld,ble->de", x_in, dv)
+        grads[f"layer{layer}.wv"] = _weight_grad(x_in, dv)
         grads[f"layer{layer}.bv"] = dv.sum(axis=(0, 1))
 
         dx = dres1 + dq @ p["wq"].T + dk @ p["wk"].T + dv @ p["wv"].T
@@ -297,9 +315,10 @@ def pad_batch(encodings, dtype=np.float32):
         ids[i, :n] = enc.ids
         positions[i, :n] = enc.positions
         mask[i, :n, :n] = enc.mask
-        for j in range(n, length):
-            mask[i, j, j] = 0.0
         labels[i] = enc.labels
+    lengths = np.array([e.length for e in encodings])
+    rows, slots = np.nonzero(np.arange(length) >= lengths[:, None])
+    mask[rows, slots, slots] = 0.0
     return ids, positions, mask, labels
 
 
@@ -340,10 +359,19 @@ class Adam:
         b2c = 1.0 - self.beta2 ** self.t
         for key in params:
             g = grads[key]
-            self.m[key] = self.beta1 * self.m[key] + (1.0 - self.beta1) * g
-            self.v[key] = self.beta2 * self.v[key] + (1.0 - self.beta2) * g * g
-            m_hat = self.m[key] / b1c
-            v_hat = self.v[key] / b2c
+            m, v = self.m[key], self.v[key]
+            m *= self.beta1
+            v *= self.beta2
+            wide = np.result_type(m, g)
+            if wide != m.dtype:
+                # A wider gradient widens the moments, as an out-of-place
+                # update would.
+                self.m[key] = m = m.astype(wide)
+                self.v[key] = v = v.astype(wide)
+            m += (1.0 - self.beta1) * g
+            v += (1.0 - self.beta2) * g * g
+            m_hat = m / b1c
+            v_hat = v / b2c
             params[key] -= (self.lr * m_hat / (np.sqrt(v_hat) + self.eps)).astype(params[key].dtype)
 
 
@@ -470,18 +498,25 @@ def small_config(vocab_size=16, scale_mode="sqrt_d"):
                        d_ff=16, max_len=32, dropout_rate=0.0, seed=3, scale_mode=scale_mode)
 
 
-def _random_check_input(config, rng, length=6, mask_mode="random"):
-    ids = rng.integers(1, config.vocab_size, size=(1, length))
-    positions = rng.integers(0, min(config.max_len, length + 1), size=(1, length))
-    mask = np.zeros((1, length, length), dtype=np.float64)
-    if mask_mode == "random":
-        closed = rng.random((length, length)) < 0.5
-        closed = np.triu(closed, 1)
-        closed = closed | closed.T  # symmetric
-        mask[0][closed] = MASK_NEG
-        np.fill_diagonal(mask[0], 0.0)
-    labels = rng.integers(0, 2, size=(1, 3)).astype(np.float64)
-    return ids, positions, mask, labels
+def _random_check_input(config, rng, lengths, mask_mode="random"):
+    """A float64 batch with one random sample per length, padded to the
+    longest by pad_batch as in training."""
+    inputs = []
+    for length in lengths:
+        ids = rng.integers(1, config.vocab_size, size=length)
+        positions = rng.integers(0, min(config.max_len, length + 1), size=length)
+        mask = np.zeros((length, length), dtype=np.float64)
+        if mask_mode == "random":
+            closed = rng.random((length, length)) < 0.5
+            closed = np.triu(closed, 1)
+            closed = closed | closed.T  # symmetric
+            mask[closed] = MASK_NEG
+            np.fill_diagonal(mask, 0.0)
+        inputs.append((list(ids), list(positions), mask))
+    labels = rng.integers(0, 2, size=(len(lengths), 3))
+    encodings = [EncodedInput(ids, positions, mask, [], tuple(y))
+                 for (ids, positions, mask), y in zip(inputs, labels)]
+    return pad_batch(encodings, dtype=np.float64)
 
 
 def relative_error(analytic, numeric):
@@ -490,11 +525,13 @@ def relative_error(analytic, numeric):
     return abs(analytic - numeric) / max(abs(analytic), abs(numeric))
 
 
-def check_gradients(config=None, n_coords=20, h=1e-5, seed=0, mask_mode="random"):
+def check_gradients(config=None, n_coords=20, h=1e-5, seed=0, mask_mode="random",
+                    lengths=(6,)):
     """Compare analytic gradients with central finite differences in float64.
 
-    Samples n_coords coordinates per parameter group; returns
-    (max_relative_error, per-group dict).
+    The input is a batch with one random sample per entry of lengths,
+    padded to the longest. Samples n_coords coordinates per parameter group;
+    returns (max_relative_error, per-group dict).
     """
     config = config or small_config()
     params = {k: v.astype(np.float64) for k, v in init_params(config).items()}
@@ -505,7 +542,7 @@ def check_gradients(config=None, n_coords=20, h=1e-5, seed=0, mask_mode="random"
     for key in params:
         params[key] = params[key] + rng.normal(0.0, 0.5, size=params[key].shape)
 
-    ids, positions, mask, labels = _random_check_input(config, rng, mask_mode=mask_mode)
+    ids, positions, mask, labels = _random_check_input(config, rng, lengths, mask_mode)
 
     probs, cache = forward_batch(params, config, ids, positions, mask)
     grads = backward_batch(params, config, cache, probs, labels)

@@ -196,3 +196,59 @@ def test_predict_missing_model_exits_two(tmp_path, capsys):
     source = tmp_path / "k.c"
     source.write_text("int f(void) { return 0; }")
     assert execute_command(["predict", str(tmp_path / "nomodel"), str(source)]) == 2
+
+
+def prefix_chain_source(n_ops):
+    """A loop whose body holds x = !!...!x; with n_ops operators."""
+    return ("void f(int n, int *a) {\nint i, x;\nx = 1;\nfor (i = 0; i < n; i++) {\n"
+            "x = " + "!" * n_ops + "x;\na[i] = x;\n}\n}\n")
+
+
+@pytest.mark.parametrize("n_ops", [59, 500])
+def test_build_corpus_rejects_loop_with_long_prefix_chain(tmp_path, capsys, n_ops):
+    src = tmp_path / "src"
+    src.mkdir()
+    (src / "chain.c").write_text(prefix_chain_source(n_ops))
+    (src / "ok.c").write_text(
+        "void g(int n, double *a) {\nint i;\nfor (i = 0; i < n; i++) {\na[i] = 0.0;\n}\n}\n")
+    out = tmp_path / "corpus"
+    assert execute_command(["build-corpus", str(src), "--with-scope", "-o", str(out)]) == 0
+    rejects = [json.loads(line) for line in (out / "rejects.jsonl").read_text().splitlines()]
+    assert rejects == [{"path": "chain.c", "line": 4, "reason": "parse_error"}]
+    corpus = [json.loads(line) for line in (out / "corpus.jsonl").read_text().splitlines()]
+    assert [s["path"] for s in corpus] == ["ok.c"]
+
+
+@pytest.mark.parametrize("n_ops", [59, 500])
+def test_predict_long_prefix_chain_exits_two(model_dir, tmp_path, capsys, n_ops):
+    _, out = model_dir
+    source = tmp_path / "chain.c"
+    source.write_text(prefix_chain_source(n_ops))
+    assert execute_command(["predict", str(out), str(source), "--json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: 4:1:") and "nested" in captured.err
+
+
+def test_evaluate_reports_scored_split(model_dir, tmp_path, capsys):
+    corpus, out = model_dir
+    n_valid = sum(json.loads(line)["split"] == "valid"
+                  for line in (corpus / "corpus.jsonl").read_text().splitlines())
+    eval_dir = tmp_path / "eval"
+    assert execute_command(["evaluate", str(out), str(corpus / "corpus.jsonl"),
+                            "--split", "valid", "-o", str(eval_dir)]) == 0
+    assert f"scored split valid: n={n_valid}\n" in capsys.readouterr().out
+    assert json.loads((eval_dir / "report.json").read_text())["n"] == n_valid
+
+
+def test_evaluate_empty_split_is_a_data_error(model_dir, tmp_path, capsys):
+    corpus, out = model_dir
+    lines = [line for line in (corpus / "corpus.jsonl").read_text().splitlines()
+             if json.loads(line)["split"] != "test"]
+    no_test = tmp_path / "no_test.jsonl"
+    no_test.write_text("\n".join(lines) + "\n")
+    eval_dir = tmp_path / "eval"
+    assert execute_command(["evaluate", str(out), str(no_test), "--split", "test",
+                            "-o", str(eval_dir)]) == 2
+    assert "split 'test'" in capsys.readouterr().err
+    assert not eval_dir.exists()

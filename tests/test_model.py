@@ -1,17 +1,24 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from ompadvisor.corpus import extract_from_source
-from ompadvisor.encode import MASK_NEG, build_vocabulary, encode_corpus, encode_sample
+from ompadvisor.encode import MASK_NEG, PAD_ID, build_vocabulary, encode_corpus, encode_sample
 from ompadvisor.model import (
-    Adam, ModelConfig, TrainingDiverged, backward_batch, check_gradients,
-    compute_loss, forward_batch, forward_pass, init_params, load_model,
-    pad_batch, param_layout, predict_source, relative_error, save_model,
-    small_config, threshold_labels, train,
+    Adam, ModelConfig, TrainingDiverged, _random_check_input, _weight_grad,
+    backward_batch, check_gradients, compute_loss, forward_batch, forward_pass,
+    init_params, load_model, masked_softmax, pad_batch, param_layout,
+    predict_source, relative_error, save_model, small_config, threshold_labels,
+    train,
 )
 from ompadvisor.synthetic import generate_synthetic_corpus
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def tiny_inputs(config, length=4, seed=0, mask=None):
@@ -212,6 +219,61 @@ def test_gradient_check_division_by_d_path():
     assert err < 1e-3
 
 
+def test_gradient_check_padded_batch():
+    """Three samples of different lengths padded to the longest: the weight
+    gradients sum over every (sample, slot) row, pad rows included."""
+    config = small_config()
+    lengths = (3, 6, 9)
+    ids, _, mask, _ = _random_check_input(config, np.random.default_rng(0), lengths)
+    assert ids.shape == (3, 9)
+    assert [int((row == PAD_ID).sum()) for row in ids] == [6, 3, 0]
+    assert np.all(mask[0, 3:, 3:] == np.where(np.eye(6) == 1, 0.0, MASK_NEG))
+    for mask_mode in ("open", "random"):
+        err, _ = check_gradients(config=config, mask_mode=mask_mode, seed=11,
+                                 lengths=lengths)
+        assert err < 1e-3
+
+
+@pytest.mark.parametrize("dtype, rtol", [(np.float64, 1e-12), (np.float32, 1e-5)])
+def test_weight_grad_equals_einsum(dtype, rtol):
+    rng = np.random.default_rng(4)
+    a = rng.normal(size=(3, 7, 5)).astype(dtype)
+    b = rng.normal(size=(3, 7, 4)).astype(dtype)
+    strided = rng.normal(size=(3, 14, 4)).astype(dtype)[:, ::2]  # not contiguous
+    for right in (b, strided):
+        got = _weight_grad(a, right)
+        assert got.shape == (5, 4) and got.dtype == dtype
+        np.testing.assert_allclose(got, np.einsum("bld,ble->de", a, right),
+                                   rtol=rtol, atol=rtol * 10)
+
+
+def test_masked_softmax_leaves_scores_untouched():
+    scores = np.random.default_rng(1).normal(size=(2, 3, 4))
+    scores[0, 1, 2] = MASK_NEG
+    before = scores.copy()
+    weights = masked_softmax(scores)
+    assert np.array_equal(scores, before)
+    assert weights[0, 1, 2] == 0.0
+    np.testing.assert_allclose(weights.sum(axis=-1), 1.0, rtol=1e-12)
+
+
+def test_wider_inputs_widen_attention_and_adam_moments():
+    """float32 params with a float64 mask compute attention in float64, and
+    float64 gradients widen Adam's moments; nothing narrows in place."""
+    config = small_config()
+    params = init_params(config)
+    ids, positions, mask, labels = tiny_inputs(config, 5, seed=1)
+    probs, cache = forward_batch(params, config, ids, positions, mask)
+    assert cache["layers"][0]["attn"].dtype == np.float64
+    grads = backward_batch(params, config, cache, probs, labels)
+    assert grads["layer0.wq"].dtype == np.float64
+    optimizer = Adam(params)
+    optimizer.step(params, grads)
+    assert optimizer.m["layer0.wq"].dtype == np.float64
+    assert optimizer.v["layer0.wq"].dtype == np.float64
+    assert params["layer0.wq"].dtype == np.float32
+
+
 def test_relative_error_degenerate_rule():
     assert relative_error(0.0, 0.0) == 0.0
     assert relative_error(5e-11, -5e-11) == 0.0
@@ -318,6 +380,34 @@ def test_training_is_deterministic(mini_corpus, tmp_path):
     save_model(tmp_path / "a.bin", r1.params, r1.config)
     save_model(tmp_path / "b.bin", r2.params, r2.config)
     assert (tmp_path / "a.bin").read_bytes() == (tmp_path / "b.bin").read_bytes()
+
+
+_TRAIN_MINI_CORPUS = """
+import sys
+from ompadvisor.model import save_model, train
+from ompadvisor.synthetic import generate_synthetic_corpus
+result = train(generate_synthetic_corpus(n=60, seed=17), epochs=2, aug_mode="curriculum",
+               seed=13, min_freq=1, batch_size=16)
+save_model(sys.argv[1], result.params, result.config)
+"""
+
+
+def _train_with_blas_threads(path, threads):
+    path_entries = [str(SRC), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path_entries))
+    for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        env[name] = str(threads)
+    subprocess.run([sys.executable, "-c", _TRAIN_MINI_CORPUS, str(path)], env=env, check=True)
+    return path.read_bytes()
+
+
+def test_training_is_deterministic_across_processes_at_equal_blas_threads(tmp_path):
+    """Determinism holds per machine and per BLAS thread count: the weight
+    gradients are BLAS matmuls, whose sums a different thread count may
+    split differently."""
+    first = _train_with_blas_threads(tmp_path / "first.bin", 2)
+    second = _train_with_blas_threads(tmp_path / "second.bin", 2)
+    assert first == second
 
 
 def test_training_history_shape(mini_corpus):
