@@ -35,10 +35,20 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _write_run_config(out_dir, command, options):
-    payload = {"command": command, **options}
-    with open(Path(out_dir) / "run_config.json", "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
+def _in_range(convert, low, high=float("inf")):
+    """An argparse type: the converted value, which must lie in [low, high)."""
+    def parse(text):
+        value = convert(text)
+        if not low <= value < high:
+            raise argparse.ArgumentTypeError(f"{text} is outside [{low}, {high})")
+        return value
+    parse.__name__ = convert.__name__  # argparse names the type in its errors
+    return parse
+
+
+def _write_run_config(path, command, options):
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump({"command": command, **options}, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
@@ -66,18 +76,19 @@ def build_parser():
     p = sub.add_parser("train", help="train the advisor on a built corpus")
     p.add_argument("corpus_dir")
     p.add_argument("--aug", choices=("none", "curriculum", "replaced"), default="none")
-    p.add_argument("--epochs", type=int, default=10)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--batch-size", type=int, default=32)
-    p.add_argument("--lr", type=float, default=1e-3)
-    p.add_argument("--d-model", type=int, default=64)
-    p.add_argument("--n-heads", type=int, default=4)
-    p.add_argument("--n-layers", type=int, default=2)
-    p.add_argument("--d-ff", type=int, default=256)
-    p.add_argument("--dropout", type=float, default=0.1)
+    positive, non_negative = _in_range(int, 1), _in_range(int, 0)
+    p.add_argument("--epochs", type=positive, default=10)
+    p.add_argument("--seed", type=non_negative, default=0)
+    p.add_argument("--batch-size", type=positive, default=32)
+    p.add_argument("--lr", type=_in_range(float, 0.0), default=1e-3)
+    p.add_argument("--d-model", type=positive, default=64)
+    p.add_argument("--n-heads", type=positive, default=4)
+    p.add_argument("--n-layers", type=positive, default=2)
+    p.add_argument("--d-ff", type=positive, default=256)
+    p.add_argument("--dropout", type=_in_range(float, 0.0, 1.0), default=0.1)
     p.add_argument("--min-freq", type=int, default=DEFAULT_MIN_FREQ)
-    p.add_argument("--max-code", type=int, default=DEFAULT_MAX_CODE)
-    p.add_argument("--max-dfg", type=int, default=DEFAULT_MAX_DFG)
+    p.add_argument("--max-code", type=non_negative, default=DEFAULT_MAX_CODE)
+    p.add_argument("--max-dfg", type=non_negative, default=DEFAULT_MAX_DFG)
     scale = p.add_mutually_exclusive_group()
     scale.add_argument("--scale-d", dest="scale_mode", action="store_const", const="d")
     scale.add_argument("--scale-sqrt-d", dest="scale_mode", action="store_const",
@@ -120,7 +131,7 @@ def _cmd_build_corpus(args):
         args.src_dir, args.out, with_scope=args.with_scope,
         benchmarks_dir=args.benchmarks, seed=args.seed,
     )
-    _write_run_config(args.out, "build-corpus", {
+    _write_run_config(Path(args.out) / "run_config.json", "build-corpus", {
         "src_dir": args.src_dir, "with_scope": args.with_scope,
         "benchmarks": args.benchmarks, "seed": args.seed, "out": args.out,
     })
@@ -133,12 +144,10 @@ def _cmd_augment(args):
     fraction = fraction_for_mode(args.mode, args.epoch)
     out = [rename_variables(s, fraction, args.seed + args.epoch) for s in samples]
     write_jsonl(args.out, [s.to_json_dict() for s in out])
-    sidecar = Path(args.out).with_name(Path(args.out).name + ".run_config.json")
-    with open(sidecar, "w", encoding="utf-8") as fh:
-        json.dump({"command": "augment", "corpus": args.corpus, "mode": args.mode,
-                   "epoch": args.epoch, "seed": args.seed, "fraction": fraction,
-                   "out": args.out}, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_run_config(f"{args.out}.run_config.json", "augment", {
+        "corpus": args.corpus, "mode": args.mode, "epoch": args.epoch,
+        "seed": args.seed, "fraction": fraction, "out": args.out,
+    })
     print(f"augmented {len(out)} samples at fraction {fraction} -> {args.out}")
     return 0
 
@@ -179,7 +188,7 @@ def _cmd_train(args):
     with open(out / "encode_stats.json", "w", encoding="utf-8") as fh:
         json.dump(result.encode_stats, fh, indent=2)
         fh.write("\n")
-    _write_run_config(out, "train", {
+    _write_run_config(out / "run_config.json", "train", {
         "corpus_dir": args.corpus_dir, "aug": args.aug, "epochs": args.epochs,
         "seed": args.seed, "batch_size": args.batch_size, "lr": args.lr,
         "d_model": args.d_model, "n_heads": args.n_heads,
@@ -192,29 +201,39 @@ def _cmd_train(args):
 
 
 def _load_model_dir(model_dir):
+    """(params, config, vocab, limits) of a trained model directory, checked
+    for consistency; limits holds the max_code and max_dfg it was trained
+    with."""
     model_path = Path(model_dir) / "model.bin"
     vocab_path = Path(model_dir) / "vocab.json"
     if not model_path.exists() or not vocab_path.exists():
         raise FileNotFoundError(f"{model_dir} does not hold model.bin + vocab.json")
     params, config = load_model(model_path)
     vocab = Vocabulary.load(vocab_path)
+    if vocab.size != config.vocab_size:
+        raise ValueError(f"{vocab_path} holds {vocab.size} tokens, "
+                         f"the model {config.vocab_size}")
     options = {}
     run_config = Path(model_dir) / "run_config.json"
     if run_config.exists():
         with open(run_config, encoding="utf-8") as fh:
             options = json.load(fh)
-    return params, config, vocab, options
+    if not isinstance(options, dict):
+        raise ValueError(f"{run_config} does not hold a JSON object")
+    limits = {"max_code": options.get("max_code", DEFAULT_MAX_CODE),
+              "max_dfg": options.get("max_dfg", DEFAULT_MAX_DFG)}
+    if (not all(type(v) is int and v >= 0 for v in limits.values())
+            or sum(limits.values()) + 2 > config.max_len):
+        raise ValueError(f"{run_config}: max_code and max_dfg must be integers >= 0 "
+                         f"with max_code + max_dfg + 2 <= {config.max_len}")
+    return params, config, vocab, limits
 
 
 def _cmd_predict(args):
-    params, config, vocab, options = _load_model_dir(args.model_dir)
+    params, config, vocab, limits = _load_model_dir(args.model_dir)
     source = Path(args.file).read_text(encoding="utf-8")
-    results = predict_source(
-        params, config, vocab, source, gate=args.gate,
-        with_scope=args.with_scope,
-        max_code=options.get("max_code", DEFAULT_MAX_CODE),
-        max_dfg=options.get("max_dfg", DEFAULT_MAX_DFG),
-    )
+    results = predict_source(params, config, vocab, source, gate=args.gate,
+                             with_scope=args.with_scope, **limits)
     if args.as_json:
         printable = [{k: v for k, v in r.items() if k != "loop_code"} for r in results]
         print(json.dumps(printable, indent=2))
@@ -232,17 +251,13 @@ def _cmd_predict(args):
 
 
 def _cmd_evaluate(args):
-    params, config, vocab, options = _load_model_dir(args.model_dir)
+    params, config, vocab, limits = _load_model_dir(args.model_dir)
     samples = read_samples(args.corpus)
     if args.split != "all":
         samples = [s for s in samples if s.split == args.split]
         if not samples:
             raise ValueError(f"split {args.split!r} of {args.corpus} holds no samples")
-    report, rows = evaluate(
-        params, config, vocab, samples,
-        max_code=options.get("max_code", DEFAULT_MAX_CODE),
-        max_dfg=options.get("max_dfg", DEFAULT_MAX_DFG),
-    )
+    report, rows = evaluate(params, config, vocab, samples, **limits)
     report["gate"] = args.gate
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -253,7 +268,7 @@ def _cmd_evaluate(args):
         fh.write(format_report(report))
     with open(out / "per_sample.csv", "w", encoding="utf-8") as fh:
         fh.write(rows_to_csv(rows))
-    _write_run_config(out, "evaluate", {
+    _write_run_config(out / "run_config.json", "evaluate", {
         "model_dir": args.model_dir, "corpus": args.corpus, "gate": args.gate,
         "split": args.split, "out": args.out,
     })
@@ -323,8 +338,7 @@ def execute_command(argv):
         return 1
     try:
         return _COMMANDS[args.command](args)
-    except (FileNotFoundError, ParseError, TrainingDiverged, ValueError,
-            json.JSONDecodeError, KeyError) as err:
+    except (OSError, ParseError, TrainingDiverged, ValueError, KeyError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 

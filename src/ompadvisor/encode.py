@@ -1,10 +1,12 @@
-"""Vocabulary and model-input encoding.
+"""Vocabulary, model-input encoding and batch padding.
 
 An encoded sample is [CLS] + code token ids + [SEP] + one id per data-flow
-node, with an additive attention mask: code positions (and CLS/SEP) attend
-freely, data-flow nodes attend their graph neighbours, themselves and their
-aligned code token. Masked pairs carry a large negative value that underflows
-to an exact zero attention weight after softmax.
+node; it keeps the node alignment and the graph edges, not a mask. Each
+padded batch gets its additive attention mask from build_attention_mask:
+code positions (and CLS/SEP) attend freely, data-flow nodes attend their
+graph neighbours, themselves and their aligned code token, and a pad slot
+attends only to itself. Masked pairs carry a large negative value that
+underflows to an exact zero attention weight after softmax.
 """
 
 import json
@@ -45,7 +47,11 @@ class Vocabulary:
 
     @classmethod
     def from_json(cls, data):
-        return cls(dict(data["tokens"]), data["min_freq"])
+        tokens = data.get("tokens") if isinstance(data, dict) else None
+        if not isinstance(tokens, dict) or sorted(
+                i for i in tokens.values() if type(i) is int) != list(range(len(tokens))):
+            raise ValueError("a vocabulary maps its tokens to the ids 0..n-1")
+        return cls(dict(tokens), data["min_freq"])
 
     def save(self, path):
         with open(path, "w", encoding="utf-8") as fh:
@@ -62,7 +68,7 @@ class Vocabulary:
 class EncodedInput:
     ids: list
     positions: list
-    mask: np.ndarray  # (L, L) float32, entries in {0, MASK_NEG}
+    # The graph the attention mask is built from, per batch, by pad_batch:
     dfg_alignment: list  # per node: code slot index, or None if truncated away
     labels: tuple
     edges: list = field(default_factory=list)  # kept (to, from) node pairs
@@ -97,33 +103,61 @@ def build_vocabulary(train_samples, min_freq=DEFAULT_MIN_FREQ):
     return Vocabulary(token_to_id, min_freq)
 
 
-def build_attention_mask(n_code, dfg_alignment, edges, dtype=np.float32):
-    """The additive (L, L) mask: 0 where attention is allowed, MASK_NEG
-    elsewhere. Symmetric; every row keeps its diagonal open."""
-    n_dfg = len(dfg_alignment)
-    length = 1 + n_code + 1 + n_dfg
-    sep = n_code + 1
-    base = n_code + 2
-    mask = np.full((length, length), MASK_NEG, dtype=dtype)
-    mask[: sep + 1, : sep + 1] = 0.0  # code block including CLS and SEP
-    mask[0, :] = 0.0
-    mask[:, 0] = 0.0
-    mask[sep, :] = 0.0
-    mask[:, sep] = 0.0
-    np.fill_diagonal(mask, 0.0)
-    for i, slot in enumerate(dfg_alignment):
-        if slot is None:
-            continue
-        if not 1 <= slot <= n_code:
-            raise IndexError(f"alignment slot {slot} outside code block 1..{n_code}")
-        mask[base + i, slot] = 0.0
-        mask[slot, base + i] = 0.0
-    for to, frm in edges:
-        if not (0 <= to < n_dfg and 0 <= frm < n_dfg):
-            raise IndexError(f"edge ({to}, {frm}) outside node range 0..{n_dfg - 1}")
-        mask[base + to, base + frm] = 0.0
-        mask[base + frm, base + to] = 0.0
+def build_attention_mask(encodings, dtype=np.float32):
+    """The additive (B, L, L) mask of encodings padded to the longest: 0 where
+    attention is allowed, MASK_NEG elsewhere. Symmetric; every row keeps its
+    diagonal open, so a pad slot attends only to itself."""
+    lengths = np.array([e.length for e in encodings])
+    n_dfg = np.array([len(e.dfg_alignment) for e in encodings])
+    sep = lengths - n_dfg - 1  # CLS at 0, code at 1..sep-1, nodes from sep+1
+    slot = np.arange(lengths.max())
+    code = slot <= sep[:, None]  # code block including CLS and SEP
+    real = slot < lengths[:, None]
+    allowed = code[:, :, None] & code[:, None, :]
+    each = np.arange(len(encodings))
+    for hub in (0, sep):  # CLS and SEP attend to and from every real slot
+        allowed[each, hub, :] = real
+        allowed[each, :, hub] = real
+    allowed[:, slot, slot] = True
+
+    # (sample, node, code slot) per alignment and (sample, node, node) per edge
+    aligned = np.array([(b, k, s) for b, e in enumerate(encodings)
+                        for k, s in enumerate(e.dfg_alignment) if s is not None],
+                       dtype=np.int64).reshape(-1, 3).T
+    edges = np.array([(b, to, frm) for b, e in enumerate(encodings) for to, frm in e.edges],
+                     dtype=np.int64).reshape(-1, 3).T
+    bad = (aligned[2] < 1) | (aligned[2] >= sep[aligned[0]])
+    if bad.any():
+        b, _, s = aligned[:, bad.argmax()]
+        raise IndexError(f"alignment slot {s} outside code block 1..{sep[b] - 1}")
+    bad = (edges[1:].min(axis=0) < 0) | (edges[1:].max(axis=0) >= n_dfg[edges[0]])
+    if bad.any():
+        b, to, frm = edges[:, bad.argmax()]
+        raise IndexError(f"edge ({to}, {frm}) outside node range 0..{n_dfg[b] - 1}")
+    base = sep + 1  # first node slot
+    batch = np.concatenate([aligned[0], edges[0]])
+    rows = np.concatenate([base[aligned[0]] + aligned[1], base[edges[0]] + edges[1]])
+    cols = np.concatenate([aligned[2], base[edges[0]] + edges[2]])
+    allowed[batch, rows, cols] = True
+    allowed[batch, cols, rows] = True
+    mask = allowed.astype(dtype)  # 1 open, 0 closed
+    mask -= 1.0
+    mask *= -MASK_NEG
     return mask
+
+
+def pad_batch(encodings, dtype=np.float32):
+    """Pad encodings to a common length: (ids, positions, mask, labels). Pad
+    slots use PAD id and position 0, and their mask rows only allow
+    self-attention, so they cannot influence any real slot."""
+    length = max(e.length for e in encodings)
+    ids = np.full((len(encodings), length), PAD_ID, dtype=np.int64)
+    positions = np.zeros((len(encodings), length), dtype=np.int64)
+    for i, enc in enumerate(encodings):
+        ids[i, : enc.length] = enc.ids
+        positions[i, : enc.length] = enc.positions
+    labels = np.array([e.labels for e in encodings], dtype=dtype)
+    return ids, positions, build_attention_mask(encodings, dtype), labels
 
 
 def encode_sample(sample, vocab, max_code=DEFAULT_MAX_CODE, max_dfg=DEFAULT_MAX_DFG):
@@ -140,23 +174,14 @@ def encode_sample(sample, vocab, max_code=DEFAULT_MAX_CODE, max_dfg=DEFAULT_MAX_
     nodes = nodes[:max_dfg]
     edges = [(t, f) for t, f in edges if t < len(nodes) and f < len(nodes)]
 
-    alignment = []
-    for _, tok_idx in nodes:
-        alignment.append(1 + tok_idx if tok_idx < n_code else None)
-
+    alignment = [1 + tok_idx if tok_idx < n_code else None for _, tok_idx in nodes]
     ids = [CLS_ID] + [vocab.lookup(t) for t in lexemes] + [SEP_ID]
     ids += [vocab.lookup(name) for name, _ in nodes]
     positions = [0] + list(range(1, n_code + 1)) + [0] + [0] * len(nodes)
-    mask = build_attention_mask(n_code, alignment, edges)
     return EncodedInput(
-        ids=ids,
-        positions=positions,
-        mask=mask,
-        dfg_alignment=alignment,
+        ids=ids, positions=positions, dfg_alignment=alignment,
         labels=(sample.label_pragma, sample.label_private, sample.label_reduction),
-        edges=edges,
-        code_truncated=code_truncated,
-        dfg_truncated=dfg_truncated,
+        edges=edges, code_truncated=code_truncated, dfg_truncated=dfg_truncated,
     )
 
 

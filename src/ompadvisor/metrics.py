@@ -4,10 +4,8 @@ import csv
 import io
 from dataclasses import dataclass
 
-from .encode import encode_corpus
-from .model import forward_batch, pad_batch
-
-LABELS = ("pragma", "private", "reduction")
+from .encode import encode_corpus, pad_batch
+from .model import LABELS, forward_batch
 
 # Full-scale reference point shown in report footers for context; never
 # asserted by any test.
@@ -110,18 +108,12 @@ def predict_rows(params, config, vocab, samples, max_code=256, max_dfg=32,
         ids, positions, mask, _ = pad_batch(chunk)
         probs, _ = forward_batch(params, config, ids, positions, mask)
         for sample, p in zip(samples[start : start + batch_size], probs):
-            rows.append({
-                "id": sample.id,
-                "p_pragma": float(p[0]),
-                "p_private": float(p[1]),
-                "p_reduction": float(p[2]),
-                "label_pragma": sample.label_pragma,
-                "label_private": sample.label_private,
-                "label_reduction": sample.label_reduction,
-                "pred_pragma": int(p[0] >= 0.5),
-                "pred_private": int(p[1] >= 0.5),
-                "pred_reduction": int(p[2] >= 0.5),
-            })
+            row = {"id": sample.id}
+            for label, prob in zip(LABELS, p):
+                row[f"p_{label}"] = float(prob)
+                row[f"label_{label}"] = getattr(sample, f"label_{label}")
+                row[f"pred_{label}"] = int(prob >= 0.5)
+            rows.append(row)
     return rows
 
 
@@ -136,15 +128,11 @@ def evaluate(params, config, vocab, samples, max_code=256, max_dfg=32):
 
     groups = sorted({s.path.split("/", 1)[0] for s in samples})
     if len(groups) > 1:
-        by_group = {}
-        row_by_index = dict(enumerate(rows))
-        for name in groups:
-            group_rows = [
-                row_by_index[i] for i, s in enumerate(samples)
-                if s.path.split("/", 1)[0] == name
-            ]
-            by_group[name] = report_from_rows(group_rows)
-        report["groups"] = by_group
+        report["groups"] = {
+            name: report_from_rows([row for row, s in zip(rows, samples)
+                                    if s.path.split("/", 1)[0] == name])
+            for name in groups
+        }
     return report, rows
 
 

@@ -8,6 +8,8 @@ scale_mode="d". All gradients are hand-derived so they can be verified
 against finite differences.
 """
 
+import math
+import os
 import struct
 from dataclasses import dataclass, field
 
@@ -15,11 +17,11 @@ import numpy as np
 
 from .augment import fraction_for_mode, rename_variables
 from .corpus import extract_for_prediction
-from .encode import (
-    MASK_NEG, PAD_ID, EncodedInput, build_vocabulary, encode_corpus, encode_sample,
-)
+from .encode import EncodedInput, build_vocabulary, encode_corpus, encode_sample, pad_batch
 
 MAGIC = b"OMPF1"
+LABELS = ("pragma", "private", "reduction")
+HEADER = "<6IqfB"
 
 LAYER_KEYS = (
     "wq", "bq", "wk", "bk", "wv", "bv", "wo", "bo",
@@ -48,11 +50,11 @@ class ModelConfig:
     scale_mode: str = "sqrt_d"  # "sqrt_d" | "d"
 
     def __post_init__(self):
-        if self.d_model % self.n_heads != 0:
-            raise ValueError("d_model must be divisible by n_heads")
         for name in ("vocab_size", "d_model", "n_heads", "n_layers", "d_ff", "max_len"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
+        if self.d_model % self.n_heads != 0:
+            raise ValueError("d_model must be divisible by n_heads")
         if self.scale_mode not in ("sqrt_d", "d"):
             raise ValueError(f"bad scale_mode: {self.scale_mode!r}")
 
@@ -297,31 +299,6 @@ def backward_batch(params, config, cache, probs, labels):
     return grads
 
 
-# ---------------------------------------------------------------------------
-# batching
-
-def pad_batch(encodings, dtype=np.float32):
-    """Pad encodings to a common length. Pad slots use PAD id, position 0 and
-    a mask row that only allows self-attention, so they cannot influence any
-    real slot."""
-    batch = len(encodings)
-    length = max(e.length for e in encodings)
-    ids = np.full((batch, length), PAD_ID, dtype=np.int64)
-    positions = np.zeros((batch, length), dtype=np.int64)
-    mask = np.full((batch, length, length), MASK_NEG, dtype=dtype)
-    labels = np.zeros((batch, 3), dtype=dtype)
-    for i, enc in enumerate(encodings):
-        n = enc.length
-        ids[i, :n] = enc.ids
-        positions[i, :n] = enc.positions
-        mask[i, :n, :n] = enc.mask
-        labels[i] = enc.labels
-    lengths = np.array([e.length for e in encodings])
-    rows, slots = np.nonzero(np.arange(length) >= lengths[:, None])
-    mask[rows, slots, slots] = 0.0
-    return ids, positions, mask, labels
-
-
 def threshold_labels(probs, gate):
     """0.5-threshold labels; with the gate on, clause labels are zeroed
     whenever the pragma label is 0."""
@@ -475,16 +452,8 @@ def predict_source(params, config, vocab, source_text, gate=False,
             "loop_index": len(results),
             "line": loop_info["line"],
             "loop_code": loop_info["sample"].loop_code,
-            "probs": {
-                "pragma": prediction.probs[0],
-                "private": prediction.probs[1],
-                "reduction": prediction.probs[2],
-            },
-            "labels": {
-                "pragma": prediction.labels[0],
-                "private": prediction.labels[1],
-                "reduction": prediction.labels[2],
-            },
+            "probs": dict(zip(LABELS, prediction.probs)),
+            "labels": dict(zip(LABELS, prediction.labels)),
             "gated": prediction.gated,
         })
     return results
@@ -500,22 +469,21 @@ def small_config(vocab_size=16, scale_mode="sqrt_d"):
 
 def _random_check_input(config, rng, lengths, mask_mode="random"):
     """A float64 batch with one random sample per length, padded to the
-    longest by pad_batch as in training."""
-    inputs = []
+    longest by pad_batch as in training. mask_mode "open" has no data-flow
+    nodes; "random" draws nodes, their alignment and their edges."""
+    encodings = []
     for length in lengths:
         ids = rng.integers(1, config.vocab_size, size=length)
         positions = rng.integers(0, min(config.max_len, length + 1), size=length)
-        mask = np.zeros((length, length), dtype=np.float64)
-        if mask_mode == "random":
-            closed = rng.random((length, length)) < 0.5
-            closed = np.triu(closed, 1)
-            closed = closed | closed.T  # symmetric
-            mask[closed] = MASK_NEG
-            np.fill_diagonal(mask, 0.0)
-        inputs.append((list(ids), list(positions), mask))
-    labels = rng.integers(0, 2, size=(len(lengths), 3))
-    encodings = [EncodedInput(ids, positions, mask, [], tuple(y))
-                 for (ids, positions, mask), y in zip(inputs, labels)]
+        n_dfg = 0 if mask_mode == "open" else int(rng.integers(0, length - 1))
+        n_code = length - 2 - n_dfg
+        slots = rng.integers(0, n_code + 1, size=n_dfg)  # 0: truncated away
+        edges = np.argwhere(np.triu(rng.random((n_dfg, n_dfg)) < 0.5, 1))
+        encodings.append(EncodedInput(
+            ids=list(ids), positions=list(positions),
+            dfg_alignment=[int(s) if s else None for s in slots],
+            labels=tuple(rng.integers(0, 2, size=3)),
+            edges=[tuple(e) for e in edges.tolist()]))
     return pad_batch(encodings, dtype=np.float64)
 
 
@@ -576,7 +544,7 @@ def check_gradients(config=None, n_coords=20, h=1e-5, seed=0, mask_mode="random"
 
 def save_model(path, params, config):
     header = struct.pack(
-        "<6IqfB",
+        HEADER,
         config.d_model, config.n_heads, config.n_layers, config.d_ff,
         config.max_len, config.vocab_size, config.seed,
         config.dropout_rate, 0 if config.scale_mode == "sqrt_d" else 1,
@@ -593,20 +561,22 @@ def load_model(path):
         magic = fh.read(len(MAGIC))
         if magic != MAGIC:
             raise ValueError(f"not a model file (bad magic {magic!r})")
-        header_size = struct.calcsize("<6IqfB")
+        header = fh.read(struct.calcsize(HEADER))
+        if len(header) != struct.calcsize(HEADER):
+            raise ValueError("model file truncated in its header")
         (d_model, n_heads, n_layers, d_ff, max_len, vocab_size,
-         seed, dropout, scale_flag) = struct.unpack("<6IqfB", fh.read(header_size))
+         seed, dropout, scale_flag) = struct.unpack(HEADER, header)
         config = ModelConfig(
             vocab_size=vocab_size, d_model=d_model, n_heads=n_heads,
             n_layers=n_layers, d_ff=d_ff, max_len=max_len,
             dropout_rate=dropout, seed=seed,
             scale_mode="sqrt_d" if scale_flag == 0 else "d",
         )
-        params = {}
-        for name, shape in param_layout(config):
-            count = int(np.prod(shape))
-            buf = fh.read(count * 4)
-            if len(buf) != count * 4:
-                raise ValueError(f"model file truncated at parameter {name}")
-            params[name] = np.frombuffer(buf, dtype="<f4").reshape(shape).copy()
+        layout = param_layout(config)
+        needed = 4 * sum(math.prod(shape) for _, shape in layout)
+        held = os.fstat(fh.fileno()).st_size - fh.tell()
+        if held != needed:
+            raise ValueError(f"model file holds {held} parameter bytes, its header needs {needed}")
+        params = {name: np.frombuffer(fh.read(4 * math.prod(shape)), dtype="<f4")
+                  .reshape(shape).copy() for name, shape in layout}
     return params, config

@@ -4,11 +4,15 @@ The straight-line generator builds programs as plain statement tuples and
 renders them to C text; the reaching-definitions oracle computes the expected
 def/use graph from those tuples directly, never touching the parser or the
 graph builder it is checking. The reference lexer is the scanner the regex
-lexer replaced, for differential tests.
+lexer replaced, and the reference mask builder is the per-sample builder and
+pad loop the batch mask builder replaced, for differential tests.
 """
 
 import random
 
+import numpy as np
+
+from ompadvisor.encode import MASK_NEG
 from ompadvisor.syntax import KEYWORDS, ParseError, Token
 
 VARS = ["a", "b", "c", "d", "e", "f"]
@@ -325,3 +329,52 @@ def reference_tokenize(source_text):
             else:
                 raise ParseError(line, col, "a token", c)
     return tokens
+
+
+# ---------------------------------------------------------------------------
+# reference attention mask: one (L, L) mask per sample, copied into the batch
+
+
+def reference_attention_mask(n_code, dfg_alignment, edges, dtype=np.float32):
+    """The additive (L, L) mask: 0 where attention is allowed, MASK_NEG
+    elsewhere. Symmetric; every row keeps its diagonal open."""
+    n_dfg = len(dfg_alignment)
+    length = 1 + n_code + 1 + n_dfg
+    sep = n_code + 1
+    base = n_code + 2
+    mask = np.full((length, length), MASK_NEG, dtype=dtype)
+    mask[: sep + 1, : sep + 1] = 0.0  # code block including CLS and SEP
+    mask[0, :] = 0.0
+    mask[:, 0] = 0.0
+    mask[sep, :] = 0.0
+    mask[:, sep] = 0.0
+    np.fill_diagonal(mask, 0.0)
+    for i, slot in enumerate(dfg_alignment):
+        if slot is None:
+            continue
+        if not 1 <= slot <= n_code:
+            raise IndexError(f"alignment slot {slot} outside code block 1..{n_code}")
+        mask[base + i, slot] = 0.0
+        mask[slot, base + i] = 0.0
+    for to, frm in edges:
+        if not (0 <= to < n_dfg and 0 <= frm < n_dfg):
+            raise IndexError(f"edge ({to}, {frm}) outside node range 0..{n_dfg - 1}")
+        mask[base + to, base + frm] = 0.0
+        mask[base + frm, base + to] = 0.0
+    return mask
+
+
+def reference_batch_mask(encodings, dtype=np.float32):
+    """The (B, L, L) mask the per-sample pad loop built: each sample's mask
+    copied into a MASK_NEG batch, then every pad slot's diagonal opened."""
+    batch = len(encodings)
+    length = max(e.length for e in encodings)
+    mask = np.full((batch, length, length), MASK_NEG, dtype=dtype)
+    for i, enc in enumerate(encodings):
+        n = enc.length
+        n_code = n - 2 - len(enc.dfg_alignment)
+        mask[i, :n, :n] = reference_attention_mask(n_code, enc.dfg_alignment, enc.edges)
+    lengths = np.array([e.length for e in encodings])
+    rows, slots = np.nonzero(np.arange(length) >= lengths[:, None])
+    mask[rows, slots, slots] = 0.0
+    return mask

@@ -16,7 +16,7 @@ import pytest
 from ompadvisor.augment import curriculum_ratio, rename_variables
 from ompadvisor.corpus import build_corpus
 from ompadvisor.dfg import build_dfg
-from ompadvisor.encode import MASK_NEG, build_vocabulary, encode_corpus
+from ompadvisor.encode import MASK_NEG, build_attention_mask, build_vocabulary, encode_corpus
 from ompadvisor.metrics import (
     Confusion, compute_metrics, report_from_rows, rows_from_csv, rows_to_csv,
 )
@@ -117,7 +117,7 @@ def test_criterion_4_mask_properties(synthetic_corpus):
     rng = np.random.default_rng(4)
     failures = []
     for idx, enc in enumerate(encodings):
-        mask = enc.mask
+        mask = build_attention_mask([enc])[0]
         n_dfg = len(enc.dfg_alignment)
         n_code = enc.length - 2 - n_dfg
         sep = n_code + 1

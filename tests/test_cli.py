@@ -1,8 +1,12 @@
 import json
+import shutil
+import struct
 from pathlib import Path
 
 import jsonschema
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ompadvisor.cli import execute_command
 from ompadvisor.metrics import report_from_rows, rows_from_csv
@@ -252,3 +256,117 @@ def test_evaluate_empty_split_is_a_data_error(model_dir, tmp_path, capsys):
                             "-o", str(eval_dir)]) == 2
     assert "split 'test'" in capsys.readouterr().err
     assert not eval_dir.exists()
+
+
+# ---------------------------------------------------------------------------
+# argument checks and model directory checks
+
+@pytest.mark.parametrize("option, value", [
+    ("--n-heads", "0"), ("--d-model", "0"), ("--n-layers", "-1"), ("--d-ff", "0"),
+    ("--batch-size", "-1"), ("--batch-size", "0"), ("--epochs", "-1"), ("--epochs", "0"),
+    ("--max-code", "-5"), ("--max-dfg", "-1"), ("--dropout", "-0.5"), ("--dropout", "1"),
+    ("--dropout", "nan"), ("--epochs", "two"), ("--lr", "-1"), ("--lr", "inf"),
+    ("--seed", "-1"),
+])
+def test_train_rejects_bad_numeric_option(model_dir, tmp_path, capsys, option, value):
+    corpus, _ = model_dir
+    out = tmp_path / "m"
+    assert execute_command(["train", str(corpus), option, value, "-o", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage error:") and option in err
+    assert not out.exists()
+
+
+def test_train_accepts_lower_bounds(model_dir, tmp_path, capsys):
+    corpus, _ = model_dir
+    assert execute_command([
+        "train", str(corpus), "--epochs", "1", "--batch-size", "1", "--dropout", "0",
+        "--max-dfg", "0", "--d-model", "2", "--n-heads", "1", "--n-layers", "1",
+        "--d-ff", "1", "--seed", "0", "--lr", "0", "--min-freq", "1", "-o", str(tmp_path / "m"),
+    ]) == 0
+
+
+def _edit_vocab(edit):
+    def mutate(raw):
+        data = json.loads(raw)
+        edit(data["tokens"])
+        return json.dumps(data).encode()
+    return mutate
+
+
+def _set_header_field(offset, value):
+    def mutate(raw):
+        data = bytearray(raw)
+        struct.pack_into("<I", data, offset, value)
+        return bytes(data)
+    return mutate
+
+
+# (file in the model directory, how it is changed, predict's exit code)
+MODEL_DIR_EDITS = {
+    "unchanged": ("vocab.json", lambda raw: raw, 0),
+    "run_config_list": ("run_config.json", lambda raw: b"[]", 2),
+    "max_code_string": ("run_config.json", lambda raw: b'{"max_code": "abc"}', 2),
+    "max_code_past_positions": ("run_config.json", lambda raw: b'{"max_code": 2000}', 2),
+    "max_code_negative": ("run_config.json", lambda raw: b'{"max_dfg": -1}', 2),
+    "positions_filled": ("run_config.json",
+                         lambda raw: b'{"max_code": 478, "max_dfg": 32}', 0),
+    "vocab_tokens_int": ("vocab.json", lambda raw: b'{"min_freq": 1, "tokens": 5}', 2),
+    "vocab_list": ("vocab.json", lambda raw: b'["x"]', 2),
+    "vocab_id_past_size": ("vocab.json", _edit_vocab(lambda t: t.update({"[UNK]": len(t)})), 2),
+    "vocab_id_not_int": ("vocab.json", _edit_vocab(lambda t: t.update({"[UNK]": "3"})), 2),
+    "vocab_one_short": ("vocab.json", _edit_vocab(lambda t: t.popitem()), 2),
+    "model_trailing_bytes": ("model.bin", lambda raw: raw + b"\0\0\0\0", 2),
+    "model_truncated": ("model.bin", lambda raw: raw[:-4], 2),
+    "model_header_truncated": ("model.bin", lambda raw: raw[:12], 2),
+    "model_zero_heads": ("model.bin", _set_header_field(len(b"OMPF1") + 4, 0), 2),
+}
+
+
+@pytest.mark.parametrize("edit", sorted(MODEL_DIR_EDITS))
+def test_predict_checks_model_directory(model_dir, tmp_path, capsys, edit):
+    name, mutate, want = MODEL_DIR_EDITS[edit]
+    _, trained = model_dir
+    copy = tmp_path / "model"
+    shutil.copytree(trained, copy)
+    (copy / name).write_bytes(mutate((copy / name).read_bytes()))
+    source = tmp_path / "kernel.c"
+    source.write_text("void f(int n, double *a) {\nint i;\nfor (i = 0; i < n; i++) {\n"
+                      "a[i] = 0.0;\n}\n}\n")
+    assert execute_command(["predict", str(copy), str(source), "--json"]) == want
+    captured = capsys.readouterr()
+    if want == 2:
+        assert captured.out == "" and captured.err.startswith("error:")
+
+
+def test_predict_on_a_directory_is_a_data_error(model_dir, tmp_path, capsys):
+    _, trained = model_dir
+    assert execute_command(["predict", str(trained), str(tmp_path), "--json"]) == 2
+
+
+# ---------------------------------------------------------------------------
+# predict on arbitrary text
+
+C_FRAGMENTS = (
+    "for", "while", "if", "else", "return", "int", "double", "i", "n", "x", "a[i]",
+    "(", ")", "{", "}", "[", "]", ";", ",", "=", "+=", "<", "++", "+", "*", "!", "0",
+    "1.0", "\n", "#pragma omp parallel for", "#pragma omp parallel for private(x)",
+    "/*", "*/", "//", '"', "'", "\\", "#define N 4", "?", ":",
+)
+C_LIKE = st.lists(st.sampled_from(C_FRAGMENTS), max_size=40).map(" ".join)
+
+
+@pytest.fixture(scope="module")
+def fuzz_source(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "input.c"
+
+
+@settings(max_examples=100, deadline=None)
+@given(text=st.one_of(st.text(), C_LIKE,
+                      C_LIKE.map(lambda body: "void f(int n, double *a) {\n" + body + "\n}\n")),
+       scope=st.booleans())
+def test_predict_exits_zero_or_two_on_arbitrary_text(model_dir, fuzz_source, text, scope):
+    _, trained = model_dir
+    fuzz_source.write_text(text, encoding="utf-8")
+    argv = ["predict", str(trained), str(fuzz_source), "--json"]
+    assert execute_command(argv + ["--with-scope"] * scope) in (0, 2)

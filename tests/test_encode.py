@@ -3,11 +3,12 @@ import pytest
 
 from ompadvisor.corpus import extract_from_source
 from ompadvisor.encode import (
-    CLS_ID, MASK_NEG, SEP_ID, UNK_ID, Vocabulary, build_attention_mask,
-    build_vocabulary, encode_corpus, encode_sample,
+    CLS_ID, MASK_NEG, SEP_ID, UNK_ID, EncodedInput, Vocabulary, build_attention_mask,
+    build_vocabulary, encode_corpus, encode_sample, pad_batch,
 )
 from ompadvisor.model import masked_softmax
 from ompadvisor.synthetic import generate_synthetic_corpus
+from oracles import reference_batch_mask
 
 
 def snippet_sample(code, **label_overrides):
@@ -25,6 +26,11 @@ def snippet_sample(code, **label_overrides):
         split="train", **fields,
     )
     return sample
+
+
+def mask_of(enc):
+    """One encoding's (L, L) mask, read through the batch builder."""
+    return build_attention_mask([enc])[0]
 
 
 @pytest.fixture(scope="module")
@@ -99,7 +105,8 @@ def test_hand_constructed_mask_for_two_token_graph():
         [z, z, n, n, n, z, z, z],
         [z, n, n, z, n, z, z, z],
     ], dtype=np.float32)
-    assert np.array_equal(enc.mask, expected)
+    assert np.array_equal(mask_of(enc), expected)
+    assert mask_of(enc).dtype == np.float32
 
 
 def test_empty_dfg_mask_all_open():
@@ -108,20 +115,33 @@ def test_empty_dfg_mask_all_open():
     vocab = build_vocabulary([snippet_sample("x = 1;")], min_freq=1)
     enc = encode_sample(sample, vocab)
     assert enc.length == 1 + 4 + 1
-    assert np.array_equal(enc.mask, np.zeros((6, 6), dtype=np.float32))
+    assert np.array_equal(mask_of(enc), np.zeros((6, 6), dtype=np.float32))
+
+
+def graph_encoding(n_code, dfg_alignment, edges):
+    length = 1 + n_code + 1 + len(dfg_alignment)
+    return EncodedInput(ids=[CLS_ID] * length, positions=[0] * length,
+                        dfg_alignment=dfg_alignment, labels=(0, 0, 0), edges=edges)
 
 
 def test_mask_rejects_bad_alignment():
-    with pytest.raises(IndexError):
-        build_attention_mask(3, [5], [])
-    with pytest.raises(IndexError):
-        build_attention_mask(3, [1, 2], [(0, 7)])
+    """An alignment slot outside the code block or an edge outside the node
+    range is an IndexError, alone or after a valid sample in the batch."""
+    good = graph_encoding(3, [1, None], [(1, 0)])
+    for alignment, edges in (([5], []), ([4], []), ([0], []), ([1, 2], [(0, 7)]),
+                             ([1, 2], [(-1, 0)]), ([1, 2], [(1, 2)])):
+        bad = graph_encoding(3, alignment, edges)
+        for batch in ([bad], [good, bad]):
+            with pytest.raises(IndexError):
+                build_attention_mask(batch)
+            with pytest.raises(IndexError):
+                reference_batch_mask(batch)
 
 
 def test_mask_properties_on_random_encodings(random_encodings):
     assert len(random_encodings) == 100
     for enc in random_encodings:
-        mask = enc.mask
+        mask = mask_of(enc)
         n_dfg = len(enc.dfg_alignment)
         n_code = enc.length - 2 - n_dfg
         sep = n_code + 1
@@ -143,7 +163,7 @@ def test_dfg_block_zeros_iff_edge_or_diagonal(random_encodings):
         n_dfg = len(enc.dfg_alignment)
         n_code = enc.length - 2 - n_dfg
         base = n_code + 2
-        block = enc.mask[base:, base:]
+        block = mask_of(enc)[base:, base:]
         # zeros must be symmetric and include the diagonal
         zero_pairs = {(i, j) for i in range(n_dfg) for j in range(n_dfg)
                       if block[i, j] == 0.0}
@@ -154,10 +174,50 @@ def test_dfg_block_zeros_iff_edge_or_diagonal(random_encodings):
 def test_masked_softmax_is_exactly_zero(random_encodings):
     rng = np.random.default_rng(0)
     for enc in random_encodings[:50]:
-        logits = rng.normal(0, 1, size=enc.mask.shape).astype(np.float32) + enc.mask
+        mask = mask_of(enc)
+        logits = rng.normal(0, 1, size=mask.shape).astype(np.float32) + mask
         weights = masked_softmax(logits)
-        assert np.all(weights[enc.mask != 0.0] == 0.0)
+        assert np.all(weights[mask != 0.0] == 0.0)
         np.testing.assert_allclose(weights.sum(axis=-1), 1.0, atol=1e-6)
+
+
+# ---------------------------------------------------------------------------
+# batch masks against the per-sample reference builder
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_batch_mask_equals_reference_on_random_encodings(random_encodings, dtype):
+    for start in range(0, len(random_encodings), 32):
+        batch = random_encodings[start : start + 32]
+        mask = build_attention_mask(batch, dtype)
+        assert mask.dtype == dtype
+        assert np.array_equal(mask, reference_batch_mask(batch, dtype))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_padded_mask_equals_reference_on_shuffled_mixed_batches(dtype):
+    samples = generate_synthetic_corpus(n=200, seed=8)
+    vocab = build_vocabulary(samples, min_freq=2)
+    encodings = []
+    for max_code, max_dfg in ((256, 32), (16, 32), (256, 6), (16, 6)):
+        encodings += encode_corpus(samples[:50], vocab, max_code, max_dfg)[0]
+        samples = samples[50:]
+    assert any(e.code_truncated and not e.dfg_truncated for e in encodings)
+    assert any(e.dfg_truncated and not e.code_truncated for e in encodings)
+    assert any(None in e.dfg_alignment for e in encodings)
+    rng = np.random.default_rng(5)
+    order = rng.permutation(len(encodings))
+    start = 0
+    while start < len(order):
+        size = int(rng.integers(1, 33))
+        batch = [encodings[i] for i in order[start : start + size]]
+        start += size
+        ids, positions, mask, labels = pad_batch(batch, dtype)
+        assert mask.dtype == dtype and labels.dtype == dtype
+        assert np.array_equal(mask, reference_batch_mask(batch, dtype))
+        for row, enc in enumerate(batch):
+            assert ids[row, : enc.length].tolist() == enc.ids
+            assert positions[row, : enc.length].tolist() == enc.positions
+            assert tuple(labels[row]) == enc.labels
 
 
 # ---------------------------------------------------------------------------
@@ -182,7 +242,7 @@ def test_truncation_drops_edges_to_dropped_nodes():
     vocab = build_vocabulary([sample], min_freq=1)
     enc = encode_sample(sample, vocab, max_code=256, max_dfg=8)
     base = enc.length - 8
-    block = enc.mask[base:, base:]
+    block = mask_of(enc)[base:, base:]
     assert block.shape == (8, 8)
 
 
@@ -208,7 +268,7 @@ def test_rename_robustness_hook():
     enc_renamed = encode_sample(renamed, vocab)
 
     assert enc_renamed.length == enc.length
-    assert np.array_equal(enc_renamed.mask, enc.mask)
+    assert np.array_equal(mask_of(enc_renamed), mask_of(enc))
     assert enc_renamed.positions == enc.positions
 
     tokens = tokenize(sample.source_text())

@@ -234,6 +234,17 @@ def test_gradient_check_padded_batch():
         assert err < 1e-3
 
 
+def test_gradient_check_masks_come_from_the_graph():
+    """"open" draws no data-flow nodes, so every real pair attends; "random"
+    draws nodes, alignments and edges, which close some pairs."""
+    config, lengths = small_config(), (3, 6, 9)
+    _, _, opened, _ = _random_check_input(config, np.random.default_rng(0), lengths, "open")
+    _, _, graph, _ = _random_check_input(config, np.random.default_rng(0), lengths, "random")
+    for row, n in enumerate(lengths):
+        assert np.all(opened[row, :n, :n] == 0.0)
+    assert np.any(graph[2] == MASK_NEG)
+
+
 @pytest.mark.parametrize("dtype, rtol", [(np.float64, 1e-12), (np.float32, 1e-5)])
 def test_weight_grad_equals_einsum(dtype, rtol):
     rng = np.random.default_rng(4)
