@@ -29,6 +29,10 @@ DEFAULT_MAX_CODE = 256
 DEFAULT_MAX_DFG = 32
 DEFAULT_MIN_FREQ = 2
 
+# Padded cells B·L² one inference batch may hold: each float32 (B, H, L, L)
+# attention tensor then stays near 1 MiB at the default 4 heads.
+BATCH_CELLS = 65536
+
 
 @dataclass
 class Vocabulary:
@@ -158,6 +162,22 @@ def pad_batch(encodings, dtype=np.float32):
         positions[i, : enc.length] = enc.positions
     labels = np.array([e.labels for e in encodings], dtype=dtype)
     return ids, positions, build_attention_mask(encodings, dtype), labels
+
+
+def length_batches(encodings):
+    """Index lists that cover encodings once, for inference in batches:
+    indices sorted stably by length, each batch cut so that its padded cells
+    B·L_max² stay within BATCH_CELLS. A sample over the budget alone gets a
+    batch of its own."""
+    order = sorted(range(len(encodings)), key=lambda i: encodings[i].length)
+    batches = []
+    for i in order:
+        # Sorted ascending, so sample i is the longest of any batch it joins.
+        if batches and (len(batches[-1]) + 1) * encodings[i].length ** 2 <= BATCH_CELLS:
+            batches[-1].append(i)
+        else:
+            batches.append([i])
+    return batches
 
 
 def encode_sample(sample, vocab, max_code=DEFAULT_MAX_CODE, max_dfg=DEFAULT_MAX_DFG):

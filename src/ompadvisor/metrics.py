@@ -4,7 +4,9 @@ import csv
 import io
 from dataclasses import dataclass
 
-from .encode import encode_corpus, pad_batch
+import numpy as np
+
+from .encode import encode_corpus, length_batches, pad_batch
 from .model import LABELS, forward_batch
 
 # Full-scale reference point shown in report footers for context; never
@@ -98,22 +100,22 @@ def report_from_rows(rows):
     }
 
 
-def predict_rows(params, config, vocab, samples, max_code=256, max_dfg=32,
-                 batch_size=64):
-    """Per-sample probabilities and 0.5-threshold predictions."""
+def predict_rows(params, config, vocab, samples, max_code=256, max_dfg=32):
+    """Per-sample probabilities and 0.5-threshold predictions, in sample
+    order; the samples run in length_batches."""
     encodings, _ = encode_corpus(samples, vocab, max_code, max_dfg)
+    probs = np.empty((len(encodings), len(LABELS)), dtype=params["tok_emb"].dtype)
+    for batch in length_batches(encodings):
+        ids, positions, mask, _ = pad_batch([encodings[i] for i in batch])
+        probs[batch], _ = forward_batch(params, config, ids, positions, mask)
     rows = []
-    for start in range(0, len(encodings), batch_size):
-        chunk = encodings[start : start + batch_size]
-        ids, positions, mask, _ = pad_batch(chunk)
-        probs, _ = forward_batch(params, config, ids, positions, mask)
-        for sample, p in zip(samples[start : start + batch_size], probs):
-            row = {"id": sample.id}
-            for label, prob in zip(LABELS, p):
-                row[f"p_{label}"] = float(prob)
-                row[f"label_{label}"] = getattr(sample, f"label_{label}")
-                row[f"pred_{label}"] = int(prob >= 0.5)
-            rows.append(row)
+    for sample, p in zip(samples, probs):
+        row = {"id": sample.id}
+        for label, prob in zip(LABELS, p):
+            row[f"p_{label}"] = float(prob)
+            row[f"label_{label}"] = getattr(sample, f"label_{label}")
+            row[f"pred_{label}"] = int(prob >= 0.5)
+        rows.append(row)
     return rows
 
 

@@ -17,7 +17,9 @@ import numpy as np
 
 from .augment import fraction_for_mode, rename_variables
 from .corpus import extract_for_prediction
-from .encode import EncodedInput, build_vocabulary, encode_corpus, encode_sample, pad_batch
+from .encode import (
+    EncodedInput, build_vocabulary, encode_corpus, encode_sample, length_batches, pad_batch,
+)
 
 MAGIC = b"OMPF1"
 LABELS = ("pragma", "private", "reduction")
@@ -74,10 +76,10 @@ class Prediction:
     gated: bool
 
 
-def param_layout(config):
-    """Parameter names and shapes in declaration (serialization) order."""
+def _param_groups(config):
+    """(embeddings, one layer's (key, shape) pairs, head) in serialization order."""
     d, f = config.d_model, config.d_ff
-    layout = [("tok_emb", (config.vocab_size, d)), ("pos_emb", (config.max_len, d))]
+    embeddings = [("tok_emb", (config.vocab_size, d)), ("pos_emb", (config.max_len, d))]
     shapes = {
         "wq": (d, d), "bq": (d,), "wk": (d, d), "bk": (d,),
         "wv": (d, d), "bv": (d,), "wo": (d, d), "bo": (d,),
@@ -85,12 +87,24 @@ def param_layout(config):
         "w1": (d, f), "b1": (f,), "w2": (f, d), "b2": (d,),
         "ln2_g": (d,), "ln2_b": (d,),
     }
-    for layer in range(config.n_layers):
-        for key in LAYER_KEYS:
-            layout.append((f"layer{layer}.{key}", shapes[key]))
-    layout.append(("head_w", (d, 3)))
-    layout.append(("head_b", (3,)))
-    return layout
+    head = [("head_w", (d, 3)), ("head_b", (3,))]
+    return embeddings, [(key, shapes[key]) for key in LAYER_KEYS], head
+
+
+def param_layout(config):
+    """Parameter names and shapes in declaration (serialization) order."""
+    embeddings, layer, head = _param_groups(config)
+    layers = [(f"layer{i}.{key}", shape)
+              for i in range(config.n_layers) for key, shape in layer]
+    return embeddings + layers + head
+
+
+def param_bytes(config):
+    """The float32 bytes of param_layout(config), worked out without
+    building the layout (a header may claim billions of layers)."""
+    embeddings, layer, head = (sum(math.prod(shape) for _, shape in group)
+                               for group in _param_groups(config))
+    return 4 * (embeddings + config.n_layers * layer + head)
 
 
 def init_params(config, dtype=np.float32):
@@ -394,8 +408,11 @@ def train(samples, config=None, epochs=10, aug_mode="none", seed=0,
     rng = np.random.default_rng(seed)
 
     base_encodings, encode_stats = encode_corpus(train_samples, vocab, max_code, max_dfg)
-    valid_encodings, _ = encode_corpus(valid_samples, vocab, max_code, max_dfg)
-    valid_ids, valid_pos, valid_mask, valid_labels = pad_batch(valid_encodings)
+    valid_encodings, valid_stats = encode_corpus(valid_samples, vocab, max_code, max_dfg)
+    encode_stats["valid"] = {key: valid_stats[key]
+                             for key in ("samples", "code_truncated", "dfg_truncated")}
+    valid_batches = length_batches(valid_encodings)
+    valid_labels = np.array([e.labels for e in valid_encodings], dtype=np.float32)
 
     history = []
     for epoch in range(1, epochs + 1):
@@ -424,7 +441,10 @@ def train(samples, config=None, epochs=10, aug_mode="none", seed=0,
             total_loss += loss
             n_batches += 1
 
-        valid_probs, _ = forward_batch(params, config, valid_ids, valid_pos, valid_mask)
+        valid_probs = np.empty(valid_labels.shape, dtype=params["tok_emb"].dtype)
+        for batch in valid_batches:
+            ids, positions, mask, _ = pad_batch([valid_encodings[i] for i in batch])
+            valid_probs[batch], _ = forward_batch(params, config, ids, positions, mask)
         valid_loss = compute_loss(valid_probs, valid_labels)
         valid_acc = _accuracy_per_label(valid_probs, valid_labels)
         record = {
@@ -572,11 +592,10 @@ def load_model(path):
             dropout_rate=dropout, seed=seed,
             scale_mode="sqrt_d" if scale_flag == 0 else "d",
         )
-        layout = param_layout(config)
-        needed = 4 * sum(math.prod(shape) for _, shape in layout)
+        needed = param_bytes(config)
         held = os.fstat(fh.fileno()).st_size - fh.tell()
         if held != needed:
             raise ValueError(f"model file holds {held} parameter bytes, its header needs {needed}")
         params = {name: np.frombuffer(fh.read(4 * math.prod(shape)), dtype="<f4")
-                  .reshape(shape).copy() for name, shape in layout}
+                  .reshape(shape).copy() for name, shape in param_layout(config)}
     return params, config

@@ -179,10 +179,22 @@ def tokenize(source_text):
 # parser
 
 
+# The parser's stack use is bounded by its input alone: each construct that
+# nests charges the Python frames one level of it takes, and input that would
+# take more than MAX_PARSE_FRAMES is a ParseError at the token where the bound
+# is crossed. The bound sits well below the interpreter's default recursion
+# limit (1000), which leaves room for a deep caller, such as a test runner or
+# a tracer, and for the AST walks that follow a parse.
+MAX_PARSE_FRAMES = 600
+_STATEMENT_FRAMES = 6  # statement, _statement, for, body, compound, block items
+_EXPRESSION_FRAMES = 16  # assign, 11 binary levels, unary, postfix, primary, expression
+
+
 class _Parser:
     def __init__(self, tokens):
         self.tokens = tokens
         self.pos = 0
+        self.frames = 0  # charged so far by the constructs open at pos
         # Extra Declarations split off a multi-declarator line, drained by
         # whichever caller requested the declaration.
         self._splice_pending = []
@@ -221,6 +233,11 @@ class _Parser:
             last = self.tokens[-1] if self.tokens else None
             raise ParseError(last.line if last else 1, 1, expected, "end of input")
         raise ParseError(t.line, t.col, expected, t.lexeme)
+
+    def descend(self, frames):
+        self.frames += frames
+        if self.frames > MAX_PARSE_FRAMES:
+            self.fail("less deeply nested code")
 
     def node(self, kind, children, start, attrs=None):
         return AstNode(kind, children, (start, self.pos - 1), attrs or {})
@@ -388,6 +405,12 @@ class _Parser:
         return AstNode("CompoundStmt", [stmt], (start, self.pos - 1), {})
 
     def parse_statement(self):
+        self.descend(_STATEMENT_FRAMES)
+        stmt = self._statement()
+        self.frames -= _STATEMENT_FRAMES
+        return stmt
+
+    def _statement(self):
         t = self.peek()
         if t is None:
             self.fail("a statement")
@@ -479,6 +502,7 @@ class _Parser:
         return self.parse_assign()
 
     def parse_assign(self):
+        self.descend(_EXPRESSION_FRAMES)
         start = self.pos
         left = self.parse_binary(0)
         t = self.peek()
@@ -488,8 +512,8 @@ class _Parser:
             ):
                 raise ParseError(t.line, t.col, "an assignable target", t.lexeme)
             op = self.advance().lexeme
-            value = self.parse_assign()
-            return self.node("Assign", [left, value], start, {"op": op})
+            left = self.node("Assign", [left, self.parse_assign()], start, {"op": op})
+        self.frames -= _EXPRESSION_FRAMES
         return left
 
     _BINARY_LEVELS = (
@@ -525,8 +549,10 @@ class _Parser:
             "!", "-", "+", "*", "&", "~", "++", "--"
         ):
             start = self.pos
+            self.descend(1)
             op = self.advance().lexeme
             operand = self.parse_unary()
+            self.frames -= 1
             if op in ("++", "--") and operand.kind != "Identifier":
                 raise ParseError(t.line, t.col, "an identifier after " + op, operand.kind)
             return self.node("UnaryOp", [operand], start, {"op": op, "postfix": False})

@@ -1,6 +1,7 @@
 import json
 import shutil
 import struct
+import time
 from pathlib import Path
 
 import jsonschema
@@ -9,8 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ompadvisor.cli import execute_command
+from ompadvisor.corpus import extract_for_prediction, extract_from_source
 from ompadvisor.metrics import report_from_rows, rows_from_csv
 from ompadvisor.synthetic import generate_synthetic_corpus
+from ompadvisor.syntax import ParseError
 
 SCHEMA_PATH = Path(__file__).parent.parent / "src" / "ompadvisor" / "schemas" / "predict_schema.json"
 GOLDEN_STATS = Path(__file__).parent / "fixtures" / "golden_stats.txt"
@@ -337,6 +340,69 @@ def test_predict_checks_model_directory(model_dir, tmp_path, capsys, edit):
     captured = capsys.readouterr()
     if want == 2:
         assert captured.out == "" and captured.err.startswith("error:")
+
+
+@pytest.mark.parametrize("n_layers", [2000, 20000, 2**32 - 1])
+def test_oversized_layer_count_exits_two_at_once(model_dir, tmp_path, capsys, n_layers):
+    """The size a header implies is worked out before any per-layer work, so
+    a header claiming billions of layers is rejected as fast as any other."""
+    corpus, trained = model_dir
+    copy = tmp_path / "model"
+    shutil.copytree(trained, copy)
+    model_bin = copy / "model.bin"
+    model_bin.write_bytes(_set_header_field(len(b"OMPF1") + 8, n_layers)(model_bin.read_bytes()))
+    source = tmp_path / "kernel.c"
+    source.write_text("void f(int n, double *a) {\nint i;\nfor (i = 0; i < n; i++) {\n"
+                      "a[i] = 0.0;\n}\n}\n")
+    for argv in (["predict", str(copy), str(source), "--json"],
+                 ["evaluate", str(copy), str(corpus / "corpus.jsonl"), "-o", str(tmp_path / "e")]):
+        began = time.perf_counter()
+        assert execute_command(argv) == 2
+        assert time.perf_counter() - began < 1.0
+        assert "parameter bytes" in capsys.readouterr().err
+
+
+def call_at_depth(depth, fn, *args):
+    """fn(*args) called from depth frames deeper than the caller."""
+    return fn(*args) if depth == 0 else call_at_depth(depth - 1, fn, *args)
+
+
+def _extraction_verdict(text):
+    samples, rejects = extract_from_source(text, "t.c", with_scope=True)
+    return [s.to_json_dict() for s in samples], [(r.line, r.reason) for r in rejects]
+
+
+def _prediction_verdict(text):
+    try:
+        return [(p["line"], p["sample"].to_json_dict()) for p in extract_for_prediction(text)]
+    except ParseError as err:
+        return (err.line, err.col, err.expected)
+
+
+def paren_source(depth):
+    return ("void f(int n, int *a) {\nint i;\nfor (i = 0; i < n; i++) {\na[i] = "
+            + "(" * depth + "i" + ")" * depth + ";\n}\n}\n")
+
+
+def block_source(depth):
+    return ("void f(int n, int *a) {\nint i;\nfor (i = 0; i < n; i++) "
+            + "{" * depth + "\na[i] = i;\n" + "}" * depth + "\n}\n")
+
+
+NESTED_SOURCES = {
+    **{f"chain{n}": prefix_chain_source(n) for n in (20, 33, 34, 47, 52, 57, 500)},
+    **{f"parens{n}": paren_source(n) for n in (30, 35, 36, 40)},
+    **{f"blocks{n}": block_source(n) for n in (60, 95, 96, 120)},
+}
+
+
+@pytest.mark.parametrize("name", sorted(NESTED_SOURCES))
+def test_nesting_verdict_does_not_depend_on_the_callers_stack(name):
+    """The parser's fixed nesting bound decides how deep a loop may nest,
+    not the interpreter stack left over by the caller."""
+    source = NESTED_SOURCES[name]
+    for verdict in (_extraction_verdict, _prediction_verdict):
+        assert call_at_depth(200, verdict, source) == verdict(source)
 
 
 def test_predict_on_a_directory_is_a_data_error(model_dir, tmp_path, capsys):

@@ -7,10 +7,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import ompadvisor.encode
+import ompadvisor.model
 from ompadvisor.corpus import extract_from_source
 from ompadvisor.encode import MASK_NEG, PAD_ID, build_vocabulary, encode_corpus, encode_sample
+from ompadvisor.metrics import predict_rows
 from ompadvisor.model import (
-    Adam, ModelConfig, TrainingDiverged, _random_check_input, _weight_grad,
+    LABELS, Adam, ModelConfig, TrainingDiverged, _random_check_input, _weight_grad,
     backward_batch, check_gradients, compute_loss, forward_batch, forward_pass,
     init_params, load_model, masked_softmax, pad_batch, param_layout,
     predict_source, relative_error, save_model, small_config, threshold_labels,
@@ -429,6 +432,38 @@ def test_training_history_shape(mini_corpus):
         assert np.isfinite(record["train_loss"])
         assert np.isfinite(record["valid_loss"])
         assert 0.0 <= record["valid_accuracy"] <= 1.0
+
+
+def test_validation_history_matches_batched_predictions(mini_corpus, monkeypatch):
+    """Each epoch's valid fields equal the loss and per-label accuracy of
+    predict_rows over the valid split, and the validation pass runs in
+    batches within the cell budget (a small one here, so it must split)."""
+    monkeypatch.setattr(ompadvisor.encode, "BATCH_CELLS", 4000)
+    eval_shapes = []
+
+    def recording_forward(params, config, ids, positions, mask, train=False, rng=None):
+        if not train:
+            eval_shapes.append(ids.shape)
+        return forward_batch(params, config, ids, positions, mask, train=train, rng=rng)
+
+    monkeypatch.setattr(ompadvisor.model, "forward_batch", recording_forward)
+    settings = dict(aug_mode="curriculum", seed=13, min_freq=1, batch_size=16)
+    full = train(mini_corpus, epochs=2, **settings)
+    valid = [s for s in mini_corpus if s.split == "valid"]
+    assert sum(b for b, _ in eval_shapes) == 2 * len(valid)
+    assert len(eval_shapes) > 2
+    assert all(b * length ** 2 <= 4000 or b == 1 for b, length in eval_shapes)
+
+    for epochs in (1, 2):
+        result = full if epochs == 2 else train(mini_corpus, epochs=epochs, **settings)
+        rows = predict_rows(result.params, result.config, result.vocab, valid)
+        probs = np.array([[r[f"p_{label}"] for label in LABELS] for r in rows])
+        labels = np.array([[r[f"label_{label}"] for label in LABELS] for r in rows])
+        record = full.history[epochs - 1]
+        assert abs(record["valid_loss"] - compute_loss(probs, labels)) < 1e-6
+        accuracy = ((probs >= 0.5) == labels).mean(axis=0)
+        np.testing.assert_allclose(record["valid_accuracy_per_label"], accuracy,
+                                   rtol=0, atol=1e-6)
 
 
 def test_training_requires_splits():
