@@ -3,8 +3,9 @@
 Nodes are identifier occurrences (defs and uses) in program order; an edge
 (to, from) records that the value at `to` comes from `from`. Defs draw from
 the uses on their right-hand side; uses draw from all reaching definitions,
-with branch states merged by union and loop bodies analyzed twice so that
-back-edges through the loop are captured.
+with branch states merged by union. Each loop body is analyzed once, from
+the head state that iterating to a fixed point would reach, so back-edges
+through the loop are captured in time linear in the nesting depth.
 """
 
 from dataclasses import dataclass
@@ -35,13 +36,17 @@ class _Builder:
     def __init__(self):
         self.nodes = {}  # token_index -> (var_name, occurrence_kind)
         self.edges = set()  # (to_token, from_token)
+        self.recording = True  # False while a loop's generated defs are worked out
+        self.loop_gen = {}  # id(loop node) -> its generated defs, see visit_loop
 
     def occurrence(self, tok_idx, name, kind):
-        if tok_idx not in self.nodes:
+        if self.recording and tok_idx not in self.nodes:
             self.nodes[tok_idx] = (name, kind)
         return tok_idx
 
     def link(self, to_tok, from_toks):
+        if not self.recording:
+            return
         for f in from_toks:
             if f != to_tok:
                 self.edges.add((to_tok, f))
@@ -147,35 +152,49 @@ class _Builder:
             env.clear()
             env.update(merged)
         elif kind == "ForStmt":
-            init, cond, inc, body = node.children
-            self.visit_stmt(init, env)
-            entry = dict(env)
-            body_env = dict(entry)
-            for _ in range(2):  # second pass folds the loop back-edge in
-                if cond.kind != "Empty":
-                    self.visit_expr(cond, body_env)
-                self.visit_stmt(body, body_env)
-                if inc.kind != "Empty":
-                    self.visit_expr(inc, body_env)
-                body_env = _merge(entry, body_env)
-            merged = _merge(entry, body_env)
-            env.clear()
-            env.update(merged)
+            self.visit_stmt(node.children[0], env)
+            self.visit_loop(node, env)
         elif kind == "WhileStmt":
-            cond, body = node.children
-            entry = dict(env)
-            body_env = dict(entry)
-            for _ in range(2):
-                self.visit_expr(cond, body_env)
-                self.visit_stmt(body, body_env)
-                body_env = _merge(entry, body_env)
-            merged = _merge(entry, body_env)
-            env.clear()
-            env.update(merged)
+            self.visit_loop(node, env)
         elif kind in ("Empty", "PragmaDirective"):
             pass
         else:
             raise ValueError(f"unexpected statement node: {kind}")
+
+    def visit_iteration(self, loop, env):
+        """One trip through a loop: condition, body and, for a for loop, the
+        increment."""
+        if loop.kind == "ForStmt":
+            _, cond, inc, body = loop.children
+        else:
+            (cond, body), inc = loop.children, None
+        self.visit_expr(cond, env)
+        self.visit_stmt(body, env)
+        if inc is not None:
+            self.visit_expr(inc, env)
+
+    def visit_loop(self, loop, env):
+        """Analyze the loop body once from its fixed-point head state.
+
+        Reaching definitions are gen/kill: one iteration maps a state X to
+        G ∪ (X ∖ K), with G its defs generated from the empty state. So the
+        head state after the back-edge is entry ∪ G, and that is also the
+        exit state, since the loop may run zero times (Kildall's fixed
+        point). G is worked out once per loop by a walk that records no
+        nodes or edges; nested loops inside it contribute their own G the
+        same way, so each body is walked at most twice in all.
+        """
+        gen = self.loop_gen.get(id(loop))
+        if gen is None:
+            recording, self.recording = self.recording, False
+            gen = {}
+            self.visit_iteration(loop, gen)
+            self.recording = recording
+            self.loop_gen[id(loop)] = gen
+        for name, defs in gen.items():
+            env[name] = env.get(name, frozenset()) | defs
+        if self.recording:
+            self.visit_iteration(loop, dict(env))
 
 
 def build_dfg(unit, tokens):

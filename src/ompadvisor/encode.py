@@ -29,8 +29,9 @@ DEFAULT_MAX_CODE = 256
 DEFAULT_MAX_DFG = 32
 DEFAULT_MIN_FREQ = 2
 
-# Padded cells B·L² one inference batch may hold: each float32 (B, H, L, L)
-# attention tensor then stays near 1 MiB at the default 4 heads.
+# Padded cells B·L² one batch may hold, in training sub-batches and in
+# inference alike: each float32 (B, H, L, L) attention tensor then stays
+# near 1 MiB at the default 4 heads.
 BATCH_CELLS = 65536
 
 
@@ -165,7 +166,7 @@ def pad_batch(encodings, dtype=np.float32):
 
 
 def length_batches(encodings):
-    """Index lists that cover encodings once, for inference in batches:
+    """Index lists that cover encodings once, for running them in batches:
     indices sorted stably by length, each batch cut so that its padded cells
     B·L_max² stay within BATCH_CELLS. A sample over the budget alone gets a
     batch of its own."""

@@ -243,14 +243,18 @@ def compute_loss(probs, labels):
     return float(np.mean(-(y * np.log(p) + (1.0 - y) * np.log(1.0 - p))))
 
 
-def backward_batch(params, config, cache, probs, labels):
+def backward_batch(params, config, cache, probs, labels, n_total=None):
     """Gradients of compute_loss w.r.t. every parameter. Returns a dict with
-    the same keys as params."""
+    the same keys as params.
+
+    n_total: the size of the whole batch when this is one sub-batch of it;
+    the loss is then the mean over n_total samples, so the gradients of the
+    sub-batches sum to the whole batch's."""
     # Only the embeddings accumulate (np.add.at); every other gradient is
     # assigned whole below.
     grads = {name: np.zeros_like(params[name]) for name in ("tok_emb", "pos_emb")}
     y = np.asarray(labels, dtype=probs.dtype)
-    batch = probs.shape[0]
+    batch = probs.shape[0] if n_total is None else n_total
     dlogits = (probs - y) / (3.0 * batch)
 
     grads["head_w"] = cache["cls"].T @ dlogits
@@ -322,6 +326,29 @@ def threshold_labels(probs, gate):
     return tuple(labels)
 
 
+def batch_gradients(params, config, encodings, dtype=np.float32, train=False, rng=None):
+    """Forward and backward of one batch as length_batches sub-batches, each
+    padded to its own longest member: (probs and labels in input order, the
+    gradients of compute_loss over the whole batch summed over sub-batches).
+    Each sub-batch keeps its samples in input order, so a budget that fits the
+    whole batch pads it once, exactly as one pad_batch would."""
+    parts, order, grads = [], [], None
+    for batch in length_batches(encodings):
+        batch = sorted(batch)
+        ids, positions, mask, labels = pad_batch([encodings[i] for i in batch], dtype=dtype)
+        probs, cache = forward_batch(params, config, ids, positions, mask, train=train, rng=rng)
+        sub_grads = backward_batch(params, config, cache, probs, labels, n_total=len(encodings))
+        if grads is None:
+            grads = sub_grads
+        else:
+            for key, grad in sub_grads.items():
+                grads[key] += grad
+        parts.append(probs)
+        order.extend(batch)
+    probs = np.concatenate(parts)[np.argsort(order)]
+    return probs, np.array([e.labels for e in encodings], dtype=dtype), grads
+
+
 def forward_pass(params, config, encoded, gate=False):
     """Single-sample forward in eval mode: (Prediction, hidden states)."""
     ids, positions, mask, _ = pad_batch([encoded], dtype=params["tok_emb"].dtype)
@@ -389,8 +416,11 @@ def train(samples, config=None, epochs=10, aug_mode="none", seed=0,
     """Train on the corpus train split with per-epoch renaming augmentation.
 
     aug_mode: none (original data), curriculum (the epoch schedule), or
-    replaced (every variable renamed every epoch). Fully deterministic for a
-    given seed.
+    replaced (every variable renamed every epoch). Each optimizer step takes
+    the next batch_size samples of a seeded permutation and runs them as
+    length sub-batches under encode.BATCH_CELLS (batch_gradients), with
+    their gradients summed. Deterministic for a given seed per machine and
+    per BLAS thread count.
     """
     train_samples = [s for s in samples if s.split == "train"]
     valid_samples = [s for s in samples if s.split == "valid"]
@@ -428,15 +458,12 @@ def train(samples, config=None, epochs=10, aug_mode="none", seed=0,
         n_batches = 0
         for start in range(0, len(order), batch_size):
             chunk = [encodings[i] for i in order[start : start + batch_size]]
-            ids, positions, mask, labels = pad_batch(chunk)
-            probs, cache = forward_batch(params, config, ids, positions, mask,
-                                         train=True, rng=rng)
+            probs, labels, grads = batch_gradients(params, config, chunk, train=True, rng=rng)
             loss = compute_loss(probs, labels)
             if not np.isfinite(loss):
                 raise TrainingDiverged(
                     f"non-finite loss {loss} at epoch {epoch}, batch {n_batches}"
                 )
-            grads = backward_batch(params, config, cache, probs, labels)
             optimizer.step(params, grads)
             total_loss += loss
             n_batches += 1
@@ -488,9 +515,8 @@ def small_config(vocab_size=16, scale_mode="sqrt_d"):
 
 
 def _random_check_input(config, rng, lengths, mask_mode="random"):
-    """A float64 batch with one random sample per length, padded to the
-    longest by pad_batch as in training. mask_mode "open" has no data-flow
-    nodes; "random" draws nodes, their alignment and their edges."""
+    """One random encoded sample per length. mask_mode "open" has no
+    data-flow nodes; "random" draws nodes, their alignment and their edges."""
     encodings = []
     for length in lengths:
         ids = rng.integers(1, config.vocab_size, size=length)
@@ -504,7 +530,7 @@ def _random_check_input(config, rng, lengths, mask_mode="random"):
             dfg_alignment=[int(s) if s else None for s in slots],
             labels=tuple(rng.integers(0, 2, size=3)),
             edges=[tuple(e) for e in edges.tolist()]))
-    return pad_batch(encodings, dtype=np.float64)
+    return encodings
 
 
 def relative_error(analytic, numeric):
@@ -517,9 +543,12 @@ def check_gradients(config=None, n_coords=20, h=1e-5, seed=0, mask_mode="random"
                     lengths=(6,)):
     """Compare analytic gradients with central finite differences in float64.
 
-    The input is a batch with one random sample per entry of lengths,
-    padded to the longest. Samples n_coords coordinates per parameter group;
-    returns (max_relative_error, per-group dict).
+    The input is a batch with one random sample per entry of lengths. The
+    analytic gradient comes from batch_gradients, as in training: length
+    sub-batches under encode.BATCH_CELLS, summed. The numeric one perturbs
+    the loss of the whole batch padded once to its longest. Samples n_coords
+    coordinates per parameter group; returns (max_relative_error, per-group
+    dict).
     """
     config = config or small_config()
     params = {k: v.astype(np.float64) for k, v in init_params(config).items()}
@@ -530,10 +559,9 @@ def check_gradients(config=None, n_coords=20, h=1e-5, seed=0, mask_mode="random"
     for key in params:
         params[key] = params[key] + rng.normal(0.0, 0.5, size=params[key].shape)
 
-    ids, positions, mask, labels = _random_check_input(config, rng, lengths, mask_mode)
-
-    probs, cache = forward_batch(params, config, ids, positions, mask)
-    grads = backward_batch(params, config, cache, probs, labels)
+    encodings = _random_check_input(config, rng, lengths, mask_mode)
+    _, _, grads = batch_gradients(params, config, encodings, dtype=np.float64)
+    ids, positions, mask, labels = pad_batch(encodings, dtype=np.float64)
 
     def loss_at():
         p, _ = forward_batch(params, config, ids, positions, mask)

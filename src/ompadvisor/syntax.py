@@ -759,7 +759,11 @@ def render(node):
 
 
 def iter_nodes(node):
-    """Yield node and all descendants in depth-first program order."""
-    yield node
-    for child in node.children:
-        yield from iter_nodes(child)
+    """Yield node and all descendants in depth-first program order. An
+    explicit stack, not nested generators, so each node costs O(1) however
+    deep it sits."""
+    stack = [node]
+    while stack:
+        node = stack.pop()
+        yield node
+        stack.extend(reversed(node.children))

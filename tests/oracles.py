@@ -3,16 +3,23 @@
 The straight-line generator builds programs as plain statement tuples and
 renders them to C text; the reaching-definitions oracle computes the expected
 def/use graph from those tuples directly, never touching the parser or the
-graph builder it is checking. The reference lexer is the scanner the regex
-lexer replaced, and the reference mask builder is the per-sample builder and
-pad loop the batch mask builder replaced, for differential tests.
+graph builder it is checking. For differential tests, the reference lexer
+is the scanner the regex lexer replaced, the reference mask builder is the
+per-sample builder and pad loop the batch mask builder replaced, the
+reference training step is the one-padded-batch step that length
+sub-batches replaced, and the reference data-flow builder is the two-pass
+loop analysis the one-pass builder replaced.
 """
 
 import random
 
 import numpy as np
 
+from ompadvisor.dfg import DataFlowGraph, DfgNode, _merge
 from ompadvisor.encode import MASK_NEG
+from ompadvisor.model import (
+    TrainingDiverged, backward_batch, compute_loss, forward_batch, pad_batch,
+)
 from ompadvisor.syntax import KEYWORDS, ParseError, Token
 
 VARS = ["a", "b", "c", "d", "e", "f"]
@@ -378,3 +385,202 @@ def reference_batch_mask(encodings, dtype=np.float32):
     rows, slots = np.nonzero(np.arange(length) >= lengths[:, None])
     mask[rows, slots, slots] = 0.0
     return mask
+
+
+# ---------------------------------------------------------------------------
+# reference training step: the whole batch padded once to its longest member
+
+
+def reference_train_step(params, config, optimizer, chunk, rng):
+    """One optimizer step on chunk as one padded batch, as model.train ran
+    it before length sub-batches. Returns (probs, grads)."""
+    ids, positions, mask, labels = pad_batch(chunk)
+    probs, cache = forward_batch(params, config, ids, positions, mask,
+                                 train=True, rng=rng)
+    loss = compute_loss(probs, labels)
+    if not np.isfinite(loss):
+        raise TrainingDiverged(f"non-finite loss {loss}")
+    grads = backward_batch(params, config, cache, probs, labels)
+    optimizer.step(params, grads)
+    return probs, grads
+
+
+# ---------------------------------------------------------------------------
+# reference data-flow builder: the builder that analyzed every loop body twice
+# (time exponential in nesting depth), kept verbatim as the one-pass
+# builder's differential oracle
+
+
+class ReferenceBuilder:
+    def __init__(self):
+        self.nodes = {}  # token_index -> (var_name, occurrence_kind)
+        self.edges = set()  # (to_token, from_token)
+
+    def occurrence(self, tok_idx, name, kind):
+        if tok_idx not in self.nodes:
+            self.nodes[tok_idx] = (name, kind)
+        return tok_idx
+
+    def link(self, to_tok, from_toks):
+        for f in from_toks:
+            if f != to_tok:
+                self.edges.add((to_tok, f))
+
+    # -- expressions: returns the occurrence tokens that act as value sources
+
+    def visit_expr(self, node, env):
+        kind = node.kind
+        if kind == "Identifier":
+            tok = self.occurrence(node.token_span[0], node.attrs["name"], "use")
+            self.link(tok, env.get(node.attrs["name"], ()))
+            return [tok]
+        if kind == "Constant" or kind == "Empty":
+            return []
+        if kind == "BinaryOp":
+            return self.visit_expr(node.children[0], env) + self.visit_expr(node.children[1], env)
+        if kind == "UnaryOp":
+            op = node.attrs["op"]
+            if op in ("++", "--"):
+                return self.visit_incdec(node.children[0], env)
+            return self.visit_expr(node.children[0], env)
+        if kind == "Call":
+            sources = []
+            for arg in node.children:
+                sources.extend(self.visit_expr(arg, env))
+            return sources
+        if kind == "ArrayIndex":
+            return self.visit_expr(node.children[0], env) + self.visit_expr(node.children[1], env)
+        if kind == "Assign":
+            return self.visit_assign(node, env)
+        raise ValueError(f"unexpected expression node: {kind}")
+
+    def visit_assign(self, node, env):
+        target, value = node.children
+        compound = node.attrs["op"] != "="
+        value_sources = self.visit_expr(value, env)
+        base = target
+        subscript_sources = []
+        while base.kind == "ArrayIndex":
+            subscript_sources.extend(self.visit_expr(base.children[1], env))
+            base = base.children[0]
+        if base.kind == "UnaryOp" and base.attrs["op"] == "*":
+            # Store through a pointer: address read, no tracked definition.
+            return self.visit_expr(base.children[0], env) + subscript_sources + value_sources
+        name = base.attrs["name"]
+        tok = self.occurrence(base.token_span[0], name, "def")
+        self.link(tok, value_sources)
+        if compound:
+            self.link(tok, env.get(name, ()))
+        env[name] = frozenset([tok])
+        return [tok]
+
+    def visit_incdec(self, target, env):
+        base = target
+        subscript_sources = []
+        while base.kind == "ArrayIndex":
+            subscript_sources.extend(self.visit_expr(base.children[1], env))
+            base = base.children[0]
+        if base.kind != "Identifier":
+            return self.visit_expr(target, env)
+        name = base.attrs["name"]
+        tok = self.occurrence(base.token_span[0], name, "def")
+        self.link(tok, env.get(name, ()))
+        env[name] = frozenset([tok])
+        return [tok]
+
+    # -- declarations and statements: env is mutated in place
+
+    def visit_declaration(self, node, env):
+        declarator = node.children[0]
+        init_sources = []
+        if declarator.kind == "Assign":
+            init_sources = self.visit_expr(declarator.children[1], env)
+            declarator = declarator.children[0]
+        if declarator.kind == "ArrayIndex":
+            self.visit_expr(declarator.children[1], env)
+            declarator = declarator.children[0]
+        name = declarator.attrs["name"]
+        tok = self.occurrence(declarator.token_span[0], name, "def")
+        self.link(tok, init_sources)
+        env[name] = frozenset([tok])
+
+    def visit_stmt(self, node, env):
+        kind = node.kind
+        if kind == "Declaration":
+            self.visit_declaration(node, env)
+        elif kind == "ExprStmt":
+            self.visit_expr(node.children[0], env)
+        elif kind == "ReturnStmt":
+            if node.children:
+                self.visit_expr(node.children[0], env)
+        elif kind == "CompoundStmt":
+            for child in node.children:
+                self.visit_stmt(child, env)
+        elif kind == "IfStmt":
+            self.visit_expr(node.children[0], env)
+            then_env = dict(env)
+            self.visit_stmt(node.children[1], then_env)
+            else_env = dict(env)
+            if len(node.children) == 3:
+                self.visit_stmt(node.children[2], else_env)
+            merged = _merge(then_env, else_env)
+            env.clear()
+            env.update(merged)
+        elif kind == "ForStmt":
+            init, cond, inc, body = node.children
+            self.visit_stmt(init, env)
+            entry = dict(env)
+            body_env = dict(entry)
+            for _ in range(2):  # second pass folds the loop back-edge in
+                if cond.kind != "Empty":
+                    self.visit_expr(cond, body_env)
+                self.visit_stmt(body, body_env)
+                if inc.kind != "Empty":
+                    self.visit_expr(inc, body_env)
+                body_env = _merge(entry, body_env)
+            merged = _merge(entry, body_env)
+            env.clear()
+            env.update(merged)
+        elif kind == "WhileStmt":
+            cond, body = node.children
+            entry = dict(env)
+            body_env = dict(entry)
+            for _ in range(2):
+                self.visit_expr(cond, body_env)
+                self.visit_stmt(body, body_env)
+                body_env = _merge(entry, body_env)
+            merged = _merge(entry, body_env)
+            env.clear()
+            env.update(merged)
+        elif kind in ("Empty", "PragmaDirective"):
+            pass
+        else:
+            raise ValueError(f"unexpected statement node: {kind}")
+
+
+def reference_build_dfg(unit, tokens):
+    """Build the DataFlowGraph for a parsed unit or snippet.
+
+    Functions see the file-level state at their definition point; parameters
+    become definitions with no incoming edges. Deterministic for identical
+    input.
+    """
+    builder = ReferenceBuilder()
+    env = {}
+    for item in unit.children:
+        if item.kind == "FunctionDef":
+            fn_env = dict(env)
+            for param in item.children[:-1]:
+                builder.visit_declaration(param, fn_env)
+            builder.visit_stmt(item.children[-1], fn_env)
+        else:
+            builder.visit_stmt(item, env)
+
+    ordered = sorted(builder.nodes)
+    id_of = {tok: i for i, tok in enumerate(ordered)}
+    nodes = [
+        DfgNode(i, builder.nodes[tok][0], tok, builder.nodes[tok][1])
+        for i, tok in enumerate(ordered)
+    ]
+    edges = sorted((id_of[t], id_of[f]) for t, f in builder.edges)
+    return DataFlowGraph(nodes, edges)

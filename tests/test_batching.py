@@ -1,17 +1,23 @@
-"""Length-sorted inference batches: coverage, the cell budget, row order, and
-agreement of batched probabilities with single-sample runs."""
+"""Length-sorted batches: coverage, the cell budget, row order, agreement of
+batched probabilities with single-sample runs, and training steps whose
+summed sub-batch gradients equal the one-padded-batch step."""
+
+import dataclasses
 
 import numpy as np
 import pytest
 
+import ompadvisor.encode
 from ompadvisor import metrics
 from ompadvisor.corpus import extract_from_source
 from ompadvisor.encode import (
     BATCH_CELLS, build_vocabulary, encode_corpus, encode_sample, length_batches, pad_batch,
 )
 from ompadvisor.metrics import predict_rows
-from ompadvisor.model import LABELS, ModelConfig, forward_batch, init_params
+from ompadvisor.model import LABELS, Adam, ModelConfig, batch_gradients, forward_batch, init_params
 from ompadvisor.synthetic import generate_synthetic_corpus
+
+from oracles import reference_train_step
 
 
 def long_loop_sample(n_terms):
@@ -123,3 +129,81 @@ def test_predict_rows_pads_no_more_than_twice_the_real_cells(mixed, monkeypatch)
     predict_rows(params, config, vocab, interleaved)
     real = sum(e.length ** 2 for e in encodings_of(interleaved, vocab))
     assert sum(b * length ** 2 for b, length in padded) <= 2 * real
+
+
+# ---------------------------------------------------------------------------
+# training steps: length sub-batches, gradients summed
+
+
+def training_chunks(encodings, n_chunks, size, seed):
+    """Shuffled chunks of size encodings, each holding at least one of the
+    long ones (the longest, over the cell budget alone, in the first)."""
+    rng = np.random.default_rng(seed)
+    by_length = sorted(range(len(encodings)), key=lambda i: encodings[i].length)
+    chunks = []
+    for c in range(n_chunks):
+        long = by_length[-1 - c]
+        rest = [i for i in rng.permutation(len(encodings)) if i != long][: size - 1]
+        chunks.append([encodings[i] for i in rng.permutation([long] + rest)])
+    return chunks
+
+
+def step_both_ways(params, config, chunks, dropout_seed=0):
+    """Run chunks through the length sub-batched step and through the
+    one-padded-batch oracle from the same params and rng seed; returns, per
+    step, (probs, grads) of each plus the params both end with."""
+    new = {k: v.copy() for k, v in params.items()}
+    old = {k: v.copy() for k, v in params.items()}
+    new_adam, old_adam = Adam(new), Adam(old)
+    new_rng, old_rng = (np.random.default_rng(dropout_seed) for _ in range(2))
+    steps = []
+    for chunk in chunks:
+        probs, _, grads = batch_gradients(new, config, chunk, train=True, rng=new_rng)
+        new_adam.step(new, grads)
+        steps.append(((probs, grads), reference_train_step(old, config, old_adam, chunk, old_rng)))
+    return steps, new, old
+
+
+def test_a_budget_that_fits_the_batch_gives_the_one_padded_step(mixed, monkeypatch):
+    """One sub-batch per step is the old step exactly, dropout included."""
+    samples, vocab, params, config = mixed
+    config = dataclasses.replace(config, dropout_rate=0.1)
+    monkeypatch.setattr(ompadvisor.encode, "BATCH_CELLS", 10 ** 9)
+    chunks = training_chunks(encodings_of(samples, vocab), n_chunks=3, size=16, seed=5)
+    steps, new, old = step_both_ways(params, config, chunks)
+    for (new_probs, _), (old_probs, _) in steps:
+        assert np.array_equal(new_probs, old_probs)
+    for key in params:
+        assert new[key].dtype == old[key].dtype
+        assert new[key].tobytes() == old[key].tobytes(), key
+
+
+def test_summed_sub_batch_gradients_match_one_padded_batch(mixed):
+    """At the default budget and dropout 0, summing the sub-batch gradients
+    only reorders float sums: 1e-12 relative in float64, and within the
+    2e-7 probability tolerance in float32, before and after the steps."""
+    samples, vocab, params, config = mixed
+    encodings = encodings_of(samples, vocab)
+    chunks = training_chunks(encodings, n_chunks=2, size=24, seed=6)
+    assert all(len(length_batches(chunk)) > 1 for chunk in chunks)
+    assert any(e.length ** 2 > BATCH_CELLS for e in chunks[0])
+
+    wide = {k: v.astype(np.float64) for k, v in params.items()}
+    steps, _, _ = step_both_ways(wide, config, chunks)
+    for (new_probs, new_grads), (old_probs, old_grads) in steps:
+        np.testing.assert_allclose(new_probs, old_probs, rtol=1e-12, atol=0)
+        # Some gradients are zero but for rounding (a key bias shifts every
+        # score of a row alike), so the floor is the largest gradient's scale.
+        scale = max(np.abs(grad).max() for grad in old_grads.values())
+        for key, grad in old_grads.items():
+            np.testing.assert_allclose(new_grads[key], grad, rtol=1e-12, atol=1e-12 * scale,
+                                       err_msg=key)
+
+    steps, new, old = step_both_ways(params, config, chunks)
+    for (new_probs, _), (old_probs, _) in steps:
+        np.testing.assert_allclose(new_probs, old_probs, rtol=0, atol=2e-7)
+    for chunk in chunks:
+        ids, positions, mask, _ = pad_batch(chunk)
+        np.testing.assert_allclose(forward_batch(new, config, ids, positions, mask)[0],
+                                   forward_batch(old, config, ids, positions, mask)[0],
+                                   rtol=0, atol=2e-7)

@@ -199,6 +199,37 @@ def test_predict_deeply_nested_file_exits_two(model_dir, tmp_path, capsys):
     assert "nested" in capsys.readouterr().err
 
 
+def nested_loops_source(depth):
+    """A function holding depth nested for loops, the innermost summing."""
+    head = "".join(f"for (i{k} = 0; i{k} < n; i{k}++) {{\n" for k in range(depth))
+    decls = "".join(f"int i{k};\n" for k in range(depth))
+    return ("void f(int n, double *a) {\n" + decls + "double s = 0.0;\n" + head
+            + "s = s + a[i0];\n" + "}\n" * depth + "a[0] = s;\n}\n")
+
+
+# At 90 levels the time goes to tokenizing and parsing each loop's snippet
+# again (its nested loops included), which grows with depth², not to data flow.
+@pytest.mark.parametrize("depth, seconds", [(30, 1.0), (90, 5.0)])
+def test_deep_loop_nests_build_and_predict_in_time(model_dir, tmp_path, capsys, depth, seconds):
+    """Data flow takes time linear in loop nesting: a file holding 30 nested
+    loops, which analyzing each body twice would take 2^30 passes over, and
+    one holding 90, are built and predicted at once."""
+    _, model = model_dir
+    src, out = tmp_path / "src", tmp_path / "out"
+    src.mkdir()
+    (src / "deep.c").write_text(nested_loops_source(depth))
+    for scope in ([], ["--with-scope"]):
+        began = time.perf_counter()
+        assert execute_command(["build-corpus", str(src), "-o", str(out)] + scope) == 0
+        assert time.perf_counter() - began < seconds
+        assert len((out / "corpus.jsonl").read_text().splitlines()) == depth
+        capsys.readouterr()
+        began = time.perf_counter()
+        assert execute_command(["predict", str(model), str(src / "deep.c"), "--json"] + scope) == 0
+        assert time.perf_counter() - began < seconds
+        assert len(json.loads(capsys.readouterr().out)) == depth
+
+
 def test_predict_missing_model_exits_two(tmp_path, capsys):
     source = tmp_path / "k.c"
     source.write_text("int f(void) { return 0; }")

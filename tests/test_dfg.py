@@ -2,10 +2,15 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from ompadvisor import dfg
 from ompadvisor.dfg import build_dfg, dfg_to_json
-from ompadvisor.syntax import parse_snippet
-from oracles import gen_straight_line_program, render_straight_line, straight_line_oracle
+from ompadvisor.syntax import iter_nodes, parse_snippet
+from oracles import (
+    gen_straight_line_program, reference_build_dfg, render_straight_line, straight_line_oracle,
+)
 
 
 def graph_of(source):
@@ -174,3 +179,97 @@ def test_json_wire_format_round_trip():
     back = json.loads(json.dumps(data))
     assert back["nodes"] == [[n.var_name, n.code_token_index] for n in g.nodes]
     assert [tuple(e) for e in back["edges"]] == g.edges
+
+
+# ---------------------------------------------------------------------------
+# loops: one pass from the fixed-point head state, against the two-pass oracle
+
+NEST_NAMES = ("a", "i", "j", "s", "t")
+
+
+def random_loop_nest(rng, depth):
+    """One or two random statements: assignments (plain, compound, increment
+    and array store) and, while depth allows, for/while loops and if/else
+    branches nested up to depth more, some of whose conditions define."""
+
+    def expr():
+        terms = [rng.choice([rng.choice(NEST_NAMES), f"a[{rng.choice(NEST_NAMES)}]", "1"])
+                 for _ in range(rng.randint(1, 3))]
+        return " + ".join(terms)
+
+    def cond():
+        return rng.choice([f"{rng.choice(NEST_NAMES)} < {expr()}",
+                           f"({rng.choice(NEST_NAMES)} = {expr()}) > 0"])
+
+    out = []
+    for _ in range(rng.randint(1, 2)):
+        kind = rng.choice(["assign", "for", "for_empty", "while", "if", "if_else"]
+                          if depth else ["assign"])
+        var = rng.choice(NEST_NAMES)
+        if kind == "assign":
+            out.append(rng.choice([f"{var} = {expr()};", f"{var} += {expr()};", f"{var}++;",
+                                   f"a[{var}] = {expr()};"]))
+            continue
+        body = random_loop_nest(rng, depth - 1)
+        if kind == "for":
+            out.append(f"for ({var} = {expr()}; {cond()}; {var}++) {{\n{body}\n}}")
+        elif kind == "for_empty":
+            out.append(f"for (;;) {{\n{body}\n}}")
+        elif kind == "while":
+            out.append(f"while ({cond()}) {{\n{body}\n}}")
+        else:
+            other = ""
+            if kind == "if_else":
+                other = f" else {{\n{random_loop_nest(rng, depth - 1)}\n}}"
+            out.append(f"if ({cond()}) {{\n{body}\n}}{other}")
+    return "\n".join(out)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_one_pass_loops_match_the_two_pass_builder(rng):
+    snippet, tokens = parse_snippet(random_loop_nest(rng, 6))
+    assert build_dfg(snippet, tokens) == reference_build_dfg(snippet, tokens)
+
+
+def nested_loops(depth):
+    """depth nested for loops, each adding its counter into s."""
+    return ("".join(f"for (i{k} = 0; i{k} < n; i{k}++) {{\ns = s + i{k};\n"
+                    for k in range(depth)) + "}\n" * depth)
+
+
+def test_nested_loops_match_the_two_pass_builder():
+    snippet, tokens = parse_snippet(nested_loops(10))
+    assert build_dfg(snippet, tokens) == reference_build_dfg(snippet, tokens)
+
+
+def test_data_flow_work_is_linear_in_loop_nesting(monkeypatch):
+    """A guard without timing: on a 60-deep nest, visit_stmt runs at most
+    three times per statement. Analyzing each body twice would take about
+    2^60 calls; the counter stops such a run at the bound."""
+    snippet, tokens = parse_snippet(nested_loops(60))
+    statement_kinds = {"ForStmt", "CompoundStmt", "ExprStmt", "Empty"}
+    n_statements = sum(n.kind in statement_kinds for n in iter_nodes(snippet))
+    bound = 3 * n_statements
+    calls = []
+    visit_stmt = dfg._Builder.visit_stmt
+
+    def counting_visit_stmt(self, node, env):
+        calls.append(node.kind)
+        assert len(calls) <= bound, "visit_stmt calls grow faster than the statements"
+        return visit_stmt(self, node, env)
+
+    monkeypatch.setattr(dfg._Builder, "visit_stmt", counting_visit_stmt)
+    graph = build_dfg(snippet, tokens)
+    assert calls.count("ForStmt") >= 60
+
+    def occurrences(name, kind):
+        return [n.node_id for n in graph.nodes if (n.var_name, n.occurrence_kind) == (name, kind)]
+
+    def sources(node_id):
+        return sorted(f for t, f in graph.edges if t == node_id)
+
+    # the innermost counter's uses draw from its init and its increment, and
+    # the outermost use of s from every def of s in the nest (back-edges)
+    assert all(sources(u) == occurrences("i59", "def") for u in occurrences("i59", "use"))
+    assert sources(occurrences("s", "use")[0]) == occurrences("s", "def")

@@ -10,7 +10,9 @@ import pytest
 import ompadvisor.encode
 import ompadvisor.model
 from ompadvisor.corpus import extract_from_source
-from ompadvisor.encode import MASK_NEG, PAD_ID, build_vocabulary, encode_corpus, encode_sample
+from ompadvisor.encode import (
+    MASK_NEG, PAD_ID, build_vocabulary, encode_corpus, encode_sample, length_batches,
+)
 from ompadvisor.metrics import predict_rows
 from ompadvisor.model import (
     LABELS, Adam, ModelConfig, TrainingDiverged, _random_check_input, _weight_grad,
@@ -227,7 +229,8 @@ def test_gradient_check_padded_batch():
     gradients sum over every (sample, slot) row, pad rows included."""
     config = small_config()
     lengths = (3, 6, 9)
-    ids, _, mask, _ = _random_check_input(config, np.random.default_rng(0), lengths)
+    ids, _, mask, _ = pad_batch(_random_check_input(config, np.random.default_rng(0), lengths),
+                                dtype=np.float64)
     assert ids.shape == (3, 9)
     assert [int((row == PAD_ID).sum()) for row in ids] == [6, 3, 0]
     assert np.all(mask[0, 3:, 3:] == np.where(np.eye(6) == 1, 0.0, MASK_NEG))
@@ -237,12 +240,28 @@ def test_gradient_check_padded_batch():
         assert err < 1e-3
 
 
+@pytest.mark.parametrize("scale_mode", ["sqrt_d", "d"])
+@pytest.mark.parametrize("mask_mode", ["open", "random"])
+def test_gradient_check_length_sub_batches(monkeypatch, mask_mode, scale_mode):
+    """With a cell budget that splits lengths (3, 6, 9) into separate
+    sub-batches, the summed analytic gradient still matches finite
+    differences of the loss of the batch padded once."""
+    config, lengths = small_config(scale_mode=scale_mode), (3, 6, 9)
+    monkeypatch.setattr(ompadvisor.encode, "BATCH_CELLS", 40)
+    encodings = _random_check_input(config, np.random.default_rng(0), lengths)
+    assert len(length_batches(encodings)) >= 2
+    err, _ = check_gradients(config=config, mask_mode=mask_mode, seed=11, lengths=lengths)
+    assert err < 1e-3
+
+
 def test_gradient_check_masks_come_from_the_graph():
     """"open" draws no data-flow nodes, so every real pair attends; "random"
     draws nodes, alignments and edges, which close some pairs."""
     config, lengths = small_config(), (3, 6, 9)
-    _, _, opened, _ = _random_check_input(config, np.random.default_rng(0), lengths, "open")
-    _, _, graph, _ = _random_check_input(config, np.random.default_rng(0), lengths, "random")
+    _, _, opened, _ = pad_batch(
+        _random_check_input(config, np.random.default_rng(0), lengths, "open"), np.float64)
+    _, _, graph, _ = pad_batch(
+        _random_check_input(config, np.random.default_rng(0), lengths, "random"), np.float64)
     for row, n in enumerate(lengths):
         assert np.all(opened[row, :n, :n] == 0.0)
     assert np.any(graph[2] == MASK_NEG)
@@ -464,6 +483,65 @@ def test_validation_history_matches_batched_predictions(mini_corpus, monkeypatch
         accuracy = ((probs >= 0.5) == labels).mean(axis=0)
         np.testing.assert_allclose(record["valid_accuracy_per_label"], accuracy,
                                    rtol=0, atol=1e-6)
+
+
+def test_training_steps_run_length_sub_batches_within_the_budget(mini_corpus, monkeypatch):
+    """A guard without timing: every train-mode forward holds at most
+    BATCH_CELLS padded cells (or one sample), each epoch makes
+    ⌈n / batch_size⌉ Adam steps, and each step's samples are the slice of
+    the seeded permutation it always took. The small budget splits most
+    batches, so padding a batch whole fails the budget check."""
+    monkeypatch.setattr(ompadvisor.encode, "BATCH_CELLS", 4000)
+    seed, batch_size, epochs = 13, 16, 2
+    train_split = [s for s in mini_corpus if s.split == "train"]
+    config = ModelConfig(vocab_size=build_vocabulary(train_split, 1).size, dropout_rate=0.0,
+                         seed=seed)
+    encoded = []  # per encode_corpus call: its encodings
+    padded, steps = [], []  # the encodings of each pad, and the pads before each step
+
+    def recording_encode_corpus(*args):
+        out = encode_corpus(*args)
+        encoded.append(out[0])
+        return out
+
+    def recording_pad_batch(encodings, *args, **kwargs):
+        padded.append(encodings)
+        return pad_batch(encodings, *args, **kwargs)
+
+    def recording_forward(params, config, ids, positions, mask, train=False, rng=None):
+        if train:
+            assert ids.shape[0] * ids.shape[1] ** 2 <= 4000 or ids.shape[0] == 1
+            steps[-1].append(padded[-1])
+        return forward_batch(params, config, ids, positions, mask, train=train, rng=rng)
+
+    adam_step = Adam.step
+
+    def recording_step(self, params, grads):
+        steps.append([])
+        return adam_step(self, params, grads)
+
+    monkeypatch.setattr(ompadvisor.model, "encode_corpus", recording_encode_corpus)
+    monkeypatch.setattr(ompadvisor.model, "pad_batch", recording_pad_batch)
+    monkeypatch.setattr(ompadvisor.model, "forward_batch", recording_forward)
+    monkeypatch.setattr(Adam, "step", recording_step)
+    steps.append([])
+    train(mini_corpus, config=config, epochs=epochs, aug_mode="none", seed=seed, min_freq=1,
+          batch_size=batch_size)
+    steps.pop()  # opened by the last step; only eval-mode forwards follow it
+
+    train_encodings = encoded[0]
+    index_of = {id(e): i for i, e in enumerate(train_encodings)}
+    n = len(train_encodings)
+    per_epoch = -(-n // batch_size)
+    assert len(steps) == epochs * per_epoch
+    assert sum(len(step) > 1 for step in steps) > per_epoch  # the budget splits batches
+    rng = np.random.default_rng(seed)
+    for epoch in range(epochs):
+        order = rng.permutation(n)  # dropout 0 draws nothing else from the rng
+        for b in range(per_epoch):
+            step = steps[epoch * per_epoch + b]
+            got = sorted(index_of[id(e)] for sub_batch in step for e in sub_batch)
+            assert got == sorted(order[b * batch_size : (b + 1) * batch_size])
 
 
 def test_training_requires_splits():
