@@ -106,6 +106,6 @@ def rename_variables(sample, fraction, seed):
         context_code=context_code,
         pragma_raw=pragma_raw,
     )
-    new_snippet, new_tokens = parse_snippet(new_sample.source_text())
-    new_sample.dfg = dfg_to_json(build_dfg(new_snippet, new_tokens))
+    new_snippet, _ = parse_snippet(new_sample.source_text())
+    new_sample.dfg = dfg_to_json(build_dfg(new_snippet))
     return new_sample

@@ -58,6 +58,7 @@ def build_parser():
     parser.add_argument("--version", action="version",
                         version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
+    positive, non_negative = _in_range(int, 1), _in_range(int, 0)
 
     p = sub.add_parser("build-corpus", help="extract a labeled loop corpus from .c files")
     p.add_argument("src_dir")
@@ -69,14 +70,13 @@ def build_parser():
     p = sub.add_parser("augment", help="apply renaming augmentation to a corpus file")
     p.add_argument("corpus")
     p.add_argument("--mode", choices=("none", "curriculum", "replaced"), required=True)
-    p.add_argument("--epoch", type=int, default=1)
+    p.add_argument("--epoch", type=positive, default=1)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("-o", "--out", required=True)
 
     p = sub.add_parser("train", help="train the advisor on a built corpus")
     p.add_argument("corpus_dir")
     p.add_argument("--aug", choices=("none", "curriculum", "replaced"), default="none")
-    positive, non_negative = _in_range(int, 1), _in_range(int, 0)
     p.add_argument("--epochs", type=positive, default=10)
     p.add_argument("--seed", type=non_negative, default=0)
     p.add_argument("--batch-size", type=positive, default=32)
@@ -115,8 +115,7 @@ def build_parser():
     p.add_argument("corpus")
 
     p = sub.add_parser("check-gradients", help="verify gradients against finite differences")
-    p.add_argument("--config", choices=("small",), default="small")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=non_negative, default=0)
 
     return parser
 
@@ -125,8 +124,9 @@ def build_parser():
 # subcommand implementations
 
 def _cmd_build_corpus(args):
-    if not Path(args.src_dir).is_dir():
-        raise FileNotFoundError(f"source directory not found: {args.src_dir}")
+    for directory in (args.src_dir, args.benchmarks):
+        if directory is not None and not Path(directory).is_dir():
+            raise FileNotFoundError(f"directory not found: {directory}")
     samples, rejects, stats = build_corpus(
         args.src_dir, args.out, with_scope=args.with_scope,
         benchmarks_dir=args.benchmarks, seed=args.seed,

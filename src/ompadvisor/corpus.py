@@ -248,8 +248,8 @@ def _build_sample(func, loop, loop_code, with_scope, **fields):
         context_code = _render_context(collected)
     sample = Sample(loop_code=loop_code, context_code=context_code, dfg={},
                     offset=loop.token_span[0], **fields)
-    snippet, snippet_tokens = parse_snippet(sample.source_text())
-    sample.dfg = dfg_to_json(build_dfg(snippet, snippet_tokens))
+    snippet, _ = parse_snippet(sample.source_text())
+    sample.dfg = dfg_to_json(build_dfg(snippet))
     return sample
 
 

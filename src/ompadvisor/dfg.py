@@ -197,7 +197,7 @@ class _Builder:
             self.visit_iteration(loop, dict(env))
 
 
-def build_dfg(unit, tokens):
+def build_dfg(unit):
     """Build the DataFlowGraph for a parsed unit or snippet.
 
     Functions see the file-level state at their definition point; parameters

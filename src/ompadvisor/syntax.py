@@ -179,15 +179,27 @@ def tokenize(source_text):
 # parser
 
 
+# Binary operators by precedence, tighter binding higher. The parser climbs
+# this table and the renderer parenthesizes by it, so parse∘render stays the
+# identity. Assignment is 1 and unary and primary expressions 12 and 13 (_prec).
+_PRECEDENCE = {
+    "||": 2, "&&": 3, "|": 4, "^": 5, "&": 6,
+    "==": 7, "!=": 7, "<": 8, ">": 8, "<=": 8, ">=": 8,
+    "<<": 9, ">>": 9, "+": 10, "-": 10, "*": 11, "/": 11, "%": 11,
+}
+
 # The parser's stack use is bounded by its input alone: each construct that
-# nests charges the Python frames one level of it takes, and input that would
-# take more than MAX_PARSE_FRAMES is a ParseError at the token where the bound
-# is crossed. The bound sits well below the interpreter's default recursion
-# limit (1000), which leaves room for a deep caller, such as a test runner or
-# a tracer, and for the AST walks that follow a parse.
+# nests charges a fixed number of frames, at least the Python frames one level
+# of it takes, and input that would take more than MAX_PARSE_FRAMES is a
+# ParseError at the token where the bound is crossed. The bound sits well below
+# the interpreter's default recursion limit (1000), which leaves room for a
+# deep caller, such as a test runner or a tracer, and for the AST walks that
+# follow a parse.
 MAX_PARSE_FRAMES = 600
 _STATEMENT_FRAMES = 6  # statement, _statement, for, body, compound, block items
-_EXPRESSION_FRAMES = 16  # assign, 11 binary levels, unary, postfix, primary, expression
+_EXPRESSION_FRAMES = 16  # at most assign, 11 parse_binary, unary, postfix, primary
+
+_LITERAL_TYPES = {"number": "number", "string-literal": "string", "char-literal": "char"}
 
 
 class _Parser:
@@ -195,9 +207,6 @@ class _Parser:
         self.tokens = tokens
         self.pos = 0
         self.frames = 0  # charged so far by the constructs open at pos
-        # Extra Declarations split off a multi-declarator line, drained by
-        # whichever caller requested the declaration.
-        self._splice_pending = []
 
     # -- token helpers
 
@@ -251,9 +260,7 @@ class _Parser:
             if self.at("pragma-line"):
                 t = self.peek()
                 raise ParseError(t.line, t.col, "a declaration or function definition", "#pragma")
-            children.append(self.parse_external())
-            children.extend(self._splice_pending)
-            self._splice_pending = []
+            children.extend(self.parse_external())
         return AstNode("TranslationUnit", children, (start, self.pos - 1), {})
 
     def parse_snippet(self):
@@ -263,63 +270,69 @@ class _Parser:
 
     # -- declarations and functions
 
-    def parse_external(self):
-        start = self.pos
-        if not (self.at("keyword") and self.peek().lexeme in TYPE_KEYWORDS):
-            self.fail("a type keyword")
-        type_name = self.advance().lexeme
-        pointer = False
-        if self.at("operator", "*"):
-            self.advance()
-            pointer = True
-        name_tok = self.expect("identifier")
-        if self.at("punctuation", "("):
-            return self.parse_function_rest(start, type_name, pointer, name_tok)
-        decls = [self.parse_declarator_rest(start, type_name, pointer, name_tok)]
-        while self.at("punctuation", ","):
-            self.advance()
-            dstart = self.pos
-            ptr = False
-            if self.at("operator", "*"):
-                self.advance()
-                ptr = True
-            tok = self.expect("identifier")
-            decls.append(self.parse_declarator_rest(dstart, type_name, ptr, tok))
-        self.expect("punctuation", ";")
-        if len(decls) == 1:
-            decls[0].token_span = (start, self.pos - 1)
-            return decls[0]
-        # Multi-declarator lines split into one Declaration per name; the
-        # canonical renderer emits them on separate lines.
-        self._splice_pending = decls[1:]
-        return decls[0]
+    def at_type(self):
+        t = self.peek()
+        return t is not None and t.kind == "keyword" and t.lexeme in TYPE_KEYWORDS
 
-    def parse_declarator_rest(self, start, type_name, pointer, name_tok):
+    def parse_type(self, expected):
+        if not self.at_type():
+            self.fail(expected)
+        return self.advance().lexeme
+
+    def parse_declarator(self):
+        """`[*] name ['[' size? ']']`: (pointer, Identifier or ArrayIndex)."""
+        pointer = self.at("operator", "*")
+        if pointer:
+            self.advance()
+        name_tok = self.expect("identifier")
         name_idx = self.pos - 1
-        ident = AstNode("Identifier", [], (name_idx, name_idx), {"name": name_tok.lexeme})
-        declarator = ident
+        declarator = AstNode("Identifier", [], (name_idx, name_idx), {"name": name_tok.lexeme})
         if self.at("punctuation", "["):
             self.advance()
             if self.at("punctuation", "]"):
                 size = AstNode("Empty", [], (self.pos, self.pos - 1), {})
             else:
-                size = self.parse_expression()
+                size = self.parse_assign()
             self.expect("punctuation", "]")
-            declarator = self.node("ArrayIndex", [ident, size], name_idx)
-        if self.at("operator", "="):
+            declarator = self.node("ArrayIndex", [declarator, size], name_idx)
+        return pointer, declarator
+
+    def parse_external(self):
+        """A function definition as [FunctionDef], or a declaration line as
+        one Declaration per declarator. A line of one declarator spans its
+        `;`; the Declarations split off a longer line do not, and the
+        canonical renderer emits them on separate lines."""
+        start = self.pos
+        type_name = self.parse_type("a type keyword")
+        pointer, declarator = self.parse_declarator()
+        if declarator.kind == "Identifier" and self.at("punctuation", "("):
+            return [self.parse_function_rest(start, type_name, pointer,
+                                             declarator.attrs["name"])]
+        decls = []
+        while True:
+            if self.at("operator", "="):
+                self.advance()
+                declarator = self.node("Assign", [declarator, self.parse_assign()],
+                                       declarator.token_span[0], {"op": "="})
+            decls.append(self.node("Declaration", [declarator], start,
+                                   {"type": type_name, "pointer": pointer}))
+            if not self.at("punctuation", ","):
+                break
             self.advance()
-            value = self.parse_assign()
-            declarator = self.node("Assign", [declarator, value], name_idx, {"op": "="})
-        return self.node("Declaration", [declarator], start,
-                         {"type": type_name, "pointer": pointer})
+            start = self.pos
+            pointer, declarator = self.parse_declarator()
+        self.expect("punctuation", ";")
+        if len(decls) == 1:
+            decls[0].token_span = (decls[0].token_span[0], self.pos - 1)
+        return decls
 
     def parse_declaration(self):
-        decl = self.parse_external()
-        if decl.kind != "Declaration":
+        decls = self.parse_external()
+        if decls[0].kind != "Declaration":
             self.fail("a declaration")
-        return decl
+        return decls
 
-    def parse_function_rest(self, start, type_name, pointer, name_tok):
+    def parse_function_rest(self, start, type_name, pointer, name):
         self.expect("punctuation", "(")
         params = []
         if self.at("keyword", "void") and self.peek(1) and self.peek(1).lexeme == ")":
@@ -332,29 +345,12 @@ class _Parser:
         self.expect("punctuation", ")")
         body = self.parse_compound()
         return self.node("FunctionDef", params + [body], start,
-                         {"type": type_name, "pointer": pointer, "name": name_tok.lexeme})
+                         {"type": type_name, "pointer": pointer, "name": name})
 
     def parse_param(self):
         start = self.pos
-        if not (self.at("keyword") and self.peek().lexeme in TYPE_KEYWORDS):
-            self.fail("a parameter type")
-        type_name = self.advance().lexeme
-        pointer = False
-        if self.at("operator", "*"):
-            self.advance()
-            pointer = True
-        name_tok = self.expect("identifier")
-        name_idx = self.pos - 1
-        ident = AstNode("Identifier", [], (name_idx, name_idx), {"name": name_tok.lexeme})
-        declarator = ident
-        if self.at("punctuation", "["):
-            self.advance()
-            if self.at("punctuation", "]"):
-                size = AstNode("Empty", [], (self.pos, self.pos - 1), {})
-            else:
-                size = self.parse_expression()
-            self.expect("punctuation", "]")
-            declarator = self.node("ArrayIndex", [ident, size], name_idx)
+        type_name = self.parse_type("a parameter type")
+        pointer, declarator = self.parse_declarator()
         return self.node("Declaration", [declarator], start,
                          {"type": type_name, "pointer": pointer})
 
@@ -381,10 +377,8 @@ class _Parser:
                                      nxt.lexeme if nxt else "end of input")
                 items.append(pragma)
                 continue
-            if self.at("keyword") and self.peek().lexeme in TYPE_KEYWORDS:
-                items.append(self.parse_declaration())
-                items.extend(self._splice_pending)
-                self._splice_pending = []
+            if self.at_type():
+                items.extend(self.parse_declaration())
             else:
                 items.append(self.parse_statement())
         return items
@@ -431,7 +425,7 @@ class _Parser:
             if t.lexeme in TYPE_KEYWORDS:
                 raise ParseError(t.line, t.col, "a statement", t.lexeme)
         start = self.pos
-        expr = self.parse_expression()
+        expr = self.parse_assign()
         self.expect("punctuation", ";")
         return self.node("ExprStmt", [expr], start)
 
@@ -442,25 +436,25 @@ class _Parser:
         if self.at("punctuation", ";"):
             init = AstNode("Empty", [], (self.pos, self.pos - 1), {})
             self.advance()
-        elif self.at("keyword") and self.peek().lexeme in TYPE_KEYWORDS:
-            init = self.parse_declaration()
-            if self._splice_pending:
-                t = self.peek()
+        elif self.at_type():
+            init, *rest = self.parse_declaration()
+            if rest:
+                t = self.peek() or self.tokens[-1]
                 raise ParseError(t.line, t.col, "a single declarator in for-init", ",")
         else:
             istart = self.pos
-            expr = self.parse_expression()
+            expr = self.parse_assign()
             self.expect("punctuation", ";")
             init = AstNode("ExprStmt", [expr], (istart, self.pos - 2), {})
         if self.at("punctuation", ";"):
             cond = AstNode("Empty", [], (self.pos, self.pos - 1), {})
         else:
-            cond = self.parse_expression()
+            cond = self.parse_assign()
         self.expect("punctuation", ";")
         if self.at("punctuation", ")"):
             inc = AstNode("Empty", [], (self.pos, self.pos - 1), {})
         else:
-            inc = self.parse_expression()
+            inc = self.parse_assign()
         self.expect("punctuation", ")")
         body = self.parse_body()
         return self.node("ForStmt", [init, cond, inc, body], start)
@@ -469,7 +463,7 @@ class _Parser:
         start = self.pos
         self.expect("keyword", "while")
         self.expect("punctuation", "(")
-        cond = self.parse_expression()
+        cond = self.parse_assign()
         self.expect("punctuation", ")")
         body = self.parse_body()
         return self.node("WhileStmt", [cond, body], start)
@@ -478,7 +472,7 @@ class _Parser:
         start = self.pos
         self.expect("keyword", "if")
         self.expect("punctuation", "(")
-        cond = self.parse_expression()
+        cond = self.parse_assign()
         self.expect("punctuation", ")")
         then = self.parse_body()
         children = [cond, then]
@@ -492,14 +486,11 @@ class _Parser:
         self.expect("keyword", "return")
         children = []
         if not self.at("punctuation", ";"):
-            children.append(self.parse_expression())
+            children.append(self.parse_assign())
         self.expect("punctuation", ";")
         return self.node("ReturnStmt", children, start)
 
     # -- expressions, lowest to highest precedence
-
-    def parse_expression(self):
-        return self.parse_assign()
 
     def parse_assign(self):
         self.descend(_EXPRESSION_FRAMES)
@@ -516,32 +507,20 @@ class _Parser:
         self.frames -= _EXPRESSION_FRAMES
         return left
 
-    _BINARY_LEVELS = (
-        ("||",),
-        ("&&",),
-        ("|",),
-        ("^",),
-        ("&",),
-        ("==", "!="),
-        ("<", ">", "<=", ">="),
-        ("<<", ">>"),
-        ("+", "-"),
-        ("*", "/", "%"),
-    )
-
-    def parse_binary(self, level):
-        if level >= len(self._BINARY_LEVELS):
-            return self.parse_unary()
-        ops = self._BINARY_LEVELS[level]
+    def parse_binary(self, min_prec):
+        """Precedence climbing: a unary operand, then each operator binding at
+        least min_prec with its right operand parsed one level tighter, so
+        every binary operator associates to the left."""
         start = self.pos
-        left = self.parse_binary(level + 1)
+        left = self.parse_unary()
         while True:
             t = self.peek()
-            if t is None or t.kind != "operator" or t.lexeme not in ops:
+            prec = _PRECEDENCE.get(t.lexeme) if t is not None and t.kind == "operator" else None
+            if prec is None or prec < min_prec:
                 return left
-            op = self.advance().lexeme
-            right = self.parse_binary(level + 1)
-            left = self.node("BinaryOp", [left, right], start, {"op": op})
+            self.advance()
+            right = self.parse_binary(prec + 1)
+            left = self.node("BinaryOp", [left, right], start, {"op": t.lexeme})
 
     def parse_unary(self):
         t = self.peek()
@@ -574,7 +553,7 @@ class _Parser:
                 expr = self.node("Call", args, start, {"name": expr.attrs["name"]})
             elif self.at("punctuation", "["):
                 self.advance()
-                index = self.parse_expression()
+                index = self.parse_assign()
                 self.expect("punctuation", "]")
                 expr = self.node("ArrayIndex", [expr, index], start)
             elif self.at("operator", "++") or self.at("operator", "--"):
@@ -590,21 +569,13 @@ class _Parser:
         if t.kind == "identifier":
             self.advance()
             return AstNode("Identifier", [], (self.pos - 1, self.pos - 1), {"name": t.lexeme})
-        if t.kind == "number":
+        if t.kind in _LITERAL_TYPES:
             self.advance()
             return AstNode("Constant", [], (self.pos - 1, self.pos - 1),
-                           {"value": t.lexeme, "ctype": "number"})
-        if t.kind == "string-literal":
-            self.advance()
-            return AstNode("Constant", [], (self.pos - 1, self.pos - 1),
-                           {"value": t.lexeme, "ctype": "string"})
-        if t.kind == "char-literal":
-            self.advance()
-            return AstNode("Constant", [], (self.pos - 1, self.pos - 1),
-                           {"value": t.lexeme, "ctype": "char"})
+                           {"value": t.lexeme, "ctype": _LITERAL_TYPES[t.kind]})
         if t.kind == "punctuation" and t.lexeme == "(":
             self.advance()
-            expr = self.parse_expression()
+            expr = self.parse_assign()
             self.expect("punctuation", ")")
             return expr
         raise ParseError(t.line, t.col, "an expression", t.lexeme)
@@ -634,12 +605,6 @@ def parse_snippet(source_text):
 
 # ---------------------------------------------------------------------------
 # canonical renderer
-
-_PRECEDENCE = {
-    "||": 2, "&&": 3, "|": 4, "^": 5, "&": 6,
-    "==": 7, "!=": 7, "<": 8, ">": 8, "<=": 8, ">=": 8,
-    "<<": 9, ">>": 9, "+": 10, "-": 10, "*": 11, "/": 11, "%": 11,
-}
 
 
 def _prec(node):

@@ -7,8 +7,9 @@ graph builder it is checking. For differential tests, the reference lexer
 is the scanner the regex lexer replaced, the reference mask builder is the
 per-sample builder and pad loop the batch mask builder replaced, the
 reference training step is the one-padded-batch step that length
-sub-batches replaced, and the reference data-flow builder is the two-pass
-loop analysis the one-pass builder replaced.
+sub-batches replaced, the reference data-flow builder is the two-pass
+loop analysis the one-pass builder replaced, and the reference parser is the
+one-function-per-precedence-level parser that precedence climbing replaced.
 """
 
 import random
@@ -20,7 +21,10 @@ from ompadvisor.encode import MASK_NEG
 from ompadvisor.model import (
     TrainingDiverged, backward_batch, compute_loss, forward_batch, pad_batch,
 )
-from ompadvisor.syntax import KEYWORDS, ParseError, Token
+from ompadvisor.syntax import (
+    _EXPRESSION_FRAMES, _STATEMENT_FRAMES, ASSIGN_OPS, KEYWORDS, MAX_PARSE_FRAMES,
+    TYPE_KEYWORDS, AstNode, ParseError, Token, tokenize,
+)
 
 VARS = ["a", "b", "c", "d", "e", "f"]
 OPS = ["+", "-", "*"]
@@ -584,3 +588,451 @@ def reference_build_dfg(unit, tokens):
     ]
     edges = sorted((id_of[t], id_of[f]) for t, f in builder.edges)
     return DataFlowGraph(nodes, edges)
+
+
+# ---------------------------------------------------------------------------
+# reference parser: the parser that recursed once per precedence level and
+# handed extra declarators back through a side channel, kept verbatim as the
+# precedence-climbing parser's differential oracle (it shares the lexer)
+
+
+class ReferenceParser:
+    def __init__(self, tokens):
+        self.tokens = tokens
+        self.pos = 0
+        self.frames = 0  # charged so far by the constructs open at pos
+        # Extra Declarations split off a multi-declarator line, drained by
+        # whichever caller requested the declaration.
+        self._splice_pending = []
+
+    # -- token helpers
+
+    def peek(self, offset=0):
+        p = self.pos + offset
+        return self.tokens[p] if p < len(self.tokens) else None
+
+    def at(self, kind, lexeme=None):
+        t = self.peek()
+        if t is None or t.kind != kind:
+            return False
+        return lexeme is None or t.lexeme == lexeme
+
+    def advance(self):
+        t = self.peek()
+        self.pos += 1
+        return t
+
+    def expect(self, kind, lexeme=None):
+        t = self.peek()
+        if t is None:
+            last = self.tokens[-1] if self.tokens else None
+            line = last.line if last else 1
+            col = last.col + len(last.lexeme) if last else 1
+            raise ParseError(line, col, lexeme or kind, "end of input")
+        if t.kind != kind or (lexeme is not None and t.lexeme != lexeme):
+            raise ParseError(t.line, t.col, lexeme or kind, t.lexeme)
+        return self.advance()
+
+    def fail(self, expected):
+        t = self.peek()
+        if t is None:
+            last = self.tokens[-1] if self.tokens else None
+            raise ParseError(last.line if last else 1, 1, expected, "end of input")
+        raise ParseError(t.line, t.col, expected, t.lexeme)
+
+    def descend(self, frames):
+        self.frames += frames
+        if self.frames > MAX_PARSE_FRAMES:
+            self.fail("less deeply nested code")
+
+    def node(self, kind, children, start, attrs=None):
+        return AstNode(kind, children, (start, self.pos - 1), attrs or {})
+
+    # -- entry points
+
+    def parse_unit(self):
+        start = self.pos
+        children = []
+        while self.peek() is not None:
+            if self.at("pragma-line"):
+                t = self.peek()
+                raise ParseError(t.line, t.col, "a declaration or function definition", "#pragma")
+            children.append(self.parse_external())
+            children.extend(self._splice_pending)
+            self._splice_pending = []
+        return AstNode("TranslationUnit", children, (start, self.pos - 1), {})
+
+    def parse_snippet(self):
+        start = self.pos
+        children = self.parse_block_items(until_rbrace=False)
+        return AstNode("TranslationUnit", children, (start, self.pos - 1), {})
+
+    # -- declarations and functions
+
+    def parse_external(self):
+        start = self.pos
+        if not (self.at("keyword") and self.peek().lexeme in TYPE_KEYWORDS):
+            self.fail("a type keyword")
+        type_name = self.advance().lexeme
+        pointer = False
+        if self.at("operator", "*"):
+            self.advance()
+            pointer = True
+        name_tok = self.expect("identifier")
+        if self.at("punctuation", "("):
+            return self.parse_function_rest(start, type_name, pointer, name_tok)
+        decls = [self.parse_declarator_rest(start, type_name, pointer, name_tok)]
+        while self.at("punctuation", ","):
+            self.advance()
+            dstart = self.pos
+            ptr = False
+            if self.at("operator", "*"):
+                self.advance()
+                ptr = True
+            tok = self.expect("identifier")
+            decls.append(self.parse_declarator_rest(dstart, type_name, ptr, tok))
+        self.expect("punctuation", ";")
+        if len(decls) == 1:
+            decls[0].token_span = (start, self.pos - 1)
+            return decls[0]
+        # Multi-declarator lines split into one Declaration per name; the
+        # canonical renderer emits them on separate lines.
+        self._splice_pending = decls[1:]
+        return decls[0]
+
+    def parse_declarator_rest(self, start, type_name, pointer, name_tok):
+        name_idx = self.pos - 1
+        ident = AstNode("Identifier", [], (name_idx, name_idx), {"name": name_tok.lexeme})
+        declarator = ident
+        if self.at("punctuation", "["):
+            self.advance()
+            if self.at("punctuation", "]"):
+                size = AstNode("Empty", [], (self.pos, self.pos - 1), {})
+            else:
+                size = self.parse_expression()
+            self.expect("punctuation", "]")
+            declarator = self.node("ArrayIndex", [ident, size], name_idx)
+        if self.at("operator", "="):
+            self.advance()
+            value = self.parse_assign()
+            declarator = self.node("Assign", [declarator, value], name_idx, {"op": "="})
+        return self.node("Declaration", [declarator], start,
+                         {"type": type_name, "pointer": pointer})
+
+    def parse_declaration(self):
+        decl = self.parse_external()
+        if decl.kind != "Declaration":
+            self.fail("a declaration")
+        return decl
+
+    def parse_function_rest(self, start, type_name, pointer, name_tok):
+        self.expect("punctuation", "(")
+        params = []
+        if self.at("keyword", "void") and self.peek(1) and self.peek(1).lexeme == ")":
+            self.advance()
+        elif not self.at("punctuation", ")"):
+            params.append(self.parse_param())
+            while self.at("punctuation", ","):
+                self.advance()
+                params.append(self.parse_param())
+        self.expect("punctuation", ")")
+        body = self.parse_compound()
+        return self.node("FunctionDef", params + [body], start,
+                         {"type": type_name, "pointer": pointer, "name": name_tok.lexeme})
+
+    def parse_param(self):
+        start = self.pos
+        if not (self.at("keyword") and self.peek().lexeme in TYPE_KEYWORDS):
+            self.fail("a parameter type")
+        type_name = self.advance().lexeme
+        pointer = False
+        if self.at("operator", "*"):
+            self.advance()
+            pointer = True
+        name_tok = self.expect("identifier")
+        name_idx = self.pos - 1
+        ident = AstNode("Identifier", [], (name_idx, name_idx), {"name": name_tok.lexeme})
+        declarator = ident
+        if self.at("punctuation", "["):
+            self.advance()
+            if self.at("punctuation", "]"):
+                size = AstNode("Empty", [], (self.pos, self.pos - 1), {})
+            else:
+                size = self.parse_expression()
+            self.expect("punctuation", "]")
+            declarator = self.node("ArrayIndex", [ident, size], name_idx)
+        return self.node("Declaration", [declarator], start,
+                         {"type": type_name, "pointer": pointer})
+
+    # -- statements
+
+    def parse_block_items(self, until_rbrace):
+        items = []
+        while True:
+            if until_rbrace and self.at("punctuation", "}"):
+                break
+            if not until_rbrace and self.peek() is None:
+                break
+            if until_rbrace and self.peek() is None:
+                self.fail("}")
+            if self.at("pragma-line"):
+                t = self.advance()
+                pragma = AstNode("PragmaDirective", [], (self.pos - 1, self.pos - 1),
+                                 {"raw": t.lexeme})
+                nxt = self.peek()
+                if nxt is None or nxt.lexeme == "}" or nxt.kind == "pragma-line" or (
+                    nxt.kind == "keyword" and nxt.lexeme in TYPE_KEYWORDS
+                ):
+                    raise ParseError(t.line, t.col, "a statement after the pragma",
+                                     nxt.lexeme if nxt else "end of input")
+                items.append(pragma)
+                continue
+            if self.at("keyword") and self.peek().lexeme in TYPE_KEYWORDS:
+                items.append(self.parse_declaration())
+                items.extend(self._splice_pending)
+                self._splice_pending = []
+            else:
+                items.append(self.parse_statement())
+        return items
+
+    def parse_compound(self):
+        start = self.pos
+        self.expect("punctuation", "{")
+        items = self.parse_block_items(until_rbrace=True)
+        self.expect("punctuation", "}")
+        return self.node("CompoundStmt", items, start)
+
+    def parse_body(self):
+        """Parse a loop/branch body, wrapping single statements in a block."""
+        if self.at("punctuation", "{"):
+            return self.parse_compound()
+        start = self.pos
+        stmt = self.parse_statement()
+        return AstNode("CompoundStmt", [stmt], (start, self.pos - 1), {})
+
+    def parse_statement(self):
+        self.descend(_STATEMENT_FRAMES)
+        stmt = self._statement()
+        self.frames -= _STATEMENT_FRAMES
+        return stmt
+
+    def _statement(self):
+        t = self.peek()
+        if t is None:
+            self.fail("a statement")
+        if t.kind == "punctuation" and t.lexeme == "{":
+            return self.parse_compound()
+        if t.kind == "punctuation" and t.lexeme == ";":
+            self.advance()
+            return AstNode("Empty", [], (self.pos - 1, self.pos - 1), {})
+        if t.kind == "keyword":
+            if t.lexeme == "for":
+                return self.parse_for()
+            if t.lexeme == "while":
+                return self.parse_while()
+            if t.lexeme == "if":
+                return self.parse_if()
+            if t.lexeme == "return":
+                return self.parse_return()
+            if t.lexeme in TYPE_KEYWORDS:
+                raise ParseError(t.line, t.col, "a statement", t.lexeme)
+        start = self.pos
+        expr = self.parse_expression()
+        self.expect("punctuation", ";")
+        return self.node("ExprStmt", [expr], start)
+
+    def parse_for(self):
+        start = self.pos
+        self.expect("keyword", "for")
+        self.expect("punctuation", "(")
+        if self.at("punctuation", ";"):
+            init = AstNode("Empty", [], (self.pos, self.pos - 1), {})
+            self.advance()
+        elif self.at("keyword") and self.peek().lexeme in TYPE_KEYWORDS:
+            init = self.parse_declaration()
+            if self._splice_pending:
+                t = self.peek()
+                raise ParseError(t.line, t.col, "a single declarator in for-init", ",")
+        else:
+            istart = self.pos
+            expr = self.parse_expression()
+            self.expect("punctuation", ";")
+            init = AstNode("ExprStmt", [expr], (istart, self.pos - 2), {})
+        if self.at("punctuation", ";"):
+            cond = AstNode("Empty", [], (self.pos, self.pos - 1), {})
+        else:
+            cond = self.parse_expression()
+        self.expect("punctuation", ";")
+        if self.at("punctuation", ")"):
+            inc = AstNode("Empty", [], (self.pos, self.pos - 1), {})
+        else:
+            inc = self.parse_expression()
+        self.expect("punctuation", ")")
+        body = self.parse_body()
+        return self.node("ForStmt", [init, cond, inc, body], start)
+
+    def parse_while(self):
+        start = self.pos
+        self.expect("keyword", "while")
+        self.expect("punctuation", "(")
+        cond = self.parse_expression()
+        self.expect("punctuation", ")")
+        body = self.parse_body()
+        return self.node("WhileStmt", [cond, body], start)
+
+    def parse_if(self):
+        start = self.pos
+        self.expect("keyword", "if")
+        self.expect("punctuation", "(")
+        cond = self.parse_expression()
+        self.expect("punctuation", ")")
+        then = self.parse_body()
+        children = [cond, then]
+        if self.at("keyword", "else"):
+            self.advance()
+            children.append(self.parse_body())
+        return self.node("IfStmt", children, start)
+
+    def parse_return(self):
+        start = self.pos
+        self.expect("keyword", "return")
+        children = []
+        if not self.at("punctuation", ";"):
+            children.append(self.parse_expression())
+        self.expect("punctuation", ";")
+        return self.node("ReturnStmt", children, start)
+
+    # -- expressions, lowest to highest precedence
+
+    def parse_expression(self):
+        return self.parse_assign()
+
+    def parse_assign(self):
+        self.descend(_EXPRESSION_FRAMES)
+        start = self.pos
+        left = self.parse_binary(0)
+        t = self.peek()
+        if t is not None and t.kind == "operator" and t.lexeme in ASSIGN_OPS:
+            if left.kind not in ("Identifier", "ArrayIndex") and not (
+                left.kind == "UnaryOp" and left.attrs.get("op") == "*"
+            ):
+                raise ParseError(t.line, t.col, "an assignable target", t.lexeme)
+            op = self.advance().lexeme
+            left = self.node("Assign", [left, self.parse_assign()], start, {"op": op})
+        self.frames -= _EXPRESSION_FRAMES
+        return left
+
+    _BINARY_LEVELS = (
+        ("||",),
+        ("&&",),
+        ("|",),
+        ("^",),
+        ("&",),
+        ("==", "!="),
+        ("<", ">", "<=", ">="),
+        ("<<", ">>"),
+        ("+", "-"),
+        ("*", "/", "%"),
+    )
+
+    def parse_binary(self, level):
+        if level >= len(self._BINARY_LEVELS):
+            return self.parse_unary()
+        ops = self._BINARY_LEVELS[level]
+        start = self.pos
+        left = self.parse_binary(level + 1)
+        while True:
+            t = self.peek()
+            if t is None or t.kind != "operator" or t.lexeme not in ops:
+                return left
+            op = self.advance().lexeme
+            right = self.parse_binary(level + 1)
+            left = self.node("BinaryOp", [left, right], start, {"op": op})
+
+    def parse_unary(self):
+        t = self.peek()
+        if t is not None and t.kind == "operator" and t.lexeme in (
+            "!", "-", "+", "*", "&", "~", "++", "--"
+        ):
+            start = self.pos
+            self.descend(1)
+            op = self.advance().lexeme
+            operand = self.parse_unary()
+            self.frames -= 1
+            if op in ("++", "--") and operand.kind != "Identifier":
+                raise ParseError(t.line, t.col, "an identifier after " + op, operand.kind)
+            return self.node("UnaryOp", [operand], start, {"op": op, "postfix": False})
+        return self.parse_postfix()
+
+    def parse_postfix(self):
+        start = self.pos
+        expr = self.parse_primary()
+        while True:
+            if self.at("punctuation", "(") and expr.kind == "Identifier":
+                self.advance()
+                args = []
+                if not self.at("punctuation", ")"):
+                    args.append(self.parse_assign())
+                    while self.at("punctuation", ","):
+                        self.advance()
+                        args.append(self.parse_assign())
+                self.expect("punctuation", ")")
+                expr = self.node("Call", args, start, {"name": expr.attrs["name"]})
+            elif self.at("punctuation", "["):
+                self.advance()
+                index = self.parse_expression()
+                self.expect("punctuation", "]")
+                expr = self.node("ArrayIndex", [expr, index], start)
+            elif self.at("operator", "++") or self.at("operator", "--"):
+                op = self.advance().lexeme
+                expr = self.node("UnaryOp", [expr], start, {"op": op, "postfix": True})
+            else:
+                return expr
+
+    def parse_primary(self):
+        t = self.peek()
+        if t is None:
+            self.fail("an expression")
+        if t.kind == "identifier":
+            self.advance()
+            return AstNode("Identifier", [], (self.pos - 1, self.pos - 1), {"name": t.lexeme})
+        if t.kind == "number":
+            self.advance()
+            return AstNode("Constant", [], (self.pos - 1, self.pos - 1),
+                           {"value": t.lexeme, "ctype": "number"})
+        if t.kind == "string-literal":
+            self.advance()
+            return AstNode("Constant", [], (self.pos - 1, self.pos - 1),
+                           {"value": t.lexeme, "ctype": "string"})
+        if t.kind == "char-literal":
+            self.advance()
+            return AstNode("Constant", [], (self.pos - 1, self.pos - 1),
+                           {"value": t.lexeme, "ctype": "char"})
+        if t.kind == "punctuation" and t.lexeme == "(":
+            self.advance()
+            expr = self.parse_expression()
+            self.expect("punctuation", ")")
+            return expr
+        raise ParseError(t.line, t.col, "an expression", t.lexeme)
+
+
+def _reference_parse(source_text, entry):
+    tokens = tokenize(source_text)
+    parser = ReferenceParser(tokens)
+    try:
+        unit = entry(parser)
+    except RecursionError:
+        # Nesting deeper than the interpreter's stack: a data error at the
+        # token where the descent stopped, not a crash.
+        parser.fail("less deeply nested code")
+    return unit, tokens
+
+
+def reference_parse_source(source_text):
+    """Parse a translation unit. Returns (TranslationUnit node, token list)."""
+    return _reference_parse(source_text, ReferenceParser.parse_unit)
+
+
+def reference_parse_snippet(source_text):
+    """Parse a bare statement/declaration sequence (loop samples, contexts)."""
+    return _reference_parse(source_text, ReferenceParser.parse_snippet)

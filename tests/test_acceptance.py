@@ -89,8 +89,8 @@ def test_criterion_2_dfg_oracle_equivalence():
         stmts = gen_straight_line_program(rng)
         source = render_straight_line(stmts)
         expected_nodes, expected_edges = straight_line_oracle(stmts)
-        snippet, tokens = parse_snippet(source)
-        g = build_dfg(snippet, tokens)
+        snippet, _ = parse_snippet(source)
+        g = build_dfg(snippet)
         got_nodes = [(n.var_name, n.occurrence_kind) for n in g.nodes]
         if got_nodes != expected_nodes or set(g.edges) != expected_edges:
             mismatches += 1

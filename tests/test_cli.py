@@ -16,7 +16,8 @@ from ompadvisor.synthetic import generate_synthetic_corpus
 from ompadvisor.syntax import ParseError
 
 SCHEMA_PATH = Path(__file__).parent.parent / "src" / "ompadvisor" / "schemas" / "predict_schema.json"
-GOLDEN_STATS = Path(__file__).parent / "fixtures" / "golden_stats.txt"
+FIXTURES = Path(__file__).parent / "fixtures"
+GOLDEN_STATS = FIXTURES / "golden_stats.txt"
 
 
 @pytest.fixture(scope="module")
@@ -141,7 +142,7 @@ def test_augment_command_round_trip(corpus_dir, tmp_path, capsys):
 
 
 def test_check_gradients_command(capsys):
-    code = execute_command(["check-gradients", "--config", "small"])
+    code = execute_command(["check-gradients"])
     assert code == 0
     out = capsys.readouterr().out
     assert "OK" in out
@@ -158,6 +159,31 @@ def test_data_errors_exit_two(tmp_path, capsys):
     assert execute_command(["build-corpus", str(tmp_path / "missing"), "-o", str(tmp_path / "o")]) == 2
     assert execute_command(["stats", str(tmp_path / "missing.jsonl")]) == 2
     assert execute_command(["train", str(tmp_path), "-o", str(tmp_path / "m")]) == 2
+
+
+@pytest.mark.parametrize("benchmarks", ["missing", "file.c"])
+def test_build_corpus_benchmarks_must_be_a_directory(tmp_path, capsys, benchmarks):
+    """A --benchmarks path that is missing or a file is a data error; it
+    never yields an empty held-out set."""
+    (tmp_path / "file.c").write_text("void g(int n) {\nint i;\nfor (i = 0; i < n; i++) ;\n}\n")
+    out = tmp_path / "corpus"
+    argv = ["build-corpus", str(FIXTURES / "corpus_c"), "--benchmarks",
+            str(tmp_path / benchmarks), "-o", str(out)]
+    assert execute_command(argv) == 2
+    assert benchmarks in capsys.readouterr().err
+    assert not (out / "benchmarks.jsonl").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["augment", "c.jsonl", "--mode", "curriculum", "--epoch", "0", "-o", "o.jsonl"],
+    ["augment", "c.jsonl", "--mode", "none", "--epoch", "0", "-o", "o.jsonl"],
+    ["augment", "c.jsonl", "--mode", "replaced", "--epoch", "-1", "-o", "o.jsonl"],
+    ["check-gradients", "--seed", "-1"],
+    ["check-gradients", "--config", "small"],
+])
+def test_bad_options_are_usage_errors(capsys, argv):
+    assert execute_command(argv) == 1
+    assert capsys.readouterr().err.startswith("usage error:")
 
 
 def test_train_rejects_sequence_past_position_table(model_dir, tmp_path, capsys):
@@ -189,6 +215,21 @@ def test_build_corpus_rejects_deeply_nested_file(tmp_path, capsys):
     rejects = [json.loads(line) for line in (out / "rejects.jsonl").read_text().splitlines()]
     assert rejects == [{"path": "deep.c", "line": 1, "reason": "parse_error"}]
     assert len((out / "corpus.jsonl").read_text().splitlines()) == 1
+
+
+def test_multi_declarator_for_init_at_end_of_input_is_a_parse_error(model_dir, tmp_path, capsys):
+    """The for-init check reports input that ends right after the
+    declarators as a parse error, not a crash."""
+    src = tmp_path / "src"
+    src.mkdir()
+    (src / "cut.c").write_text("void f(int n) {\nfor (int i, j;")
+    out = tmp_path / "corpus"
+    assert execute_command(["build-corpus", str(src), "-o", str(out)]) == 0
+    rejects = [json.loads(line) for line in (out / "rejects.jsonl").read_text().splitlines()]
+    assert rejects == [{"path": "cut.c", "line": 2, "reason": "parse_error"}]
+    _, model = model_dir
+    assert execute_command(["predict", str(model), str(src / "cut.c"), "--json"]) == 2
+    assert "a single declarator in for-init" in capsys.readouterr().err
 
 
 def test_predict_deeply_nested_file_exits_two(model_dir, tmp_path, capsys):

@@ -15,7 +15,7 @@ from oracles import (
 
 def graph_of(source):
     snippet, tokens = parse_snippet(source)
-    return build_dfg(snippet, tokens), tokens
+    return build_dfg(snippet), tokens
 
 
 def serialize_dfg(graph):
@@ -104,7 +104,7 @@ def test_array_store_defines_whole_array():
 def test_alignment_points_at_identifier_tokens():
     source = "for (i = 0; i < n; i++) {\ns = s + a[i];\n}"
     snippet, tokens = parse_snippet(source)
-    g = build_dfg(snippet, tokens)
+    g = build_dfg(snippet)
     for node in g.nodes:
         tok = tokens[node.code_token_index]
         assert tok.kind == "identifier"
@@ -229,7 +229,7 @@ def random_loop_nest(rng, depth):
 @given(st.randoms(use_true_random=False))
 def test_one_pass_loops_match_the_two_pass_builder(rng):
     snippet, tokens = parse_snippet(random_loop_nest(rng, 6))
-    assert build_dfg(snippet, tokens) == reference_build_dfg(snippet, tokens)
+    assert build_dfg(snippet) == reference_build_dfg(snippet, tokens)
 
 
 def nested_loops(depth):
@@ -240,14 +240,14 @@ def nested_loops(depth):
 
 def test_nested_loops_match_the_two_pass_builder():
     snippet, tokens = parse_snippet(nested_loops(10))
-    assert build_dfg(snippet, tokens) == reference_build_dfg(snippet, tokens)
+    assert build_dfg(snippet) == reference_build_dfg(snippet, tokens)
 
 
 def test_data_flow_work_is_linear_in_loop_nesting(monkeypatch):
     """A guard without timing: on a 60-deep nest, visit_stmt runs at most
     three times per statement. Analyzing each body twice would take about
     2^60 calls; the counter stops such a run at the bound."""
-    snippet, tokens = parse_snippet(nested_loops(60))
+    snippet, _ = parse_snippet(nested_loops(60))
     statement_kinds = {"ForStmt", "CompoundStmt", "ExprStmt", "Empty"}
     n_statements = sum(n.kind in statement_kinds for n in iter_nodes(snippet))
     bound = 3 * n_statements
@@ -260,7 +260,7 @@ def test_data_flow_work_is_linear_in_loop_nesting(monkeypatch):
         return visit_stmt(self, node, env)
 
     monkeypatch.setattr(dfg._Builder, "visit_stmt", counting_visit_stmt)
-    graph = build_dfg(snippet, tokens)
+    graph = build_dfg(snippet)
     assert calls.count("ForStmt") >= 60
 
     def occurrences(name, kind):

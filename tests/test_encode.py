@@ -17,12 +17,12 @@ def snippet_sample(code, **label_overrides):
     from ompadvisor.dfg import build_dfg, dfg_to_json
     from ompadvisor.syntax import parse_snippet
 
-    snippet, tokens = parse_snippet(code)
+    snippet, _ = parse_snippet(code)
     fields = dict(label_pragma=0, label_private=0, label_reduction=0)
     fields.update(label_overrides)
     sample = Sample(
         id=content_hash(code), path="t.c", loop_code=code, context_code="",
-        pragma_raw=None, dfg=dfg_to_json(build_dfg(snippet, tokens)),
+        pragma_raw=None, dfg=dfg_to_json(build_dfg(snippet)),
         split="train", **fields,
     )
     return sample

@@ -2,13 +2,16 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from ompadvisor import syntax
 from ompadvisor.syntax import (
     AstNode, ParseError, _strip_comments, iter_nodes, parse_snippet, parse_source,
     render, tokenize,
 )
 from oracles import (
-    ast_equal, gen_source_program, reference_strip_comments, reference_tokenize,
+    ast_equal, gen_source_program, reference_parse_snippet, reference_parse_source,
+    reference_strip_comments, reference_tokenize,
 )
+from test_cli import C_LIKE
 
 # Pieces of lexer input: every operator and punctuator, both quote kinds,
 # escapes and backslash-newline, comment delimiters, pragma and other
@@ -259,3 +262,125 @@ def test_token_spans_nest_and_order():
             assert lo <= clo <= chi <= hi
             assert clo > prev_end
             prev_end = chi
+
+
+# ---------------------------------------------------------------------------
+# parser: differential tests against the reference parser
+
+BINARY_OPERATORS = ["||", "&&", "|", "^", "&", "==", "!=", "<", ">", "<=", ">=",
+                    "<<", ">>", "+", "-", "*", "/", "%"]
+OPERANDS = ["a", "1", "(b)", "-c", "!d", "f(x, y)", "p[i]", "x++", "*q", "(a = b)"]
+operator_chains = st.lists(
+    st.tuples(st.sampled_from(BINARY_OPERATORS), st.sampled_from(OPERANDS)), max_size=12,
+).map(lambda pairs: "y = a" + "".join(f" {op} {operand}" for op, operand in pairs) + ";")
+
+TYPES = st.sampled_from(["int", "double", "char"])
+POINTERS = st.sampled_from(["", "*"])
+NAMES = st.sampled_from(["a", "b", "n"])
+ARRAY_SUFFIXES = st.sampled_from(["", "[3]", "[]", "[n + 1]"])
+declarators = st.builds("{}{}{}{}".format, POINTERS, NAMES, ARRAY_SUFFIXES,
+                        st.sampled_from(["", " = 0", " = a * 2", " = p[1]"]))
+declaration_lines = st.builds(
+    "{} {}{}".format, TYPES, st.lists(declarators, min_size=1, max_size=4).map(", ".join),
+    st.sampled_from([";", ",", ""]),
+)
+DECLARATION_CONTEXTS = ["{}", "void f(int n) {{\n{}\nreturn;\n}}", "for ({} i < n; i++) x = a;"]
+declarations = st.builds(str.format, st.sampled_from(DECLARATION_CONTEXTS),
+                         st.lists(declaration_lines, min_size=1, max_size=3).map("\n".join))
+parameter_lists = st.lists(
+    st.builds("{} {}{}{}".format, TYPES, POINTERS, NAMES, ARRAY_SUFFIXES), max_size=3,
+).map(lambda params: "int g(" + ", ".join(params) + ") { return a; }")
+
+parser_inputs = st.one_of(
+    st.integers(0, 2**16).map(gen_source_program),
+    C_LIKE,
+    C_LIKE.map(lambda body: "void f(int n, double *a) {\n" + body + "\n}\n"),
+    operator_chains,
+    declarations,
+    parameter_lists,
+)
+
+
+def _parse_outcome(parse, text):
+    """Every node of the parse in preorder with its token span, or the
+    ParseError's fields."""
+    try:
+        unit, _ = parse(text)
+    except ParseError as err:
+        return ("error", err.line, err.col, err.expected, err.got)
+    return [(n.kind, n.token_span, n.attrs, len(n.children)) for n in iter_nodes(unit)]
+
+
+def assert_parses_like_reference(text):
+    for parse, reference in ((parse_source, reference_parse_source),
+                             (parse_snippet, reference_parse_snippet)):
+        outcome = _parse_outcome(parse, text)
+        try:
+            expected = _parse_outcome(reference, text)
+        except AttributeError:
+            # The reference crashes on a multi-declarator for-init that ends
+            # the input; the parser reports it as the for-init error.
+            assert outcome[0] == "error" and outcome[3] == "a single declarator in for-init"
+            continue
+        assert outcome == expected
+
+
+@settings(max_examples=500, deadline=None)
+@given(parser_inputs)
+@example("y = a - b - c;")
+@example("y = a & b == c | d ^ e && f || g;")
+@example("int i;")
+@example("int i = 0, *p, a[3] = {};")
+@example("for (int i = 0, j; i < n; i++) ;")
+@example("for (int i, j;")
+@example("int f(int a[], double *b, char c[n + 1]) { return a; }")
+def test_parser_matches_reference_parser(text):
+    assert_parses_like_reference(text)
+
+
+# The deepest nest of each construct that parses; one level more crosses
+# MAX_PARSE_FRAMES.
+NESTS = {
+    "parens": (35, lambda d: "y = " + "(" * d + "x" + ")" * d + ";"),
+    "subscripts": (35, lambda d: "y = a" + "[x" * d + "]" * d + ";"),
+    "call arguments": (35, lambda d: "y = " + "f(" * d + "x" + ")" * d + ";"),
+    "prefix chain": (562, lambda d: "y = " + "!" * d + "x;"),
+    "nested for": (93, lambda d: "for (;;) " * d + "y = x;"),
+}
+
+
+@pytest.mark.parametrize("name, depth", [
+    (name, bound + side) for name, (bound, _) in NESTS.items() for side in (0, 1)
+])
+def test_nesting_bounds_match_the_reference_parser(name, depth):
+    bound, nest = NESTS[name]
+    text = nest(depth)
+    for parse, reference, source in (
+        (parse_snippet, reference_parse_snippet, text),
+        (parse_source, reference_parse_source, "void g(void) {\n" + text + "\n}"),
+    ):
+        outcome = _parse_outcome(parse, source)
+        assert outcome == _parse_outcome(reference, source)
+        if depth > bound:
+            assert outcome[0] == "error" and outcome[3] == "less deeply nested code"
+        else:
+            assert outcome[0][0] == "TranslationUnit"
+
+
+def test_binary_expressions_take_one_call_per_operand(monkeypatch):
+    """A guard without timing: a flat expression with n binary operators from
+    all ten precedence levels takes at most 2n + 1 parse_binary calls, where
+    a call per precedence level and operand would take over 10n."""
+    levels = ["||", "&&", "|", "^", "&", "==", "<", "<<", "+", "*"]
+    ops = levels + levels[::-1] + levels
+    calls = []
+    parse_binary = syntax._Parser.parse_binary
+
+    def counting_parse_binary(self, *args):
+        calls.append(args)
+        return parse_binary(self, *args)
+
+    monkeypatch.setattr(syntax._Parser, "parse_binary", counting_parse_binary)
+    snippet, _ = parse_snippet("a" + "".join(f" {op} x{k}" for k, op in enumerate(ops)) + ";")
+    assert [n.kind for n in snippet.children] == ["ExprStmt"]
+    assert len(calls) <= 2 * len(ops) + 1
