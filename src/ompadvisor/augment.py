@@ -12,7 +12,7 @@ from dataclasses import replace
 from .corpus import content_hash
 from .dfg import build_dfg, dfg_to_json
 from .pragmas import VAR_LIST_CLAUSES, parse_omp_pragma, render_omp_pragma
-from .syntax import AstNode, iter_nodes, parse_snippet, render
+from .syntax import emit, iter_nodes, parse_snippet
 
 CURRICULUM_CAP = 0.4
 
@@ -37,14 +37,6 @@ def fraction_for_mode(mode, epoch):
 
 def _variable_names(snippet):
     return sorted({n.attrs["name"] for n in iter_nodes(snippet) if n.kind == "Identifier"})
-
-
-def _rename_tree(node, mapping):
-    attrs = dict(node.attrs)
-    if node.kind == "Identifier" and attrs["name"] in mapping:
-        attrs["name"] = mapping[attrs["name"]]
-    return AstNode(node.kind, [_rename_tree(c, mapping) for c in node.children],
-                   node.token_span, attrs)
 
 
 def _rename_pragma(raw, mapping):
@@ -87,25 +79,22 @@ def rename_variables(sample, fraction, seed):
         taken.add(candidate)
         mapping[name] = candidate
 
-    renamed = _rename_tree(snippet, mapping)
-    loop = renamed.children[-1]
-    if loop.kind != "ForStmt":
+    if snippet.children[-1].kind != "ForStmt":
         raise ValueError("sample snippet does not end with a for-loop")
-    context = renamed.children[:-1]
+    for node in iter_nodes(snippet):  # the snippet is this call's own parse
+        if node.kind == "Identifier" and node.attrs["name"] in mapping:
+            node.attrs["name"] = mapping[node.attrs["name"]]
 
-    loop_code = render(loop)
-    context_code = "\n".join(render(stmt) for stmt in context)
+    texts, slots, _ = emit(snippet.children)
     pragma_raw = sample.pragma_raw
     if pragma_raw is not None:
         pragma_raw = _rename_pragma(pragma_raw, mapping)
 
-    new_sample = replace(
+    return replace(
         sample,
-        id=content_hash(loop_code),
-        loop_code=loop_code,
-        context_code=context_code,
+        id=content_hash(texts[-1]),
+        loop_code=texts[-1],
+        context_code="\n".join(texts[:-1]),
         pragma_raw=pragma_raw,
+        dfg=dfg_to_json(build_dfg(snippet, slots)),
     )
-    new_snippet, _ = parse_snippet(new_sample.source_text())
-    new_sample.dfg = dfg_to_json(build_dfg(new_snippet))
-    return new_sample

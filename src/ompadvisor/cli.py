@@ -136,6 +136,7 @@ def _cmd_build_corpus(args):
         "benchmarks": args.benchmarks, "seed": args.seed, "out": args.out,
     })
     print(f"corpus: {len(samples)} samples, {len(rejects)} rejects -> {args.out}")
+    print("rejects: " + ", ".join(f"{reason} {n}" for reason, n in stats["rejects"].items()))
     return 0
 
 

@@ -13,9 +13,8 @@ from pathlib import Path
 
 from .dfg import build_dfg, dfg_to_json
 from .pragmas import PragmaError, parse_omp_pragma
-from .syntax import (
-    AstNode, ParseError, iter_nodes, parse_snippet, parse_source, render, tokenize,
-)
+from .syntax import AstNode, ParseError, emit, iter_nodes, parse_source, tokenize
+from .syntax import parse_snippet  # noqa: F401 -- a traced binding in perfbench/spans.py
 
 SAMPLE_KEYS = (
     "id", "path", "loop_code", "context_code", "pragma_raw",
@@ -54,11 +53,14 @@ class Sample:
         return cls(**{key: data[key] for key in SAMPLE_KEYS})
 
 
+REJECT_REASONS = ("parse_error", "empty_loop", "barrier_critical_atomic", "nested_duplicate")
+
+
 @dataclass
 class Reject:
     path: str
     line: int
-    reason: str  # parse_error | empty_loop | barrier_critical_atomic | nested_duplicate
+    reason: str  # one of REJECT_REASONS
 
 
 # ---------------------------------------------------------------------------
@@ -97,12 +99,6 @@ def content_hash(code_text) -> str:
 
 # ---------------------------------------------------------------------------
 # extraction
-
-def _strip_pragmas(node):
-    """Copy of the subtree with all pragma directives removed (serial form)."""
-    children = [_strip_pragmas(c) for c in node.children if c.kind != "PragmaDirective"]
-    return AstNode(node.kind, children, node.token_span, dict(node.attrs))
-
 
 def _parent_map(root):
     parents = {}
@@ -219,10 +215,6 @@ def _context_statements(container, loop, used, out):
     return False
 
 
-def _render_context(statements):
-    return "\n".join(render(_strip_pragmas(stmt)) for stmt in statements)
-
-
 def _loops(unit, tokens):
     """(function, loop, line) for every for-loop of every function, outermost
     first, in program order."""
@@ -233,24 +225,21 @@ def _loops(unit, tokens):
                     yield func, loop, tokens[loop.token_span[0]].line
 
 
-def _loop_code(loop):
-    return render(_strip_pragmas(loop))
-
-
-def _build_sample(func, loop, loop_code, with_scope, **fields):
+def _build_sample(func, loop, loop_code, loop_slots, with_scope, **fields):
     """The sample for one loop: its scope context when asked for, and the
-    data-flow graph of context plus loop."""
-    context_code = ""
+    data-flow graph of context plus loop over the file's AST and the slots
+    of the emitted text."""
+    context = []
     if with_scope:
         used = _used_variables(loop)
-        collected = [p for p in func.children[:-1] if _declared_name(p) in used]
-        _context_statements(func.children[-1], loop, used, collected)
-        context_code = _render_context(collected)
-    sample = Sample(loop_code=loop_code, context_code=context_code, dfg={},
-                    offset=loop.token_span[0], **fields)
-    snippet, _ = parse_snippet(sample.source_text())
-    sample.dfg = dfg_to_json(build_dfg(snippet))
-    return sample
+        context = [p for p in func.children[:-1] if _declared_name(p) in used]
+        _context_statements(func.children[-1], loop, used, context)
+    context_lines, slots, n_context = emit(context, strip_pragmas=True)
+    slots.update((key, n_context + slot) for key, slot in loop_slots.items())
+    snippet = AstNode("TranslationUnit", context + [loop])
+    return Sample(loop_code=loop_code, context_code="\n".join(context_lines),
+                  dfg=dfg_to_json(build_dfg(snippet, slots)),
+                  offset=loop.token_span[0], **fields)
 
 
 def _labels(attached):
@@ -293,16 +282,16 @@ def extract_from_source(source_text, path, with_scope=False):
             rejects.append(Reject(path, line, "barrier_critical_atomic"))
             continue
         try:
-            loop_code = _loop_code(loop)
+            (loop_code,), loop_slots, _ = emit([loop], strip_pragmas=True)
             sample_id = content_hash(loop_code)
             if sample_id in seen_hashes:
                 rejects.append(Reject(path, line, "nested_duplicate"))
                 continue
-            sample = _build_sample(func, loop, loop_code, with_scope, id=sample_id,
-                                   path=path, **_labels(attached))
+            sample = _build_sample(func, loop, loop_code, loop_slots, with_scope,
+                                   id=sample_id, path=path, **_labels(attached))
         except (ParseError, RecursionError):
             # The loop parsed, but its canonical text nests too deeply to
-            # render or re-read (long prefix chains like !!!...x).
+            # read back (long prefix chains like !!!...x, written !(!(...))).
             rejects.append(Reject(path, line, "parse_error"))
             continue
         seen_hashes.add(sample_id)
@@ -326,8 +315,8 @@ def extract_for_prediction(source_text, with_scope=False):
     out = []
     for func, loop, line in _loops(unit, tokens):
         try:
-            loop_code = _loop_code(loop)
-            sample = _build_sample(func, loop, loop_code, with_scope,
+            (loop_code,), loop_slots, _ = emit([loop], strip_pragmas=True)
+            sample = _build_sample(func, loop, loop_code, loop_slots, with_scope,
                                    id=content_hash(loop_code), path="<input>",
                                    **_labels(None))
         except (ParseError, RecursionError):
@@ -469,6 +458,7 @@ def build_corpus(src_dir, out_dir, with_scope=False, benchmarks_dir=None, seed=0
     write_jsonl(out / "rejects.jsonl",
                 [{"path": r.path, "line": r.line, "reason": r.reason} for r in rejects])
     stats = compute_stats(samples)
+    stats["rejects"] = {k: sum(r.reason == k for r in rejects) for k in REJECT_REASONS}
     with open(out / "stats.json", "w", encoding="utf-8") as fh:
         json.dump(stats, fh, indent=2)
         fh.write("\n")

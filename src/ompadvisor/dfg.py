@@ -33,15 +33,17 @@ def _merge(a, b):
 
 
 class _Builder:
-    def __init__(self):
+    def __init__(self, slots):
+        self.slots = slots  # id(name node) -> token index; None reads token_span
         self.nodes = {}  # token_index -> (var_name, occurrence_kind)
         self.edges = set()  # (to_token, from_token)
         self.recording = True  # False while a loop's generated defs are worked out
         self.loop_gen = {}  # id(loop node) -> its generated defs, see visit_loop
 
-    def occurrence(self, tok_idx, name, kind):
+    def occurrence(self, ident, kind):
+        tok_idx = ident.token_span[0] if self.slots is None else self.slots[id(ident)]
         if self.recording and tok_idx not in self.nodes:
-            self.nodes[tok_idx] = (name, kind)
+            self.nodes[tok_idx] = (ident.attrs["name"], kind)
         return tok_idx
 
     def link(self, to_tok, from_toks):
@@ -56,7 +58,7 @@ class _Builder:
     def visit_expr(self, node, env):
         kind = node.kind
         if kind == "Identifier":
-            tok = self.occurrence(node.token_span[0], node.attrs["name"], "use")
+            tok = self.occurrence(node, "use")
             self.link(tok, env.get(node.attrs["name"], ()))
             return [tok]
         if kind == "Constant" or kind == "Empty":
@@ -92,7 +94,7 @@ class _Builder:
             # Store through a pointer: address read, no tracked definition.
             return self.visit_expr(base.children[0], env) + subscript_sources + value_sources
         name = base.attrs["name"]
-        tok = self.occurrence(base.token_span[0], name, "def")
+        tok = self.occurrence(base, "def")
         self.link(tok, value_sources)
         if compound:
             self.link(tok, env.get(name, ()))
@@ -108,7 +110,7 @@ class _Builder:
         if base.kind != "Identifier":
             return self.visit_expr(target, env)
         name = base.attrs["name"]
-        tok = self.occurrence(base.token_span[0], name, "def")
+        tok = self.occurrence(base, "def")
         self.link(tok, env.get(name, ()))
         env[name] = frozenset([tok])
         return [tok]
@@ -124,10 +126,9 @@ class _Builder:
         if declarator.kind == "ArrayIndex":
             self.visit_expr(declarator.children[1], env)
             declarator = declarator.children[0]
-        name = declarator.attrs["name"]
-        tok = self.occurrence(declarator.token_span[0], name, "def")
+        tok = self.occurrence(declarator, "def")
         self.link(tok, init_sources)
-        env[name] = frozenset([tok])
+        env[declarator.attrs["name"]] = frozenset([tok])
 
     def visit_stmt(self, node, env):
         kind = node.kind
@@ -197,14 +198,15 @@ class _Builder:
             self.visit_iteration(loop, dict(env))
 
 
-def build_dfg(unit):
+def build_dfg(unit, slots=None):
     """Build the DataFlowGraph for a parsed unit or snippet.
 
     Functions see the file-level state at their definition point; parameters
     become definitions with no incoming edges. Deterministic for identical
-    input.
+    input. An occurrence's token index is its name's token span, or its slot
+    in slots (syntax.emit's map from id(node) to token index) when given.
     """
-    builder = _Builder()
+    builder = _Builder(slots)
     env = {}
     for item in unit.children:
         if item.kind == "FunctionDef":

@@ -366,22 +366,21 @@ class _Parser:
             if until_rbrace and self.peek() is None:
                 self.fail("}")
             if self.at("pragma-line"):
-                t = self.advance()
-                pragma = AstNode("PragmaDirective", [], (self.pos - 1, self.pos - 1),
-                                 {"raw": t.lexeme})
-                nxt = self.peek()
-                if nxt is None or nxt.lexeme == "}" or nxt.kind == "pragma-line" or (
-                    nxt.kind == "keyword" and nxt.lexeme in TYPE_KEYWORDS
-                ):
-                    raise ParseError(t.line, t.col, "a statement after the pragma",
-                                     nxt.lexeme if nxt else "end of input")
-                items.append(pragma)
-                continue
-            if self.at_type():
+                items.append(self.parse_pragma())
+            elif self.at_type():
                 items.extend(self.parse_declaration())
             else:
                 items.append(self.parse_statement())
         return items
+
+    def parse_pragma(self):
+        """A pragma line, which must be followed by a statement."""
+        t = self.advance()
+        nxt = self.peek()
+        if nxt is None or nxt.lexeme == "}" or nxt.kind == "pragma-line" or self.at_type():
+            raise ParseError(t.line, t.col, "a statement after the pragma",
+                             nxt.lexeme if nxt else "end of input")
+        return AstNode("PragmaDirective", [], (self.pos - 1, self.pos - 1), {"raw": t.lexeme})
 
     def parse_compound(self):
         start = self.pos
@@ -391,12 +390,14 @@ class _Parser:
         return self.node("CompoundStmt", items, start)
 
     def parse_body(self):
-        """Parse a loop/branch body, wrapping single statements in a block."""
+        """Parse a loop/branch body, wrapping a statement (and any pragma
+        line before it) in a block."""
         if self.at("punctuation", "{"):
             return self.parse_compound()
         start = self.pos
-        stmt = self.parse_statement()
-        return AstNode("CompoundStmt", [stmt], (start, self.pos - 1), {})
+        items = [self.parse_pragma()] if self.at("pragma-line") else []
+        items.append(self.parse_statement())
+        return AstNode("CompoundStmt", items, (start, self.pos - 1), {})
 
     def parse_statement(self):
         self.descend(_STATEMENT_FRAMES)
@@ -617,110 +618,161 @@ def _prec(node):
     return 13
 
 
-def _render_expr(node):
-    kind = node.kind
-    if kind == "Identifier":
-        return node.attrs["name"]
-    if kind == "Constant":
-        return node.attrs["value"]
-    if kind == "Assign":
-        target = _render_expr(node.children[0])
-        value = _render_expr(node.children[1])
-        if _prec(node.children[1]) < 1:
-            value = "(" + value + ")"
-        return f"{target} {node.attrs['op']} {value}"
-    if kind == "BinaryOp":
-        me = _prec(node)
-        left = _render_expr(node.children[0])
-        if _prec(node.children[0]) < me:
-            left = "(" + left + ")"
-        right = _render_expr(node.children[1])
-        if _prec(node.children[1]) <= me:
-            right = "(" + right + ")"
-        return f"{left} {node.attrs['op']} {right}"
-    if kind == "UnaryOp":
-        child = node.children[0]
-        inner = _render_expr(child)
-        # Parenthesize nested prefix chains so "- -x" cannot re-lex as "--x".
-        needs_parens = _prec(child) < 12 or (
-            not node.attrs.get("postfix")
-            and child.kind == "UnaryOp"
-            and not child.attrs.get("postfix")
-        )
-        if needs_parens:
-            inner = "(" + inner + ")"
-        if node.attrs.get("postfix"):
-            return inner + node.attrs["op"]
-        return node.attrs["op"] + inner
-    if kind == "Call":
-        args = ", ".join(_render_expr(a) for a in node.children)
-        return f"{node.attrs['name']}({args})"
-    if kind == "ArrayIndex":
-        base = _render_expr(node.children[0])
-        if _prec(node.children[0]) < 13:
-            base = "(" + base + ")"
-        index = "" if node.children[1].kind == "Empty" else _render_expr(node.children[1])
-        return f"{base}[{index}]"
-    if kind == "Empty":
-        return ""
-    raise ValueError(f"not an expression node: {kind}")
+# What the parser reads with parse_statement, which charges _STATEMENT_FRAMES.
+_STATEMENT_KINDS = frozenset({"CompoundStmt", "ForStmt", "WhileStmt", "IfStmt", "ExprStmt",
+                              "ReturnStmt", "Empty"})
 
 
-def _render_declaration(node, with_semicolon=True):
-    star = "*" if node.attrs.get("pointer") else ""
-    body = f"{node.attrs['type']} {star}{_render_expr(node.children[0])}"
-    return body + ";" if with_semicolon else body
+class _Emitter:
+    """The canonical renderer: one walk writing an AST's text token by token
+    and noting the token index (slot) of each Identifier and Call name. It
+    charges the frames _Parser charges reading the text back, so text too
+    deeply nested to re-read is its ParseError, at the same token."""
+
+    def __init__(self, strip_pragmas):
+        self.strip_pragmas = strip_pragmas
+        self.parts = []  # tokens and the " " and "\n" between them
+        self.n_tokens = 0
+        self.slots = {}  # id(Identifier or Call node) -> its name's token index
+        self.frames = 0
+
+    def token(self, lexeme):
+        if self.frames > MAX_PARSE_FRAMES:
+            lines = [k for k, part in enumerate(self.parts) if part == "\n"]
+            col = sum(map(len, self.parts[lines[-1] + 1 if lines else 0:])) + 1
+            raise ParseError(len(lines) + 1, col, "less deeply nested code", lexeme)
+        self.parts.append(lexeme)
+        self.n_tokens += 1
+
+    def put(self, *pieces):
+        """Write pieces: " " and "\n" as they are, other non-empty strings as
+        tokens, a list as its items separated by ", ", a CompoundStmt as a
+        body, a Declaration without its ";" and any other node as an
+        expression the parser reads with parse_assign."""
+        for piece in pieces:
+            if piece == " " or piece == "\n":
+                self.parts.append(piece)
+            elif isinstance(piece, str):
+                if piece:
+                    self.token(piece)
+            elif isinstance(piece, list):
+                self.put(*[p for node in piece for p in (",", " ", node)][2:])
+            elif piece.kind == "CompoundStmt":
+                self.stmt(piece)
+            elif piece.kind == "Declaration":
+                self.put(piece.attrs["type"], " ", "*" if piece.attrs.get("pointer") else "")
+                self.expr(piece.children[0])
+            else:
+                self.expr(piece, _EXPRESSION_FRAMES)
+
+    def items(self, nodes):
+        """Block items, one per line; whether any was written."""
+        nodes = [n for n in nodes if n.kind != "PragmaDirective" or not self.strip_pragmas]
+        for k, node in enumerate(nodes):
+            frames = _STATEMENT_FRAMES if node.kind in _STATEMENT_KINDS else 0
+            self.frames += frames
+            self.put("\n" if k else "")
+            self.stmt(node)
+            self.frames -= frames
+        return bool(nodes)
+
+    def stmt(self, node):
+        kind, c = node.kind, node.children
+        if kind == "CompoundStmt":
+            self.put("{", "\n")
+            self.put("\n" if self.items(c) else "", "}")
+        elif kind == "ForStmt":
+            init = c[0].children[0] if c[0].kind == "ExprStmt" else c[0]
+            self.put("for", " ", "(", init, ";", " ", c[1], ";", " ", c[2], ")", " ", c[3])
+        elif kind == "WhileStmt":
+            self.put("while", " ", "(", c[0], ")", " ", c[1])
+        elif kind == "IfStmt":
+            self.put("if", " ", "(", c[0], ")", " ", c[1])
+            if len(c) == 3:
+                self.put(" ", "else", " ", c[2])
+        elif kind in ("ExprStmt", "Declaration"):
+            self.put(c[0] if kind == "ExprStmt" else node, ";")
+        elif kind == "ReturnStmt":
+            self.put("return", " " if c else "", *c, ";")
+        elif kind == "Empty":
+            self.token(";")
+        elif kind == "PragmaDirective":
+            self.token(node.attrs["raw"])
+        elif kind == "FunctionDef":
+            self.put(node.attrs["type"], " ", "*" if node.attrs.get("pointer") else "",
+                     node.attrs["name"], "(", c[:-1], ")", " ", c[-1])
+        elif kind == "TranslationUnit":
+            self.items(c)
+        else:
+            self.expr(node, _EXPRESSION_FRAMES)
+
+    def expr(self, node, frames=0, parens=False):
+        """Write an expression, charged frames as a parse_assign entry is;
+        parens wraps it in ( ), which the parser reads as such an entry."""
+        if parens:
+            self.token("(")
+            frames = _EXPRESSION_FRAMES
+        self.frames += frames
+        kind, c, attrs = node.kind, node.children, node.attrs
+        if kind == "Identifier" or kind == "Call":
+            self.slots[id(node)] = self.n_tokens
+            self.token(attrs["name"])
+            if kind == "Call":
+                self.put("(", c, ")")
+        elif kind == "Constant":
+            self.token(attrs["value"])
+        elif kind == "BinaryOp" or kind == "Assign":
+            # Binary operators associate to the left, assignment to the
+            # right, where the parser reads the value with parse_assign.
+            prec = _prec(node)
+            self.expr(c[0], parens=_prec(c[0]) < prec)
+            self.put(" ", attrs["op"], " ")
+            if kind == "Assign":
+                self.expr(c[1], _EXPRESSION_FRAMES)
+            else:
+                self.expr(c[1], parens=_prec(c[1]) <= prec)
+        elif kind == "UnaryOp":
+            # A prefix operand is parenthesized, so "- -x" cannot re-lex as
+            # "--x" and "(*p)++" does not re-read as "*(p++)".
+            wrap = _prec(c[0]) < 12 or (c[0].kind == "UnaryOp" and not c[0].attrs.get("postfix"))
+            prefix = not attrs.get("postfix")  # charged 1 frame while its operand is read
+            self.frames += prefix
+            self.put(attrs["op"] if prefix else "")
+            self.expr(c[0], parens=wrap)
+            self.frames -= prefix
+            self.put("" if prefix else attrs["op"])
+        elif kind == "ArrayIndex":
+            self.expr(c[0], parens=_prec(c[0]) < 13)
+            self.put("[", c[1], "]")
+        elif kind != "Empty":
+            raise ValueError(f"not an expression node: {kind}")
+        self.frames -= frames
+        if parens:
+            self.token(")")
+
+
+def emit(nodes, strip_pragmas=False):
+    """Render nodes as the consecutive lines of one snippet, in one walk.
+
+    Returns (texts, slots, n_tokens): each node's canonical text, the token
+    index in "\n".join(texts) of every Identifier and Call name by id(node),
+    and the number of tokens. strip_pragmas leaves PragmaDirective items out.
+    Raises the ParseError parse_snippet would raise reading the text back."""
+    emitter = _Emitter(strip_pragmas)
+    texts = []
+    for node in nodes:
+        start = len(emitter.parts)
+        emitter.items([node])
+        texts.append("".join(emitter.parts[start:]))
+        emitter.parts.append("\n")
+    return texts, emitter.slots, emitter.n_tokens
 
 
 def render(node):
     """Render an AST to canonical text: single spaces, one statement per
     line, loop/branch bodies always braced. parse∘render is the identity on
     parser output."""
-    kind = node.kind
-    if kind == "TranslationUnit":
-        return "\n".join(render(c) for c in node.children)
-    if kind == "FunctionDef":
-        params = ", ".join(
-            _render_declaration(p, with_semicolon=False) for p in node.children[:-1]
-        )
-        star = "*" if node.attrs.get("pointer") else ""
-        head = f"{node.attrs['type']} {star}{node.attrs['name']}({params})"
-        return head + " " + render(node.children[-1])
-    if kind == "Declaration":
-        return _render_declaration(node)
-    if kind == "CompoundStmt":
-        if not node.children:
-            return "{\n}"
-        return "{\n" + "\n".join(render(c) for c in node.children) + "\n}"
-    if kind == "ForStmt":
-        init, cond, inc, body = node.children
-        if init.kind == "Declaration":
-            init_text = _render_declaration(init, with_semicolon=False)
-        elif init.kind == "ExprStmt":
-            init_text = _render_expr(init.children[0])
-        else:
-            init_text = ""
-        cond_text = "" if cond.kind == "Empty" else _render_expr(cond)
-        inc_text = "" if inc.kind == "Empty" else _render_expr(inc)
-        return f"for ({init_text}; {cond_text}; {inc_text}) " + render(body)
-    if kind == "WhileStmt":
-        return f"while ({_render_expr(node.children[0])}) " + render(node.children[1])
-    if kind == "IfStmt":
-        text = f"if ({_render_expr(node.children[0])}) " + render(node.children[1])
-        if len(node.children) == 3:
-            text += " else " + render(node.children[2])
-        return text
-    if kind == "ExprStmt":
-        return _render_expr(node.children[0]) + ";"
-    if kind == "ReturnStmt":
-        if node.children:
-            return f"return {_render_expr(node.children[0])};"
-        return "return;"
-    if kind == "Empty":
-        return ";"
-    if kind == "PragmaDirective":
-        return node.attrs["raw"]
-    return _render_expr(node)
+    return emit([node])[0][0]
 
 
 def iter_nodes(node):

@@ -8,22 +8,32 @@ is the scanner the regex lexer replaced, the reference mask builder is the
 per-sample builder and pad loop the batch mask builder replaced, the
 reference training step is the one-padded-batch step that length
 sub-batches replaced, the reference data-flow builder is the two-pass
-loop analysis the one-pass builder replaced, and the reference parser is the
-one-function-per-precedence-level parser that precedence climbing replaced.
+loop analysis the one-pass builder replaced, the reference parser is the
+one-function-per-precedence-level parser that precedence climbing replaced,
+and the reference renderer, extraction and renaming are the string renderer
+and the re-parsing sample builders that the slot-emitting renderer replaced.
 """
 
 import random
+from dataclasses import replace
 
 import numpy as np
 
-from ompadvisor.dfg import DataFlowGraph, DfgNode, _merge
+from ompadvisor.augment import _rename_pragma, _variable_names
+from ompadvisor.corpus import (
+    Reject, Sample, _attached_pragma, _context_statements, _declared_name,
+    _has_blocking_pragma, _labels, _loop_is_empty, _loops, _parent_map, _used_variables,
+    content_hash,
+)
+from ompadvisor.dfg import DataFlowGraph, DfgNode, _merge, build_dfg, dfg_to_json
 from ompadvisor.encode import MASK_NEG
 from ompadvisor.model import (
     TrainingDiverged, backward_batch, compute_loss, forward_batch, pad_batch,
 )
 from ompadvisor.syntax import (
-    _EXPRESSION_FRAMES, _STATEMENT_FRAMES, ASSIGN_OPS, KEYWORDS, MAX_PARSE_FRAMES,
-    TYPE_KEYWORDS, AstNode, ParseError, Token, tokenize,
+    _EXPRESSION_FRAMES, _PRECEDENCE, _STATEMENT_FRAMES, ASSIGN_OPS, KEYWORDS,
+    MAX_PARSE_FRAMES, TYPE_KEYWORDS, AstNode, ParseError, Token, parse_snippet,
+    parse_source, tokenize,
 )
 
 VARS = ["a", "b", "c", "d", "e", "f"]
@@ -1036,3 +1046,279 @@ def reference_parse_source(source_text):
 def reference_parse_snippet(source_text):
     """Parse a bare statement/declaration sequence (loop samples, contexts)."""
     return _reference_parse(source_text, ReferenceParser.parse_snippet)
+
+
+# ---------------------------------------------------------------------------
+# reference renderer, extraction and renaming: the string renderer and the
+# sample builders that re-parsed each rendered snippet to build its data flow,
+# kept verbatim as the differential oracle of the slot-emitting renderer (the
+# parser they call is the package's)
+
+def _reference_prec(node):
+    if node.kind == "Assign":
+        return 1
+    if node.kind == "BinaryOp":
+        return _PRECEDENCE[node.attrs["op"]]
+    if node.kind == "UnaryOp":
+        return 12
+    return 13
+
+
+def _reference_render_expr(node):
+    kind = node.kind
+    if kind == "Identifier":
+        return node.attrs["name"]
+    if kind == "Constant":
+        return node.attrs["value"]
+    if kind == "Assign":
+        target = _reference_render_expr(node.children[0])
+        value = _reference_render_expr(node.children[1])
+        if _reference_prec(node.children[1]) < 1:
+            value = "(" + value + ")"
+        return f"{target} {node.attrs['op']} {value}"
+    if kind == "BinaryOp":
+        me = _reference_prec(node)
+        left = _reference_render_expr(node.children[0])
+        if _reference_prec(node.children[0]) < me:
+            left = "(" + left + ")"
+        right = _reference_render_expr(node.children[1])
+        if _reference_prec(node.children[1]) <= me:
+            right = "(" + right + ")"
+        return f"{left} {node.attrs['op']} {right}"
+    if kind == "UnaryOp":
+        child = node.children[0]
+        inner = _reference_render_expr(child)
+        # Parenthesize nested prefix chains so "- -x" cannot re-lex as "--x".
+        needs_parens = _reference_prec(child) < 12 or (
+            not node.attrs.get("postfix")
+            and child.kind == "UnaryOp"
+            and not child.attrs.get("postfix")
+        )
+        if needs_parens:
+            inner = "(" + inner + ")"
+        if node.attrs.get("postfix"):
+            return inner + node.attrs["op"]
+        return node.attrs["op"] + inner
+    if kind == "Call":
+        args = ", ".join(_reference_render_expr(a) for a in node.children)
+        return f"{node.attrs['name']}({args})"
+    if kind == "ArrayIndex":
+        base = _reference_render_expr(node.children[0])
+        if _reference_prec(node.children[0]) < 13:
+            base = "(" + base + ")"
+        index = "" if node.children[1].kind == "Empty" else _reference_render_expr(node.children[1])
+        return f"{base}[{index}]"
+    if kind == "Empty":
+        return ""
+    raise ValueError(f"not an expression node: {kind}")
+
+
+def _reference_render_declaration(node, with_semicolon=True):
+    star = "*" if node.attrs.get("pointer") else ""
+    body = f"{node.attrs['type']} {star}{_reference_render_expr(node.children[0])}"
+    return body + ";" if with_semicolon else body
+
+
+def reference_render(node):
+    """Render an AST to canonical text: single spaces, one statement per
+    line, loop/branch bodies always braced. parse∘render is the identity on
+    parser output."""
+    kind = node.kind
+    if kind == "TranslationUnit":
+        return "\n".join(reference_render(c) for c in node.children)
+    if kind == "FunctionDef":
+        params = ", ".join(
+            _reference_render_declaration(p, with_semicolon=False) for p in node.children[:-1]
+        )
+        star = "*" if node.attrs.get("pointer") else ""
+        head = f"{node.attrs['type']} {star}{node.attrs['name']}({params})"
+        return head + " " + reference_render(node.children[-1])
+    if kind == "Declaration":
+        return _reference_render_declaration(node)
+    if kind == "CompoundStmt":
+        if not node.children:
+            return "{\n}"
+        return "{\n" + "\n".join(reference_render(c) for c in node.children) + "\n}"
+    if kind == "ForStmt":
+        init, cond, inc, body = node.children
+        if init.kind == "Declaration":
+            init_text = _reference_render_declaration(init, with_semicolon=False)
+        elif init.kind == "ExprStmt":
+            init_text = _reference_render_expr(init.children[0])
+        else:
+            init_text = ""
+        cond_text = "" if cond.kind == "Empty" else _reference_render_expr(cond)
+        inc_text = "" if inc.kind == "Empty" else _reference_render_expr(inc)
+        return f"for ({init_text}; {cond_text}; {inc_text}) " + reference_render(body)
+    if kind == "WhileStmt":
+        return (f"while ({_reference_render_expr(node.children[0])}) "
+                + reference_render(node.children[1]))
+    if kind == "IfStmt":
+        text = (f"if ({_reference_render_expr(node.children[0])}) "
+                + reference_render(node.children[1]))
+        if len(node.children) == 3:
+            text += " else " + reference_render(node.children[2])
+        return text
+    if kind == "ExprStmt":
+        return _reference_render_expr(node.children[0]) + ";"
+    if kind == "ReturnStmt":
+        if node.children:
+            return f"return {_reference_render_expr(node.children[0])};"
+        return "return;"
+    if kind == "Empty":
+        return ";"
+    if kind == "PragmaDirective":
+        return node.attrs["raw"]
+    return _reference_render_expr(node)
+
+
+def _reference_strip_pragmas(node):
+    """Copy of the subtree with all pragma directives removed (serial form)."""
+    children = [_reference_strip_pragmas(c) for c in node.children if c.kind != "PragmaDirective"]
+    return AstNode(node.kind, children, node.token_span, dict(node.attrs))
+
+
+def _reference_render_context(statements):
+    return "\n".join(reference_render(_reference_strip_pragmas(stmt)) for stmt in statements)
+
+
+def _reference_loop_code(loop):
+    return reference_render(_reference_strip_pragmas(loop))
+
+
+def reference_build_sample(func, loop, loop_code, with_scope, **fields):
+    """The sample for one loop: its scope context when asked for, and the
+    data-flow graph of context plus loop."""
+    context_code = ""
+    if with_scope:
+        used = _used_variables(loop)
+        collected = [p for p in func.children[:-1] if _declared_name(p) in used]
+        _context_statements(func.children[-1], loop, used, collected)
+        context_code = _reference_render_context(collected)
+    sample = Sample(loop_code=loop_code, context_code=context_code, dfg={},
+                    offset=loop.token_span[0], **fields)
+    snippet, _ = parse_snippet(sample.source_text())
+    sample.dfg = dfg_to_json(build_dfg(snippet))
+    return sample
+
+
+def reference_extract_from_source(source_text, path, with_scope=False):
+    """Extract labeled loop samples from one file's text.
+
+    Returns (samples, rejects). A file that fails to parse yields a single
+    parse_error reject; loops are otherwise judged independently, at every
+    nesting depth.
+    """
+    try:
+        unit, tokens = parse_source(source_text)
+    except ParseError as err:
+        return [], [Reject(path, err.line, "parse_error")]
+
+    parents = _parent_map(unit)
+    samples, rejects = [], []
+    seen_hashes = set()
+    for func, loop, line in _loops(unit, tokens):
+        attached = _attached_pragma(loop, parents)
+        if _loop_is_empty(loop):
+            rejects.append(Reject(path, line, "empty_loop"))
+            continue
+        if _has_blocking_pragma(loop, attached):
+            rejects.append(Reject(path, line, "barrier_critical_atomic"))
+            continue
+        try:
+            loop_code = _reference_loop_code(loop)
+            sample_id = content_hash(loop_code)
+            if sample_id in seen_hashes:
+                rejects.append(Reject(path, line, "nested_duplicate"))
+                continue
+            sample = reference_build_sample(func, loop, loop_code, with_scope, id=sample_id,
+                                   path=path, **_labels(attached))
+        except (ParseError, RecursionError):
+            # The loop parsed, but its canonical text nests too deeply to
+            # render or re-read (long prefix chains like !!!...x).
+            rejects.append(Reject(path, line, "parse_error"))
+            continue
+        seen_hashes.add(sample_id)
+        samples.append(sample)
+    return samples, rejects
+
+
+def reference_extract_for_prediction(source_text, with_scope=False):
+    """Every loop in the file as an unlabeled sample, no exclusion rules.
+
+    Returns a list of {"sample": Sample, "line": int}; raises ParseError if
+    the file does not parse.
+    """
+    unit, tokens = parse_source(source_text)
+    out = []
+    for func, loop, line in _loops(unit, tokens):
+        try:
+            loop_code = _reference_loop_code(loop)
+            sample = reference_build_sample(func, loop, loop_code, with_scope,
+                                   id=content_hash(loop_code), path="<input>",
+                                   **_labels(None))
+        except (ParseError, RecursionError):
+            start = tokens[loop.token_span[0]]
+            raise ParseError(start.line, start.col, "less deeply nested code") from None
+        out.append({"sample": sample, "line": line})
+    return out
+
+
+def _reference_rename_tree(node, mapping):
+    attrs = dict(node.attrs)
+    if node.kind == "Identifier" and attrs["name"] in mapping:
+        attrs["name"] = mapping[attrs["name"]]
+    return AstNode(node.kind, [_reference_rename_tree(c, mapping) for c in node.children],
+                   node.token_span, attrs)
+
+
+def reference_rename_variables(sample, fraction, seed):
+    """Rename ⌊fraction·|V|⌋ of the sample's distinct variables to var<k>.
+
+    Selection is a seeded shuffle of the sorted name list; indices are drawn
+    in [0, 9999] and redrawn until unique within the sample. Labels are
+    unchanged and the DFG is rebuilt. fraction=0 returns the sample as-is.
+    """
+    snippet, _ = parse_snippet(sample.source_text())
+    names = _variable_names(snippet)
+    count = int(fraction * len(names))
+    if count == 0:
+        return replace(sample)
+
+    rng = random.Random(seed)
+    order = list(names)
+    rng.shuffle(order)
+    chosen = order[:count]
+
+    taken = set(names)
+    mapping = {}
+    for name in chosen:
+        while True:
+            candidate = f"var{rng.randint(0, 9999)}"
+            if candidate not in taken:
+                break
+        taken.add(candidate)
+        mapping[name] = candidate
+
+    renamed = _reference_rename_tree(snippet, mapping)
+    loop = renamed.children[-1]
+    if loop.kind != "ForStmt":
+        raise ValueError("sample snippet does not end with a for-loop")
+    context = renamed.children[:-1]
+
+    loop_code = reference_render(loop)
+    context_code = "\n".join(reference_render(stmt) for stmt in context)
+    pragma_raw = sample.pragma_raw
+    if pragma_raw is not None:
+        pragma_raw = _rename_pragma(pragma_raw, mapping)
+
+    new_sample = replace(
+        sample,
+        id=content_hash(loop_code),
+        loop_code=loop_code,
+        context_code=context_code,
+        pragma_raw=pragma_raw,
+    )
+    new_snippet, _ = parse_snippet(new_sample.source_text())
+    new_sample.dfg = dfg_to_json(build_dfg(new_snippet))
+    return new_sample

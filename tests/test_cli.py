@@ -66,6 +66,21 @@ def test_build_corpus_deterministic(tmp_path):
         (tmp_path / "b" / "corpus.jsonl").read_bytes()
 
 
+def test_build_corpus_counts_rejects_by_reason(tmp_path, capsys):
+    """stats.json and the command's output count every reject reason,
+    zeros included."""
+    fixtures = Path(__file__).parent / "fixtures"
+    counts = {"parse_error": 1, "empty_loop": 1, "barrier_critical_atomic": 2,
+              "nested_duplicate": 1}
+    for name, src, expected in (("fixtures", fixtures / "corpus_c", counts),
+                                ("clean", fixtures / "benchmarks", dict.fromkeys(counts, 0))):
+        assert execute_command(["build-corpus", str(src), "-o", str(tmp_path / name)]) == 0
+        stats = json.loads((tmp_path / name / "stats.json").read_text())
+        assert stats["rejects"] == expected
+        assert capsys.readouterr().out.splitlines()[-1] == "rejects: " + ", ".join(
+            f"{reason} {n}" for reason, n in expected.items())
+
+
 def test_stats_matches_golden(corpus_dir, capsys):
     code = execute_command(["stats", str(corpus_dir / "corpus.jsonl")])
     assert code == 0
@@ -99,6 +114,17 @@ void f(int n, double *a, double *b) {
     jsonschema.validate(payload, schema)
     assert len(payload) == 1
     assert payload[0]["gated"] is True
+
+
+def test_predict_reads_a_pragma_line_that_starts_a_loop_body(model_dir, tmp_path, capsys):
+    _, out = model_dir
+    source = tmp_path / "kernel.c"
+    source.write_text("void f(int n, double *a) {\nint i, j;\nfor (j = 0; j < n; j++)\n"
+                      "#pragma omp parallel for\nfor (i = 0; i < n; i++) {\na[i] = j;\n}\n}\n")
+    assert execute_command(["predict", str(out), str(source), "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    jsonschema.validate(payload, json.loads(SCHEMA_PATH.read_text()))
+    assert [loop["line"] for loop in payload] == [3, 5]
 
 
 def test_predict_plain_output(model_dir, tmp_path, capsys):
@@ -248,8 +274,9 @@ def nested_loops_source(depth):
             + "s = s + a[i0];\n" + "}\n" * depth + "a[0] = s;\n}\n")
 
 
-# At 90 levels the time goes to tokenizing and parsing each loop's snippet
-# again (its nested loops included), which grows with depth², not to data flow.
+# At 90 levels the time goes to rendering each loop and tokenizing its text
+# for the content hash (its nested loops included), which grows with depth²,
+# not to data flow; no loop is parsed a second time.
 @pytest.mark.parametrize("depth, seconds", [(30, 1.0), (90, 5.0)])
 def test_deep_loop_nests_build_and_predict_in_time(model_dir, tmp_path, capsys, depth, seconds):
     """Data flow takes time linear in loop nesting: a file holding 30 nested

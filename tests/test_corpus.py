@@ -69,6 +69,31 @@ def test_blocking_pragma_inside_loop_rejected(fixture_corpus_dir):
     assert [r.reason for r in rejects] == ["barrier_critical_atomic"]
 
 
+PRAGMA_BODIES = {
+    "for": ("void f(int n, double *a) {\nint i, j;\nfor (j = 0; j < n; j++)\n"
+            "#pragma omp parallel for private(i)\n"
+            "for (i = 0; i < n; i++) {\na[i] = a[i] + j;\n}\n}\n"),
+    "if": ("void f(int n, int c, double *a) {\nint i;\nif (c)\n"
+           "#pragma omp parallel for private(i)\nfor (i = 0; i < n; i++) {\na[i] = 0.0;\n}\n}\n"),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(PRAGMA_BODIES))
+def test_pragma_line_may_start_an_unbraced_body(shape):
+    """An OpenMP loop used as an unbraced loop or branch body keeps its file
+    and its labels; the loop around it is unannotated."""
+    samples, rejects = extract_from_source(PRAGMA_BODIES[shape], "t.c", with_scope=True)
+    assert rejects == []
+    inner = samples[-1]
+    assert inner.loop_code == "for (i = 0; i < n; i++) {\na[i] = " + (
+        "a[i] + j;\n}" if shape == "for" else "0.0;\n}")
+    assert (inner.pragma_raw, inner.label_pragma, inner.label_private) == (
+        "#pragma omp parallel for private(i)", 1, 1)
+    if shape == "for":
+        outer = samples[0]
+        assert outer.label_pragma == 0 and "#pragma" not in outer.loop_code
+
+
 def test_parse_error_rejects_whole_file(fixture_corpus_dir):
     samples, rejects = extract_samples(fixture_corpus_dir / "f10.c", rel_path="f10.c")
     assert samples == []

@@ -1,0 +1,248 @@
+"""The canonical renderer emits token slots: extraction and renaming build
+data flow from them without re-parsing, and match the string renderer and
+re-parsing sample builders they replaced (tests/oracles.py)."""
+
+from pathlib import Path
+
+import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
+
+from ompadvisor import corpus, syntax
+from ompadvisor.augment import rename_variables
+from ompadvisor.corpus import extract_for_prediction, extract_from_source
+from ompadvisor.syntax import (
+    _STATEMENT_KINDS, ParseError, iter_nodes, parse_snippet, parse_source, render,
+)
+from oracles import (
+    gen_source_program, reference_extract_for_prediction, reference_extract_from_source,
+    reference_render, reference_rename_variables,
+)
+from test_cli import C_LIKE, nested_loops_source, prefix_chain_source
+
+# Where a nested expression e sits: a loop body, an inner loop, a loop
+# condition, and context statements that --with-scope copies before the loop.
+PLACES = (
+    "void g(int n, int *a, int x) {\nint i;\nfor (i = 0; i < n; i++) {\na[i] = E;\n}\n}\n",
+    "void g(int n, int *a, int x) {\nint i, j;\nfor (j = 0; j < n; j++) {\n"
+    "for (i = 0; i < n; i++) {\na[i] = E + j;\n}\n}\n}\n",
+    "void g(int n, int *a, int x) {\nint i;\nfor (i = 0; i < E; i++) {\na[i] = x;\n}\n}\n",
+    "void g(int n, int *a, int x) {\nint i, y;\ny = E;\nfor (i = 0; i < n; i++) {\na[i] = y;\n}\n}\n",
+    "void g(int n, int *a, int x) {\nint i;\nint y = E;\nfor (i = 0; i < n; i++) {\na[i] = y;\n}\n}\n",
+)
+# Prefix operators, parentheses, subscripts and call arguments, outermost first.
+WRAPPERS = {"!": ("! ", ""), "~": ("~ ", ""), "*": ("* ", ""), "-": ("- ", ""),
+            "(": ("(", ")"), "[": ("a[", "]"), "f(": ("f(x, ", ")")}
+PREFIXES = ["!", "~", "*", "-"]
+
+
+def nest(kinds):
+    expr = "x"
+    for kind in reversed(kinds):
+        opening, closing = WRAPPERS[kind]
+        expr = opening + expr + closing
+    return expr
+
+
+# A prefix operator costs 1 frame in the source but 17 in canonical text,
+# which parenthesizes each nested one: runs of 25 to 40 cross the bound on
+# re-reading a loop or its context. Other wrappers cost 16 frames in both,
+# and 30 to 52 of them, one in four a prefix, cross the bound on reading
+# the file.
+OTHERS = ["(", "[", "f("]
+nestings = st.one_of(
+    st.builds(lambda prefixes, others: prefixes + others,
+              st.lists(st.sampled_from(PREFIXES), min_size=25, max_size=40),
+              st.lists(st.sampled_from(OTHERS), max_size=3)).flatmap(st.permutations),
+    st.lists(st.sampled_from(OTHERS + PREFIXES[:1]), min_size=30, max_size=52),
+)
+nested_sources = st.builds(lambda place, kinds: place.replace("E", nest(kinds)),
+                           st.sampled_from(PLACES), nestings)
+
+FIXTURE_SOURCES = [path.read_text() for path in sorted(
+    (Path(__file__).parent / "fixtures").glob("**/*.c"))]
+
+extraction_inputs = st.one_of(
+    st.sampled_from(FIXTURE_SOURCES),
+    st.integers(0, 2**16).map(gen_source_program),
+    C_LIKE.map(lambda body: "void f(int n, double *a) {\nint i;\n" + body + "\n}\n"),
+    nested_sources,
+)
+
+
+def _call(fn, *args):
+    """fn's result, or the fields of the ParseError it raises, or the name of
+    the KeyError a non-name assignment base raises in data flow."""
+    try:
+        return fn(*args)
+    except ParseError as err:
+        return ("error", err.line, err.col, err.expected, err.got)
+    except KeyError:
+        return ("KeyError",)
+
+
+def _samples(samples):
+    return [(s.to_json_dict(), s.offset) for s in samples]
+
+
+def _extracted(extract, text, scope):
+    samples, rejects = extract(text, "t.c", scope)
+    return _samples(samples), [(r.path, r.line, r.reason) for r in rejects]
+
+
+def _predicted(extract, text, scope):
+    return [(p["line"], _samples([p["sample"]])) for p in extract(text, scope)]
+
+
+def _postfix_on_prefix(text):
+    """Whether the text holds a postfix operator on a prefix one, as in
+    (*p)++: the reference renderer wrote that *p++, which re-reads as *(p++)."""
+    try:
+        unit, _ = parse_source(text)
+    except ParseError:
+        return False
+    return any(n.kind == "UnaryOp" and n.attrs["postfix"] and n.children[0].kind == "UnaryOp"
+               and not n.children[0].attrs["postfix"] for n in iter_nodes(unit))
+
+
+def _read_back(node, text):
+    """"ok" or the ParseError fields of reading a node's canonical text back;
+    None for an expression or a pragma line, which are no snippet alone."""
+    if node.kind in ("TranslationUnit", "FunctionDef"):
+        parse = parse_source
+    elif node.kind in _STATEMENT_KINDS or node.kind == "Declaration":
+        parse = parse_snippet
+    else:
+        return None
+    outcome = _call(parse, text)
+    return outcome if outcome[0] == "error" else "ok"
+
+
+def assert_renders_like_reference(text):
+    """render(n) is the reference renderer's text for every node n, and
+    raises exactly when, and where, the parser could not read that back."""
+    try:
+        unit, _ = parse_source(text)
+    except ParseError:
+        return
+    for node in iter_nodes(unit):
+        expected = reference_render(node)
+        outcome = _call(render, node)
+        if isinstance(outcome, str):
+            assert outcome == expected
+            assert _read_back(node, expected) in ("ok", None)
+        else:
+            read_back = _read_back(node, expected)
+            assert read_back in (outcome, None)
+            if read_back is None:
+                assert _call(parse_snippet, expected + ";")[0] == "error"
+
+
+def assert_extracts_like_reference(text):
+    for scope in (False, True):
+        assert _call(_extracted, extract_from_source, text, scope) == \
+            _call(_extracted, reference_extract_from_source, text, scope)
+        assert _call(_predicted, extract_for_prediction, text, scope) == \
+            _call(_predicted, reference_extract_for_prediction, text, scope)
+        samples, _ = extract_from_source(text, "t.c", scope)
+        for sample in samples:
+            for fraction in (0.1, 0.4, 1.0):
+                renamed = _call(rename_variables, sample, fraction, 7)
+                expected = _call(reference_rename_variables, sample, fraction, 7)
+                if isinstance(renamed, tuple):
+                    assert renamed == expected
+                else:
+                    assert _samples([renamed]) == _samples([expected])
+
+
+@settings(max_examples=150, deadline=None)
+@given(extraction_inputs)
+@example("void f(int n, double *a) {\nint i, j;\nfor (j = 0; j < n; j++)\n#pragma omp parallel for\n"
+         "for (i = 0; i < n; i++) {\n#pragma omp critical\na[i] = j;\n}\n}\n")
+@example(prefix_chain_source(33))
+@example(prefix_chain_source(34))
+@example("void f(int n, double *a, int *p) {\nint i;\nfor (i = 0; i < n; i++) {\n"
+         "a[i] = f(x)[i] + -(-x) + !(!(x)) + (a = b)[i] + p[i]++;\nf(x)[i] = 1;\n}\n}\n")
+def test_extraction_matches_reference(text):
+    assume(not _postfix_on_prefix(text))
+    assert_extracts_like_reference(text)
+    assert_renders_like_reference(text)
+
+
+@pytest.mark.parametrize("depth", [93, 94])
+def test_nested_for_bound_matches_reference(depth):
+    """The deepest nest of unbraced for loops that parses, and one more."""
+    text = "void g(int n, int *a) {\n" + "for (;;) " * depth + "a[0] = n;\n}\n"
+    assert _call(_predicted, extract_for_prediction, text, False) == \
+        _call(_predicted, reference_extract_for_prediction, text, False)
+    assert _call(_extracted, extract_from_source, text, True) == \
+        _call(_extracted, reference_extract_from_source, text, True)
+
+
+def test_postfix_operator_keeps_a_prefix_operand_parenthesized():
+    """(*p)++ increments what p points at. The string renderer wrote it
+    *p++, which increments p, and built the data flow of that: a definition
+    of p that the next read of p drew from."""
+    source = ("void f(int n, int *p, int *a) {\nint i;\nfor (i = 0; i < n; i++) {\n"
+              "(*p)++;\na[i] = *p;\n}\n}\n")
+    (sample,), _ = extract_from_source(source, "t.c")
+    assert sample.loop_code == "for (i = 0; i < n; i++) {\n(*p)++;\na[i] = *p;\n}"
+    loop = parse_snippet(sample.loop_code)[0].children[0]
+    increment = loop.children[3].children[0].children[0]
+    assert increment.attrs["postfix"] and not increment.children[0].attrs["postfix"]
+    p_nodes = [k for k, (name, _) in enumerate(sample.dfg["nodes"]) if name == "p"]
+    assert len(p_nodes) == 2
+    assert not any(t in p_nodes and f in p_nodes for t, f in sample.dfg["edges"])
+    (old,), _ = reference_extract_from_source(source, "t.c")
+    assert old.loop_code == "for (i = 0; i < n; i++) {\n*p++;\na[i] = *p;\n}"
+    old_p_nodes = [k for k, (name, _) in enumerate(old.dfg["nodes"]) if name == "p"]
+    assert any(t in old_p_nodes and f in old_p_nodes for t, f in old.dfg["edges"])
+
+
+# ---------------------------------------------------------------------------
+# work guards without timing
+
+
+@pytest.fixture
+def counted(monkeypatch):
+    """Counts of parses and tokenizations, wherever they are called from;
+    corpus's parse_snippet binding fails if called."""
+    counts = {"parse": 0, "tokenize": 0}
+
+    def counting(name, fn):
+        def wrapper(*args):
+            counts[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(syntax, "_parse", counting("parse", syntax._parse))
+    monkeypatch.setattr(syntax, "tokenize", counting("tokenize", syntax.tokenize))
+    monkeypatch.setattr(corpus, "tokenize", counting("tokenize", corpus.tokenize))
+
+    def no_snippet_parse(text):
+        raise AssertionError("extraction re-parsed a snippet")
+
+    monkeypatch.setattr(corpus, "parse_snippet", no_snippet_parse)
+    return counts
+
+
+@pytest.mark.parametrize("scope", [False, True])
+def test_extraction_parses_once_and_tokenizes_once_per_loop(counted, scope):
+    text = nested_loops_source(4) + gen_source_program(13)
+    n_loops = sum(n.kind == "ForStmt" for n in iter_nodes(parse_source(text)[0]))
+    assert n_loops == 6
+    counted.update(parse=0, tokenize=0)
+    samples, rejects = extract_from_source(text, "t.c", scope)
+    assert len(samples) + len(rejects) == n_loops and not rejects
+    assert counted == {"parse": 1, "tokenize": 1 + n_loops}
+    counted.update(parse=0, tokenize=0)
+    assert len(extract_for_prediction(text, scope)) == n_loops
+    assert counted == {"parse": 1, "tokenize": 1 + n_loops}
+
+
+def test_rename_parses_once(counted):
+    (sample,), _ = extract_from_source(nested_loops_source(1), "t.c", with_scope=True)
+    counted.update(parse=0, tokenize=0)
+    renamed = rename_variables(sample, 1.0, seed=3)
+    assert renamed.loop_code != sample.loop_code
+    assert counted["parse"] == 1

@@ -8,8 +8,8 @@ from ompadvisor.syntax import (
     render, tokenize,
 )
 from oracles import (
-    ast_equal, gen_source_program, reference_parse_snippet, reference_parse_source,
-    reference_strip_comments, reference_tokenize,
+    ReferenceParser, ast_equal, gen_source_program, reference_parse_snippet,
+    reference_parse_source, reference_strip_comments, reference_tokenize,
 )
 from test_cli import C_LIKE
 
@@ -311,18 +311,69 @@ def _parse_outcome(parse, text):
     return [(n.kind, n.token_span, n.attrs, len(n.children)) for n in iter_nodes(unit)]
 
 
+def _reference_outcome(entry, tokens):
+    """The reference parser's outcome on tokens, and the indices of the
+    pragma lines it stopped at as a loop or branch body, right after a
+    header's ")" or an "else". The parser reads such a pragma line and the
+    statement after it as the body; the reference reads the tokens again
+    with each such line left out."""
+    removed = set()
+    while True:
+        kept = [k for k in range(len(tokens)) if k not in removed]
+        parser = ReferenceParser([tokens[k] for k in kept])
+        try:
+            try:
+                unit = entry(parser)
+            except RecursionError:
+                parser.fail("less deeply nested code")
+        except ParseError as err:
+            at = parser.pos
+            if (err.expected == "an expression" and 0 < at < len(kept)
+                    and tokens[kept[at]].kind == "pragma-line"
+                    and tokens[kept[at - 1]].lexeme in (")", "else")):
+                removed.add(kept[at])
+                continue
+            return ("error", err.line, err.col, err.expected, err.got), removed
+        return [(n.kind, n.token_span, n.attrs, len(n.children)) for n in iter_nodes(unit)], removed
+
+
+def _without_body_pragmas(outcome, removed):
+    """The parser's node list with the removed pragma lines taken out, as
+    the reference read the tokens; a ParseError's fields as they are."""
+    if outcome[0] == "error":
+        return outcome
+    out = []
+    for kind, (lo, hi), attrs, n_children in outcome:
+        if kind == "PragmaDirective" and lo in removed:
+            parent = out.pop()  # the block parse_body wraps the pragma line in
+            out.append(parent[:3] + (parent[3] - 1,))
+            continue
+        span = tuple(k - sum(r < k for r in removed) for k in (lo, hi))
+        out.append((kind, span, attrs, n_children))
+    return out
+
+
 def assert_parses_like_reference(text):
-    for parse, reference in ((parse_source, reference_parse_source),
-                             (parse_snippet, reference_parse_snippet)):
+    """Equal outcomes, except where a pragma line starts a loop or branch
+    body: the reference rejects that, and the parser reads it as the body."""
+    try:
+        tokens = tokenize(text)
+    except ParseError:
+        return  # both parsers share the lexer
+    for parse, entry in ((parse_source, ReferenceParser.parse_unit),
+                         (parse_snippet, ReferenceParser.parse_snippet)):
         outcome = _parse_outcome(parse, text)
         try:
-            expected = _parse_outcome(reference, text)
+            expected, removed = _reference_outcome(entry, tokens)
         except AttributeError:
             # The reference crashes on a multi-declarator for-init that ends
             # the input; the parser reports it as the for-init error.
             assert outcome[0] == "error" and outcome[3] == "a single declarator in for-init"
             continue
-        assert outcome == expected
+        if _without_body_pragmas(outcome, removed) != expected:
+            # A body's pragma line must be followed by a statement, as in a block.
+            assert outcome[3] == "a statement after the pragma"
+            assert (outcome[1], outcome[2]) in {(tokens[k].line, tokens[k].col) for k in removed}
 
 
 @settings(max_examples=500, deadline=None)
@@ -334,6 +385,10 @@ def assert_parses_like_reference(text):
 @example("for (int i = 0, j; i < n; i++) ;")
 @example("for (int i, j;")
 @example("int f(int a[], double *b, char c[n + 1]) { return a; }")
+@example("for (j = 0; j < n; j++)\n#pragma omp parallel for\nfor (i = 0; i < n; i++) { x = 1; }")
+@example("if (c)\n#pragma omp parallel for\nfor (;;) ; else\n#pragma omp for\nx = 1;")
+@example("for (;;)\n#pragma omp parallel for\n}")
+@example("while (c)\n#pragma omp parallel for\nint i;")
 def test_parser_matches_reference_parser(text):
     assert_parses_like_reference(text)
 
