@@ -7,6 +7,7 @@ options; identical inputs and seed give byte-identical outputs. Exit codes:
 """
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -52,6 +53,7 @@ def _write_run_config(path, command, options):
         fh.write("\n")
 
 
+@functools.cache  # parse_args leaves the parser as it found it
 def build_parser():
     parser = _Parser(prog="ompadvisor",
                      description="Loop parallelization advisor pipeline")

@@ -90,9 +90,9 @@ class _Builder:
         while base.kind == "ArrayIndex":
             subscript_sources.extend(self.visit_expr(base.children[1], env))
             base = base.children[0]
-        if base.kind == "UnaryOp" and base.attrs["op"] == "*":
-            # Store through a pointer: address read, no tracked definition.
-            return self.visit_expr(base.children[0], env) + subscript_sources + value_sources
+        if base.kind != "Identifier":
+            # Store through *p, (a + b)[i] or 1[i]: base read, no definition.
+            return self.visit_expr(base, env) + subscript_sources + value_sources
         name = base.attrs["name"]
         tok = self.occurrence(base, "def")
         self.link(tok, value_sources)

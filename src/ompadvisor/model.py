@@ -186,16 +186,22 @@ def forward_batch(params, config, ids, positions, mask, train=False, rng=None):
     """Run the encoder on a padded batch.
 
     ids, positions: (B, L) int arrays; mask: (B, L, L) additive mask.
-    Returns (probs (B, 3), cache). Deterministic whenever train is False.
+    Returns (probs (B, 3), cache). train=True keeps the cache backward_batch
+    reads, with dropout when rng is given. Otherwise the cache is None and,
+    after its keys and values, the last layer runs at rows 0-1 only: the head
+    reads row 0 (CLS), every later op is row-wise, and two rows keep numpy's
+    products on BLAS gemm, which sums row 0 as the full product does (gemv,
+    which a one-row product gets, sums in another order).
     """
     drop_rng = rng if train else None
     dtype = params["tok_emb"].dtype
     x = params["tok_emb"][ids] + params["pos_emb"][positions]
-    cache = {"ids": ids, "positions": positions, "mask": mask, "layers": [], "x0": x}
+    layers = []
     for layer in range(config.n_layers):
         p = {k: params[f"layer{layer}.{k}"] for k in LAYER_KEYS}
         x_in = x
-        q = x_in @ p["wq"] + p["bq"]
+        rows = x_in if train or layer < config.n_layers - 1 else x_in[:, :2]
+        q = rows @ p["wq"] + p["bq"]
         k = x_in @ p["wk"] + p["bk"]
         v = x_in @ p["wv"] + p["bv"]
         qh, kh, vh = (_split_heads(t, config.n_heads) for t in (q, k, v))
@@ -203,14 +209,14 @@ def forward_batch(params, config, ids, positions, mask, train=False, rng=None):
         scores /= config.attn_scale
         # A wider mask widens the scores, as an out-of-place sum would.
         scores = scores.astype(np.result_type(scores, mask), copy=False)
-        scores += mask[:, None]
+        scores += mask[:, None, :rows.shape[1]]
         attn = masked_softmax(scores)
         attn_drop_mask = _dropout_mask(drop_rng, attn.shape, config.dropout_rate, dtype)
         attn_dropped = _apply_drop(attn, attn_drop_mask)
         context = _merge_heads(attn_dropped @ vh)
         proj = context @ p["wo"] + p["bo"]
         proj_drop_mask = _dropout_mask(drop_rng, proj.shape, config.dropout_rate, dtype)
-        res1 = x_in + _apply_drop(proj, proj_drop_mask)
+        res1 = rows + _apply_drop(proj, proj_drop_mask)
         x1, ln1_cache = _layer_norm(res1, p["ln1_g"], p["ln1_b"])
         ff_pre = x1 @ p["w1"] + p["b1"]
         ff_hidden = np.maximum(ff_pre, 0.0)
@@ -218,22 +224,22 @@ def forward_batch(params, config, ids, positions, mask, train=False, rng=None):
         ff_drop_mask = _dropout_mask(drop_rng, ff_out.shape, config.dropout_rate, dtype)
         res2 = x1 + _apply_drop(ff_out, ff_drop_mask)
         x2, ln2_cache = _layer_norm(res2, p["ln2_g"], p["ln2_b"])
-        cache["layers"].append({
-            "x_in": x_in, "qh": qh, "kh": kh, "vh": vh,
-            "attn": attn, "attn_drop_mask": attn_drop_mask,
-            "attn_dropped": attn_dropped,
-            "context": context, "proj_drop_mask": proj_drop_mask,
-            "x1": x1, "ln1": ln1_cache,
-            "ff_pre": ff_pre, "ff_hidden": ff_hidden,
-            "ff_drop_mask": ff_drop_mask, "ln2": ln2_cache,
-        })
+        if train:
+            layers.append({
+                "x_in": x_in, "qh": qh, "kh": kh, "vh": vh,
+                "attn": attn, "attn_drop_mask": attn_drop_mask,
+                "attn_dropped": attn_dropped,
+                "context": context, "proj_drop_mask": proj_drop_mask,
+                "x1": x1, "ln1": ln1_cache,
+                "ff_pre": ff_pre, "ff_hidden": ff_hidden,
+                "ff_drop_mask": ff_drop_mask, "ln2": ln2_cache,
+            })
         x = x2
     cls = x[:, 0, :]
     logits = cls @ params["head_w"] + params["head_b"]
     probs = 1.0 / (1.0 + np.exp(-logits))
-    cache["hidden"] = x
-    cache["cls"] = cls
-    return probs, cache
+    return probs, ({"ids": ids, "positions": positions, "layers": layers, "hidden": x,
+                    "cls": cls} if train else None)
 
 
 def compute_loss(probs, labels):
@@ -326,7 +332,7 @@ def threshold_labels(probs, gate):
     return tuple(labels)
 
 
-def batch_gradients(params, config, encodings, dtype=np.float32, train=False, rng=None):
+def batch_gradients(params, config, encodings, dtype=np.float32, rng=None):
     """Forward and backward of one batch as length_batches sub-batches, each
     padded to its own longest member: (probs and labels in input order, the
     gradients of compute_loss over the whole batch summed over sub-batches).
@@ -336,7 +342,7 @@ def batch_gradients(params, config, encodings, dtype=np.float32, train=False, rn
     for batch in length_batches(encodings):
         batch = sorted(batch)
         ids, positions, mask, labels = pad_batch([encodings[i] for i in batch], dtype=dtype)
-        probs, cache = forward_batch(params, config, ids, positions, mask, train=train, rng=rng)
+        probs, cache = forward_batch(params, config, ids, positions, mask, train=True, rng=rng)
         sub_grads = backward_batch(params, config, cache, probs, labels, n_total=len(encodings))
         if grads is None:
             grads = sub_grads
@@ -350,12 +356,11 @@ def batch_gradients(params, config, encodings, dtype=np.float32, train=False, rn
 
 
 def forward_pass(params, config, encoded, gate=False):
-    """Single-sample forward in eval mode: (Prediction, hidden states)."""
+    """Single-sample forward in eval mode: its Prediction."""
     ids, positions, mask, _ = pad_batch([encoded], dtype=params["tok_emb"].dtype)
-    probs, cache = forward_batch(params, config, ids, positions, mask, train=False)
+    probs, _ = forward_batch(params, config, ids, positions, mask)
     probs = tuple(float(p) for p in probs[0])
-    prediction = Prediction(probs, threshold_labels(probs, gate), gate)
-    return prediction, cache["hidden"][0]
+    return Prediction(probs, threshold_labels(probs, gate), gate)
 
 
 # ---------------------------------------------------------------------------
@@ -458,7 +463,7 @@ def train(samples, config=None, epochs=10, aug_mode="none", seed=0,
         n_batches = 0
         for start in range(0, len(order), batch_size):
             chunk = [encodings[i] for i in order[start : start + batch_size]]
-            probs, labels, grads = batch_gradients(params, config, chunk, train=True, rng=rng)
+            probs, labels, grads = batch_gradients(params, config, chunk, rng=rng)
             loss = compute_loss(probs, labels)
             if not np.isfinite(loss):
                 raise TrainingDiverged(
@@ -494,7 +499,7 @@ def predict_source(params, config, vocab, source_text, gate=False,
     results = []
     for loop_info in extract_for_prediction(source_text, with_scope):
         encoded = encode_sample(loop_info["sample"], vocab, max_code, max_dfg)
-        prediction, _ = forward_pass(params, config, encoded, gate=gate)
+        prediction = forward_pass(params, config, encoded, gate=gate)
         results.append({
             "loop_index": len(results),
             "line": loop_info["line"],

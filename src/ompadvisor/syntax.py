@@ -511,14 +511,17 @@ class _Parser:
     def parse_binary(self, min_prec):
         """Precedence climbing: a unary operand, then each operator binding at
         least min_prec with its right operand parsed one level tighter, so
-        every binary operator associates to the left."""
-        start = self.pos
+        every binary operator associates to the left. Each operator folded in
+        charges a frame until the chain ends, as walks down the chain take one."""
+        start, frames = self.pos, self.frames
         left = self.parse_unary()
         while True:
             t = self.peek()
             prec = _PRECEDENCE.get(t.lexeme) if t is not None and t.kind == "operator" else None
             if prec is None or prec < min_prec:
+                self.frames = frames
                 return left
+            self.descend(1)
             self.advance()
             right = self.parse_binary(prec + 1)
             left = self.node("BinaryOp", [left, right], start, {"op": t.lexeme})
@@ -706,12 +709,15 @@ class _Emitter:
         else:
             self.expr(node, _EXPRESSION_FRAMES)
 
-    def expr(self, node, frames=0, parens=False):
+    def expr(self, node, frames=0, parens=False, chained=False):
         """Write an expression, charged frames as a parse_assign entry is;
-        parens wraps it in ( ), which the parser reads as such an entry."""
+        parens wraps it in ( ), which the parser reads as such an entry. A
+        binary operator charges a frame, held until its chain ends (chained:
+        node is the left operand of the chain's next operator)."""
         if parens:
             self.token("(")
             frames = _EXPRESSION_FRAMES
+        entry = self.frames
         self.frames += frames
         kind, c, attrs = node.kind, node.children, node.attrs
         if kind == "Identifier" or kind == "Call":
@@ -725,7 +731,9 @@ class _Emitter:
             # Binary operators associate to the left, assignment to the
             # right, where the parser reads the value with parse_assign.
             prec = _prec(node)
-            self.expr(c[0], parens=_prec(c[0]) < prec)
+            wrap = _prec(c[0]) < prec
+            self.expr(c[0], parens=wrap, chained=kind == "BinaryOp" and not wrap)
+            self.frames += kind == "BinaryOp"
             self.put(" ", attrs["op"], " ")
             if kind == "Assign":
                 self.expr(c[1], _EXPRESSION_FRAMES)
@@ -746,7 +754,7 @@ class _Emitter:
             self.put("[", c[1], "]")
         elif kind != "Empty":
             raise ValueError(f"not an expression node: {kind}")
-        self.frames -= frames
+        self.frames = self.frames if chained else entry  # a chain's end releases it
         if parens:
             self.token(")")
 

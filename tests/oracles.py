@@ -7,11 +7,13 @@ graph builder it is checking. For differential tests, the reference lexer
 is the scanner the regex lexer replaced, the reference mask builder is the
 per-sample builder and pad loop the batch mask builder replaced, the
 reference training step is the one-padded-batch step that length
-sub-batches replaced, the reference data-flow builder is the two-pass
-loop analysis the one-pass builder replaced, the reference parser is the
-one-function-per-precedence-level parser that precedence climbing replaced,
-and the reference renderer, extraction and renaming are the string renderer
-and the re-parsing sample builders that the slot-emitting renderer replaced.
+sub-batches replaced, the reference forward is the encoder forward that
+ran the last layer at every row in eval mode, the reference data-flow
+builder is the two-pass loop analysis the one-pass builder replaced, the
+reference parser is the one-function-per-precedence-level parser that
+precedence climbing replaced, and the reference renderer, extraction and
+renaming are the string renderer and the re-parsing sample builders that
+the slot-emitting renderer replaced.
 """
 
 import random
@@ -28,7 +30,8 @@ from ompadvisor.corpus import (
 from ompadvisor.dfg import DataFlowGraph, DfgNode, _merge, build_dfg, dfg_to_json
 from ompadvisor.encode import MASK_NEG
 from ompadvisor.model import (
-    TrainingDiverged, backward_batch, compute_loss, forward_batch, pad_batch,
+    LAYER_KEYS, TrainingDiverged, _apply_drop, _dropout_mask, _layer_norm, _merge_heads,
+    _split_heads, backward_batch, compute_loss, forward_batch, masked_softmax, pad_batch,
 )
 from ompadvisor.syntax import (
     _EXPRESSION_FRAMES, _PRECEDENCE, _STATEMENT_FRAMES, ASSIGN_OPS, KEYWORDS,
@@ -417,6 +420,65 @@ def reference_train_step(params, config, optimizer, chunk, rng):
     grads = backward_batch(params, config, cache, probs, labels)
     optimizer.step(params, grads)
     return probs, grads
+
+
+# ---------------------------------------------------------------------------
+# reference forward: every layer at every row, the cache always kept
+
+
+def reference_forward_batch(params, config, ids, positions, mask, train=False, rng=None):
+    """The encoder forward that computed every row of every layer in eval
+    mode too and always returned its cache, kept verbatim.
+
+    ids, positions: (B, L) int arrays; mask: (B, L, L) additive mask.
+    Returns (probs (B, 3), cache). Deterministic whenever train is False.
+    """
+    drop_rng = rng if train else None
+    dtype = params["tok_emb"].dtype
+    x = params["tok_emb"][ids] + params["pos_emb"][positions]
+    cache = {"ids": ids, "positions": positions, "mask": mask, "layers": [], "x0": x}
+    for layer in range(config.n_layers):
+        p = {k: params[f"layer{layer}.{k}"] for k in LAYER_KEYS}
+        x_in = x
+        q = x_in @ p["wq"] + p["bq"]
+        k = x_in @ p["wk"] + p["bk"]
+        v = x_in @ p["wv"] + p["bv"]
+        qh, kh, vh = (_split_heads(t, config.n_heads) for t in (q, k, v))
+        scores = qh @ kh.transpose(0, 1, 3, 2)
+        scores /= config.attn_scale
+        # A wider mask widens the scores, as an out-of-place sum would.
+        scores = scores.astype(np.result_type(scores, mask), copy=False)
+        scores += mask[:, None]
+        attn = masked_softmax(scores)
+        attn_drop_mask = _dropout_mask(drop_rng, attn.shape, config.dropout_rate, dtype)
+        attn_dropped = _apply_drop(attn, attn_drop_mask)
+        context = _merge_heads(attn_dropped @ vh)
+        proj = context @ p["wo"] + p["bo"]
+        proj_drop_mask = _dropout_mask(drop_rng, proj.shape, config.dropout_rate, dtype)
+        res1 = x_in + _apply_drop(proj, proj_drop_mask)
+        x1, ln1_cache = _layer_norm(res1, p["ln1_g"], p["ln1_b"])
+        ff_pre = x1 @ p["w1"] + p["b1"]
+        ff_hidden = np.maximum(ff_pre, 0.0)
+        ff_out = ff_hidden @ p["w2"] + p["b2"]
+        ff_drop_mask = _dropout_mask(drop_rng, ff_out.shape, config.dropout_rate, dtype)
+        res2 = x1 + _apply_drop(ff_out, ff_drop_mask)
+        x2, ln2_cache = _layer_norm(res2, p["ln2_g"], p["ln2_b"])
+        cache["layers"].append({
+            "x_in": x_in, "qh": qh, "kh": kh, "vh": vh,
+            "attn": attn, "attn_drop_mask": attn_drop_mask,
+            "attn_dropped": attn_dropped,
+            "context": context, "proj_drop_mask": proj_drop_mask,
+            "x1": x1, "ln1": ln1_cache,
+            "ff_pre": ff_pre, "ff_hidden": ff_hidden,
+            "ff_drop_mask": ff_drop_mask, "ln2": ln2_cache,
+        })
+        x = x2
+    cls = x[:, 0, :]
+    logits = cls @ params["head_w"] + params["head_b"]
+    probs = 1.0 / (1.0 + np.exp(-logits))
+    cache["hidden"] = x
+    cache["cls"] = cls
+    return probs, cache
 
 
 # ---------------------------------------------------------------------------

@@ -158,7 +158,7 @@ def step_both_ways(params, config, chunks, dropout_seed=0):
     new_rng, old_rng = (np.random.default_rng(dropout_seed) for _ in range(2))
     steps = []
     for chunk in chunks:
-        probs, _, grads = batch_gradients(new, config, chunk, train=True, rng=new_rng)
+        probs, _, grads = batch_gradients(new, config, chunk, rng=new_rng)
         new_adam.step(new, grads)
         steps.append(((probs, grads), reference_train_step(old, config, old_adam, chunk, old_rng)))
     return steps, new, old

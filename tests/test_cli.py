@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ompadvisor.cli import execute_command
+from ompadvisor.augment import rename_variables
+from ompadvisor.cli import UsageError, build_parser, execute_command
 from ompadvisor.corpus import extract_for_prediction, extract_from_source
 from ompadvisor.metrics import report_from_rows, rows_from_csv
 from ompadvisor.synthetic import generate_synthetic_corpus
@@ -127,6 +128,37 @@ def test_predict_reads_a_pragma_line_that_starts_a_loop_body(model_dir, tmp_path
     assert [loop["line"] for loop in payload] == [3, 5]
 
 
+COMPUTED_BASE_STORES = ["(a + b)[i] = 1;", "1[i] = 2;"]
+
+
+@pytest.mark.parametrize("store", COMPUTED_BASE_STORES)
+def test_build_corpus_keeps_a_loop_storing_through_a_computed_base(tmp_path, capsys, store):
+    """A store whose base is no variable defines nothing; the loop is a
+    sample and the rest of the tree is built."""
+    src = tmp_path / "src"
+    src.mkdir()
+    (src / "store.c").write_text(
+        f"void f(int n, int *a, int *b) {{\nint i;\nfor (i = 0; i < n; i++) {{\n{store}\n}}\n}}\n")
+    (src / "ok.c").write_text(
+        "void g(int n, double *a) {\nint i;\nfor (i = 0; i < n; i++) {\na[i] = 0.0;\n}\n}\n")
+    out = tmp_path / "corpus"
+    assert execute_command(["build-corpus", str(src), "-o", str(out)]) == 0
+    corpus = [json.loads(line) for line in (out / "corpus.jsonl").read_text().splitlines()]
+    assert sorted(s["path"] for s in corpus) == ["ok.c", "store.c"]
+    assert (out / "rejects.jsonl").read_text() == ""
+
+
+@pytest.mark.parametrize("store", COMPUTED_BASE_STORES)
+def test_predict_a_loop_storing_through_a_computed_base(model_dir, tmp_path, capsys, store):
+    _, out = model_dir
+    source = tmp_path / "store.c"
+    source.write_text(f"void f(int n, int *a, int *b) {{\nint i, j;\nfor (i = 0; i < n; i++) {{\n"
+                      f"{store}\n}}\nfor (j = 0; j < n; j++) {{\na[j] = j;\n}}\n}}\n")
+    assert execute_command(["predict", str(out), str(source), "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert [loop["line"] for loop in payload] == [3, 6]
+
+
 def test_predict_plain_output(model_dir, tmp_path, capsys):
     _, out = model_dir
     source = tmp_path / "empty.c"
@@ -179,6 +211,21 @@ def test_usage_errors_exit_one(capsys):
     assert execute_command(["train"]) == 1
     assert execute_command(["predict", "--bogus-flag"]) == 1
     assert execute_command(["no-such-command"]) == 1
+
+
+def test_parser_is_built_once_and_keeps_no_state_between_calls(capsys):
+    """execute_command reuses one parser; a run's options never leak into
+    the next, and its errors are still usage errors."""
+    parser = build_parser()
+    assert parser.parse_args(["train", "c", "-o", "m", "--epochs", "3",
+                              "--aug", "replaced"]).epochs == 3
+    args = parser.parse_args(["train", "c", "-o", "m"])
+    assert (args.epochs, args.aug) == (10, "none")
+    with pytest.raises(UsageError):
+        parser.parse_args(["train", "c", "-o", "m", "--epochs", "0"])
+    assert execute_command(["train", "c", "-o", "m", "--epochs", "0"]) == 1
+    assert execute_command(["stats", "missing.jsonl"]) == 2
+    assert build_parser() is parser
 
 
 def test_data_errors_exit_two(tmp_path, capsys):
@@ -488,8 +535,19 @@ def block_source(depth):
             + "{" * depth + "\na[i] = i;\n" + "}" * depth + "\n}\n")
 
 
+def term_chain_source(n_terms):
+    """A loop whose body holds x = i + i + ... + i; with n_terms terms."""
+    return ("void f(int n, int *a) {\nint i, x;\nfor (i = 0; i < n; i++) {\nx = "
+            + " + ".join(["i"] * n_terms) + ";\na[i] = x;\n}\n}\n")
+
+
+# The most terms a left-associated chain in a loop body may have: the parser
+# and the renderer charge a frame per operator folded into the chain.
+TERM_CHAIN_BOUND = 557
+
 NESTED_SOURCES = {
     **{f"chain{n}": prefix_chain_source(n) for n in (20, 33, 34, 47, 52, 57, 500)},
+    **{f"terms{n}": term_chain_source(n) for n in (TERM_CHAIN_BOUND, TERM_CHAIN_BOUND + 1, 900)},
     **{f"parens{n}": paren_source(n) for n in (30, 35, 36, 40)},
     **{f"blocks{n}": block_source(n) for n in (60, 95, 96, 120)},
 }
@@ -502,6 +560,20 @@ def test_nesting_verdict_does_not_depend_on_the_callers_stack(name):
     source = NESTED_SOURCES[name]
     for verdict in (_extraction_verdict, _prediction_verdict):
         assert call_at_depth(200, verdict, source) == verdict(source)
+
+
+def test_operator_chain_bound_is_set_by_the_input():
+    """A chain at the bound is a sample, renamed alike from a deep stack;
+    one more term is a parse_error reject and, for predict, a ParseError at
+    the operator that crosses the bound."""
+    fits, past = (term_chain_source(n) for n in (TERM_CHAIN_BOUND, TERM_CHAIN_BOUND + 1))
+    (sample,), rejects = extract_from_source(fits, "t.c", with_scope=True)
+    assert rejects == []
+    renamed = rename_variables(sample, 1.0, 7).to_json_dict()
+    assert call_at_depth(200, rename_variables, sample, 1.0, 7).to_json_dict() == renamed
+    assert _extraction_verdict(past) == ([], [(4, "parse_error")])
+    col = len("x = ") + len("i + ") * (TERM_CHAIN_BOUND - 1) + len("i ") + 1
+    assert _prediction_verdict(past) == (4, col, "less deeply nested code")
 
 
 def test_predict_on_a_directory_is_a_data_error(model_dir, tmp_path, capsys):

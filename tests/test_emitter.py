@@ -18,7 +18,9 @@ from oracles import (
     gen_source_program, reference_extract_for_prediction, reference_extract_from_source,
     reference_render, reference_rename_variables,
 )
-from test_cli import C_LIKE, nested_loops_source, prefix_chain_source
+from test_cli import (
+    C_LIKE, TERM_CHAIN_BOUND, nested_loops_source, prefix_chain_source, term_chain_source,
+)
 
 # Where a nested expression e sits: a loop body, an inner loop, a loop
 # condition, and context statements that --with-scope copies before the loop.
@@ -59,6 +61,23 @@ nestings = st.one_of(
 nested_sources = st.builds(lambda place, kinds: place.replace("E", nest(kinds)),
                            st.sampled_from(PLACES), nestings)
 
+# A binary operator folded into a left-associated chain costs 1 frame in the
+# source and in canonical text alike, and holds it to the chain's end; a
+# prefix run on its last term costs 1 frame an operator in the source and 17
+# in canonical text. Chains of 300 to 580 terms, some operators binding
+# tighter, cross the bound on reading the file or on re-reading the loop.
+
+
+def chain_expr(ops, prefixes):
+    return "x" + "".join(f" {op} x" for op in ops[:-1]) + f" {ops[-1]} " + "!" * prefixes + "x"
+
+
+chained_sources = st.builds(
+    lambda place, ops, prefixes: place.replace("E", chain_expr(ops, prefixes)),
+    st.sampled_from(PLACES),
+    st.lists(st.sampled_from(["+", "-", "+", "-", "*", "<"]), min_size=300, max_size=580),
+    st.integers(0, 16))
+
 FIXTURE_SOURCES = [path.read_text() for path in sorted(
     (Path(__file__).parent / "fixtures").glob("**/*.c"))]
 
@@ -71,14 +90,11 @@ extraction_inputs = st.one_of(
 
 
 def _call(fn, *args):
-    """fn's result, or the fields of the ParseError it raises, or the name of
-    the KeyError a non-name assignment base raises in data flow."""
+    """fn's result, or the fields of the ParseError it raises."""
     try:
         return fn(*args)
     except ParseError as err:
         return ("error", err.line, err.col, err.expected, err.got)
-    except KeyError:
-        return ("KeyError",)
 
 
 def _samples(samples):
@@ -167,6 +183,19 @@ def test_extraction_matches_reference(text):
     assume(not _postfix_on_prefix(text))
     assert_extracts_like_reference(text)
     assert_renders_like_reference(text)
+
+
+@settings(max_examples=10, deadline=None)
+@given(chained_sources)
+@example(term_chain_source(TERM_CHAIN_BOUND))
+@example(term_chain_source(TERM_CHAIN_BOUND + 1))
+@example(PLACES[0].replace("E", chain_expr(["+"] * 399, 10)))
+@example(PLACES[0].replace("E", chain_expr(["+"] * 399, 11)))
+def test_operator_chain_bound_matches_reference(text):
+    """The renderer raises where re-reading its text would, at the same
+    token, so extraction, prediction and renaming match the re-parsing
+    reference builders around the chain bound."""
+    assert_extracts_like_reference(text)
 
 
 @pytest.mark.parametrize("depth", [93, 94])

@@ -22,6 +22,7 @@ from ompadvisor.model import (
     train,
 )
 from ompadvisor.synthetic import generate_synthetic_corpus
+from oracles import reference_forward_batch
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -115,7 +116,7 @@ def test_forward_matches_independent_reimplementation():
     mask = np.zeros((1, 4, 4))
     mask[0, 1, 3] = mask[0, 3, 1] = MASK_NEG
 
-    probs, cache = forward_batch(params, config, ids, positions, mask)
+    probs, cache = forward_batch(params, config, ids, positions, mask, train=True)
     ref_probs, ref_hidden = reference_forward(
         params, config, ids[0].tolist(), positions[0].tolist(), mask[0].tolist())
 
@@ -134,7 +135,7 @@ def test_diagonal_mask_gives_identity_attention():
     for i in range(length):
         mask[0, i, i] = 0.0
     ids, positions, _, _ = tiny_inputs(config, length)
-    _, cache = forward_batch(params, config, ids, positions, mask)
+    _, cache = forward_batch(params, config, ids, positions, mask, train=True)
     attn = cache["layers"][0]["attn"]
     for head in range(config.n_heads):
         np.testing.assert_allclose(attn[0, head], np.eye(length), atol=1e-12)
@@ -159,11 +160,81 @@ def test_attention_rows_are_distributions():
     closed = closed | closed.T
     mask[0][closed] = MASK_NEG
     ids, positions, _, _ = tiny_inputs(config, length, seed=4)
-    _, cache = forward_batch(params, config, ids, positions, mask)
+    _, cache = forward_batch(params, config, ids, positions, mask, train=True)
     attn = cache["layers"][0]["attn"]
     assert np.all(attn >= 0.0)
     np.testing.assert_allclose(attn.sum(axis=-1), 1.0, atol=1e-6)
     assert np.all(attn[0, :, mask[0] != 0.0] == 0.0)
+
+
+# ---------------------------------------------------------------------------
+# eval mode: the last layer at the rows up to CLS only
+
+
+def mixed_eval_batch(n_layers, dtype, seed):
+    """Params at O(1) scale and a shuffled padded batch of mixed lengths:
+    random samples with data-flow nodes, edges and truncated-away nodes,
+    and synthetic loops cut short by max_code, padded to the longest."""
+    samples = generate_synthetic_corpus(n=12, seed=seed)
+    vocab = build_vocabulary(samples, min_freq=1)
+    config = ModelConfig(vocab_size=vocab.size, d_model=8, n_heads=2, n_layers=n_layers,
+                         d_ff=16, max_len=64, dropout_rate=0.1, seed=seed)
+    rng = np.random.default_rng(seed)
+    params = {k: (v + rng.normal(0.0, 0.5, size=v.shape)).astype(dtype)
+              for k, v in init_params(config).items()}
+    encodings = _random_check_input(config, rng, (3, 5, 9, 17, 30))
+    truncated = [encode_sample(s, vocab, max_code=12, max_dfg=4) for s in samples[:6]]
+    assert any(e.code_truncated for e in truncated)
+    encodings += truncated
+    ids, positions, mask, _ = pad_batch([encodings[i] for i in rng.permutation(len(encodings))],
+                                        dtype=dtype)
+    assert (ids == PAD_ID).any()
+    return params, config, ids, positions, mask
+
+
+@pytest.mark.parametrize("n_layers", [1, 2, 3])
+@pytest.mark.parametrize("dtype, rtol, atol", [(np.float64, 1e-12, 0.0), (np.float32, 0.0, 2e-7)])
+def test_eval_forward_matches_every_row_reference(n_layers, dtype, rtol, atol):
+    """Computing only the rows up to CLS in the last layer changes no
+    probability beyond float rounding: every op after its keys and values
+    is row-wise."""
+    for seed in (0, 1):
+        params, config, ids, positions, mask = mixed_eval_batch(n_layers, dtype, seed)
+        probs, cache = forward_batch(params, config, ids, positions, mask)
+        ref, _ = reference_forward_batch(params, config, ids, positions, mask)
+        assert cache is None and probs.dtype == dtype
+        assert np.ptp(ref, axis=0).min() > 1e-3  # rows out of order would show
+        np.testing.assert_allclose(probs, ref, rtol=rtol, atol=atol)
+
+
+def test_train_forward_without_rng_is_the_reference_forward():
+    """train=True keeps every row and the cache; without an rng it draws no
+    dropout, so its probabilities are the reference eval forward's."""
+    params, config, ids, positions, mask = mixed_eval_batch(2, np.float64, 0)
+    probs, cache = forward_batch(params, config, ids, positions, mask, train=True)
+    ref, ref_cache = reference_forward_batch(params, config, ids, positions, mask)
+    assert np.array_equal(probs, ref)
+    assert np.array_equal(cache["hidden"], ref_cache["hidden"])
+    assert all(c["attn_drop_mask"] is None for c in cache["layers"])
+
+
+def test_eval_forward_runs_the_last_layer_at_the_cls_rows(monkeypatch):
+    """A guard without timing: at n_layers = 2 an eval forward takes one
+    (B, H, L, L) softmax, then one (B, H, 2, L) over the rows up to CLS
+    (two, so that BLAS sums row 0 as in the full product), and keeps no
+    cache."""
+    params, config, ids, positions, mask = mixed_eval_batch(2, np.float32, 0)
+    shapes = []
+
+    def recording_softmax(scores):
+        shapes.append(scores.shape)
+        return masked_softmax(scores)
+
+    monkeypatch.setattr(ompadvisor.model, "masked_softmax", recording_softmax)
+    _, cache = forward_batch(params, config, ids, positions, mask)
+    (b, length), h = ids.shape, config.n_heads
+    assert shapes == [(b, h, length, length), (b, h, 2, length)]
+    assert cache is None
 
 
 # ---------------------------------------------------------------------------
@@ -182,7 +253,7 @@ def test_loss_decreases_on_memorizable_sample():
     ids, positions, mask, labels = tiny_inputs(config, 5, seed=1)
     losses = []
     for _ in range(50):
-        probs, cache = forward_batch(params, config, ids, positions, mask)
+        probs, cache = forward_batch(params, config, ids, positions, mask, train=True)
         losses.append(compute_loss(probs, labels))
         grads = backward_batch(params, config, cache, probs, labels)
         optimizer.step(params, grads)
@@ -196,7 +267,7 @@ def test_memorization_drives_loss_below_threshold():
     ids, positions, mask, labels = tiny_inputs(config, 6, seed=2)
     loss = None
     for _ in range(200):
-        probs, cache = forward_batch(params, config, ids, positions, mask)
+        probs, cache = forward_batch(params, config, ids, positions, mask, train=True)
         loss = compute_loss(probs, labels)
         if loss < 0.01:
             break
@@ -296,7 +367,7 @@ def test_wider_inputs_widen_attention_and_adam_moments():
     config = small_config()
     params = init_params(config)
     ids, positions, mask, labels = tiny_inputs(config, 5, seed=1)
-    probs, cache = forward_batch(params, config, ids, positions, mask)
+    probs, cache = forward_batch(params, config, ids, positions, mask, train=True)
     assert cache["layers"][0]["attn"].dtype == np.float64
     grads = backward_batch(params, config, cache, probs, labels)
     assert grads["layer0.wq"].dtype == np.float64
@@ -329,12 +400,12 @@ def test_isolated_token_gets_zero_gradient():
             mask[0, other, isolated_slot] = MASK_NEG
             mask[0, isolated_slot, other] = MASK_NEG
     labels = np.array([[1.0, 1.0, 0.0]])
-    probs, cache = forward_batch(params, config, ids, positions, mask)
+    probs, cache = forward_batch(params, config, ids, positions, mask, train=True)
     grads = backward_batch(params, config, cache, probs, labels)
     assert np.all(grads["tok_emb"][isolated_id] == 0.0)
     # open the pair back up: gradient becomes nonzero
     probs, cache = forward_batch(params, config, ids, positions,
-                                 np.zeros((1, length, length)))
+                                 np.zeros((1, length, length)), train=True)
     grads = backward_batch(params, config, cache, probs, labels)
     assert np.any(grads["tok_emb"][isolated_id] != 0.0)
 
@@ -349,20 +420,23 @@ def test_threshold_and_gate_rules():
     assert threshold_labels((0.5, 0.5, 0.5), gate=False) == (1, 1, 1)
 
 
-def test_forward_pass_returns_prediction_and_hidden():
+def test_forward_pass_returns_prediction():
     samples = generate_synthetic_corpus(n=20, seed=3)
     vocab = build_vocabulary(samples, min_freq=1)
     config = ModelConfig(vocab_size=vocab.size, d_model=16, n_heads=2,
                          n_layers=1, d_ff=32, seed=0)
     params = init_params(config)
     enc = encode_sample(samples[0], vocab)
-    prediction, hidden = forward_pass(params, config, enc, gate=True)
+    prediction = forward_pass(params, config, enc, gate=True)
     assert len(prediction.probs) == 3
     assert all(0.0 < p < 1.0 for p in prediction.probs)
     assert prediction.gated
     if prediction.labels[0] == 0:
         assert prediction.labels == (0, 0, 0)
-    assert hidden.shape == (enc.length, config.d_model)
+    ids, positions, mask, _ = pad_batch([enc])
+    probs, cache = forward_batch(params, config, ids, positions, mask, train=True)
+    assert cache["hidden"].shape == (1, enc.length, config.d_model)
+    np.testing.assert_allclose(prediction.probs, probs[0], rtol=0, atol=2e-7)
 
 
 def test_predict_source_runs_per_loop():
