@@ -13,9 +13,9 @@ from .dfg import DataFlowGraph, DfgNode, build_dfg
 from .encode import EncodedInput, Vocabulary, build_attention_mask, build_vocabulary, encode_sample
 from .metrics import Confusion, compute_metrics, evaluate
 from .model import (
-    ModelConfig, Prediction, check_gradients, compute_loss, forward_pass,
+    ModelConfig, check_gradients, compute_loss, forward_pass,
     load_model, predict_source, save_model, train,
 )
 from .pragmas import OmpPragma, PragmaError, parse_omp_pragma, render_omp_pragma
 from .synthetic import generate_synthetic_corpus
-from .syntax import AstNode, ParseError, Token, parse_snippet, parse_source, render
+from .syntax import AstNode, ParseError, Token, parse_snippet, parse_source

@@ -15,10 +15,8 @@ from pathlib import Path
 from . import __version__
 from .augment import fraction_for_mode, rename_variables
 from .corpus import build_corpus, compute_stats, read_samples, write_jsonl
-from .encode import (
-    DEFAULT_MAX_CODE, DEFAULT_MAX_DFG, DEFAULT_MIN_FREQ, Vocabulary,
-    build_vocabulary,
-)
+from .encode import DEFAULT_MAX_CODE, DEFAULT_MAX_DFG, DEFAULT_MIN_FREQ, Vocabulary
+from .encode import build_vocabulary  # noqa: F401 -- a traced binding in perfbench/spans.py
 from .metrics import evaluate, format_report, rows_to_csv
 from .model import (
     ModelConfig, TrainingDiverged, check_gradients, load_model, predict_source,
@@ -80,7 +78,8 @@ def build_parser():
     p.add_argument("corpus_dir")
     p.add_argument("--aug", choices=("none", "curriculum", "replaced"), default="none")
     p.add_argument("--epochs", type=positive, default=10)
-    p.add_argument("--seed", type=non_negative, default=0)
+    # model.bin stores the seed as a signed 64-bit integer
+    p.add_argument("--seed", type=_in_range(int, 0, 2**63), default=0)
     p.add_argument("--batch-size", type=positive, default=32)
     p.add_argument("--lr", type=_in_range(float, 0.0), default=1e-3)
     p.add_argument("--d-model", type=positive, default=64)
@@ -167,17 +166,10 @@ def _cmd_train(args):
               f"valid_loss {record['valid_loss']:.4f}  "
               f"valid_acc {record['valid_accuracy']:.3f}")
 
-    train_samples = [s for s in samples if s.split == "train"]
-    if not train_samples:
-        raise ValueError("corpus has no train split")
-    vocab = build_vocabulary(train_samples, args.min_freq)
-    config = ModelConfig(
-        vocab_size=vocab.size, d_model=args.d_model, n_heads=args.n_heads,
-        n_layers=args.n_layers, d_ff=args.d_ff, dropout_rate=args.dropout,
-        seed=args.seed, scale_mode=args.scale_mode,
-    )
+    arch = {"d_model": args.d_model, "n_heads": args.n_heads, "n_layers": args.n_layers,
+            "d_ff": args.d_ff, "dropout_rate": args.dropout, "scale_mode": args.scale_mode}
     result = train(
-        samples, config=config, epochs=args.epochs, aug_mode=args.aug,
+        samples, arch=arch, epochs=args.epochs, aug_mode=args.aug,
         seed=args.seed, min_freq=args.min_freq, max_code=args.max_code,
         max_dfg=args.max_dfg, batch_size=args.batch_size, lr=args.lr, log=log,
     )

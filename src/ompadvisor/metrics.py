@@ -1,13 +1,17 @@
-"""Per-label precision/recall/accuracy, evaluation reports and CSV export."""
+"""Per-label precision/recall/accuracy, evaluation reports and CSV export.
+
+Probabilities come from model.forward_pass and gated predictions from
+model.threshold_labels, the paths predict uses too.
+"""
 
 import csv
 import io
 from dataclasses import dataclass
 
-import numpy as np
-
-from .encode import encode_corpus, length_batches, pad_batch
-from .model import LABELS, forward_batch
+from .encode import encode_corpus
+from .encode import pad_batch  # noqa: F401 -- a traced binding in perfbench/spans.py
+from .model import LABELS, forward_pass, threshold_labels
+from .model import forward_batch  # noqa: F401 -- a traced binding in perfbench/spans.py
 
 # Full-scale reference point shown in report footers for context; never
 # asserted by any test.
@@ -54,17 +58,12 @@ def compute_metrics(confusion):
     return precision, recall, accuracy
 
 
-def _gated_preds(preds):
-    return preds if preds[0] else (0, 0, 0)
-
-
 def confusions_from_rows(rows, gated):
-    """Per-label confusion matrices from per-sample rows."""
+    """Per-label confusion matrices from per-sample rows; gated applies
+    threshold_labels' gate to the rows' 0.5-threshold predictions."""
     out = {label: Confusion() for label in LABELS}
     for row in rows:
-        preds = (row["pred_pragma"], row["pred_private"], row["pred_reduction"])
-        if gated:
-            preds = _gated_preds(preds)
+        preds = threshold_labels([row[f"pred_{label}"] for label in LABELS], gated)
         truths = (row["label_pragma"], row["label_private"], row["label_reduction"])
         for label, pred, truth in zip(LABELS, preds, truths):
             out[label].add(pred, truth)
@@ -102,19 +101,16 @@ def report_from_rows(rows):
 
 def predict_rows(params, config, vocab, samples, max_code=256, max_dfg=32):
     """Per-sample probabilities and 0.5-threshold predictions, in sample
-    order; the samples run in length_batches."""
+    order, from one forward_pass."""
     encodings, _ = encode_corpus(samples, vocab, max_code, max_dfg)
-    probs = np.empty((len(encodings), len(LABELS)), dtype=params["tok_emb"].dtype)
-    for batch in length_batches(encodings):
-        ids, positions, mask, _ = pad_batch([encodings[i] for i in batch])
-        probs[batch], _ = forward_batch(params, config, ids, positions, mask)
+    probs = forward_pass(params, config, encodings)
     rows = []
-    for sample, p in zip(samples, probs):
+    for sample, p in zip(samples, probs.tolist()):
         row = {"id": sample.id}
-        for label, prob in zip(LABELS, p):
-            row[f"p_{label}"] = float(prob)
+        for label, prob, pred in zip(LABELS, p, threshold_labels(p, gate=False)):
+            row[f"p_{label}"] = prob
             row[f"label_{label}"] = getattr(sample, f"label_{label}")
-            row[f"pred_{label}"] = int(prob >= 0.5)
+            row[f"pred_{label}"] = pred
         rows.append(row)
     return rows
 

@@ -5,7 +5,9 @@ Attention per head is softmax(Q·Kᵀ/scale + M)·V where M is the additive
 0/-1e9 mask from the encoder. The default scale is √(d_model/n_heads); the
 literal division by the per-head dimension is available behind
 scale_mode="d". All gradients are hand-derived so they can be verified
-against finite differences.
+against finite differences. forward_pass is the one eval-mode path: the
+validation pass of train, metrics.predict_rows and predict_source all run
+their encodings through it, and threshold_labels is the one gating rule.
 """
 
 import math
@@ -67,13 +69,6 @@ class ModelConfig:
     @property
     def attn_scale(self):
         return float(np.sqrt(self.d_head)) if self.scale_mode == "sqrt_d" else float(self.d_head)
-
-
-@dataclass
-class Prediction:
-    probs: tuple
-    labels: tuple
-    gated: bool
 
 
 def _param_groups(config):
@@ -355,12 +350,15 @@ def batch_gradients(params, config, encodings, dtype=np.float32, rng=None):
     return probs, np.array([e.labels for e in encodings], dtype=dtype), grads
 
 
-def forward_pass(params, config, encoded, gate=False):
-    """Single-sample forward in eval mode: its Prediction."""
-    ids, positions, mask, _ = pad_batch([encoded], dtype=params["tok_emb"].dtype)
-    probs, _ = forward_batch(params, config, ids, positions, mask)
-    probs = tuple(float(p) for p in probs[0])
-    return Prediction(probs, threshold_labels(probs, gate), gate)
+def forward_pass(params, config, encodings):
+    """The one eval-mode forward: the (N, 3) probabilities of encodings in
+    input order, run as length_batches, each padded to its own longest
+    member."""
+    probs = np.empty((len(encodings), len(LABELS)), dtype=params["tok_emb"].dtype)
+    for batch in length_batches(encodings):
+        ids, positions, mask, _ = pad_batch([encodings[i] for i in batch], dtype=probs.dtype)
+        probs[batch], _ = forward_batch(params, config, ids, positions, mask)
+    return probs
 
 
 # ---------------------------------------------------------------------------
@@ -416,10 +414,12 @@ def _accuracy_per_label(probs, labels):
     return (pred == ref).mean(axis=0)
 
 
-def train(samples, config=None, epochs=10, aug_mode="none", seed=0,
+def train(samples, arch=None, epochs=10, aug_mode="none", seed=0,
           min_freq=2, max_code=256, max_dfg=32, batch_size=32, lr=1e-3, log=None):
     """Train on the corpus train split with per-epoch renaming augmentation.
 
+    arch: ModelConfig keyword arguments other than vocab_size and seed,
+    which come from the vocabulary built here and from seed.
     aug_mode: none (original data), curriculum (the epoch schedule), or
     replaced (every variable renamed every epoch). Each optimizer step takes
     the next batch_size samples of a seeded permutation and runs them as
@@ -433,11 +433,7 @@ def train(samples, config=None, epochs=10, aug_mode="none", seed=0,
         raise ValueError("train and valid splits must both be non-empty")
 
     vocab = build_vocabulary(train_samples, min_freq)
-    if config is None:
-        config = ModelConfig(vocab_size=vocab.size, seed=seed)
-    elif config.vocab_size != vocab.size:
-        raise ValueError(f"config.vocab_size={config.vocab_size} but vocabulary has {vocab.size}")
-
+    config = ModelConfig(vocab_size=vocab.size, seed=seed, **(arch or {}))
     params = init_params(config)
     optimizer = Adam(params, lr=lr)
     rng = np.random.default_rng(seed)
@@ -446,7 +442,6 @@ def train(samples, config=None, epochs=10, aug_mode="none", seed=0,
     valid_encodings, valid_stats = encode_corpus(valid_samples, vocab, max_code, max_dfg)
     encode_stats["valid"] = {key: valid_stats[key]
                              for key in ("samples", "code_truncated", "dfg_truncated")}
-    valid_batches = length_batches(valid_encodings)
     valid_labels = np.array([e.labels for e in valid_encodings], dtype=np.float32)
 
     history = []
@@ -473,10 +468,7 @@ def train(samples, config=None, epochs=10, aug_mode="none", seed=0,
             total_loss += loss
             n_batches += 1
 
-        valid_probs = np.empty(valid_labels.shape, dtype=params["tok_emb"].dtype)
-        for batch in valid_batches:
-            ids, positions, mask, _ = pad_batch([valid_encodings[i] for i in batch])
-            valid_probs[batch], _ = forward_batch(params, config, ids, positions, mask)
+        valid_probs = forward_pass(params, config, valid_encodings)
         valid_loss = compute_loss(valid_probs, valid_labels)
         valid_acc = _accuracy_per_label(valid_probs, valid_labels)
         record = {
@@ -495,20 +487,15 @@ def train(samples, config=None, epochs=10, aug_mode="none", seed=0,
 
 def predict_source(params, config, vocab, source_text, gate=False,
                    with_scope=False, max_code=256, max_dfg=32):
-    """Per-loop predictions for one source file's text."""
-    results = []
-    for loop_info in extract_for_prediction(source_text, with_scope):
-        encoded = encode_sample(loop_info["sample"], vocab, max_code, max_dfg)
-        prediction = forward_pass(params, config, encoded, gate=gate)
-        results.append({
-            "loop_index": len(results),
-            "line": loop_info["line"],
-            "loop_code": loop_info["sample"].loop_code,
-            "probs": dict(zip(LABELS, prediction.probs)),
-            "labels": dict(zip(LABELS, prediction.labels)),
-            "gated": prediction.gated,
-        })
-    return results
+    """Per-loop predictions for one source file's text: every loop is
+    encoded, and the file's loops run through one forward_pass."""
+    loops = extract_for_prediction(source_text, with_scope)
+    probs = forward_pass(params, config, [encode_sample(info["sample"], vocab, max_code, max_dfg)
+                                          for info in loops])
+    return [{"loop_index": index, "line": info["line"], "loop_code": info["sample"].loop_code,
+             "probs": dict(zip(LABELS, p)), "labels": dict(zip(LABELS, threshold_labels(p, gate))),
+             "gated": gate}
+            for index, (info, p) in enumerate(zip(loops, probs.tolist()))]
 
 
 # ---------------------------------------------------------------------------
@@ -619,11 +606,12 @@ def load_model(path):
             raise ValueError("model file truncated in its header")
         (d_model, n_heads, n_layers, d_ff, max_len, vocab_size,
          seed, dropout, scale_flag) = struct.unpack(HEADER, header)
+        if scale_flag not in (0, 1):
+            raise ValueError(f"model file has scale-mode byte {scale_flag}, not 0 or 1")
         config = ModelConfig(
             vocab_size=vocab_size, d_model=d_model, n_heads=n_heads,
             n_layers=n_layers, d_ff=d_ff, max_len=max_len,
-            dropout_rate=dropout, seed=seed,
-            scale_mode="sqrt_d" if scale_flag == 0 else "d",
+            dropout_rate=dropout, seed=seed, scale_mode=("sqrt_d", "d")[scale_flag],
         )
         needed = param_bytes(config)
         held = os.fstat(fh.fileno()).st_size - fh.tell()

@@ -776,13 +776,6 @@ def emit(nodes, strip_pragmas=False):
     return texts, emitter.slots, emitter.n_tokens
 
 
-def render(node):
-    """Render an AST to canonical text: single spaces, one statement per
-    line, loop/branch bodies always braced. parse∘render is the identity on
-    parser output."""
-    return emit([node])[0][0]
-
-
 def iter_nodes(node):
     """Yield node and all descendants in depth-first program order. An
     explicit stack, not nested generators, so each node costs O(1) however

@@ -35,7 +35,7 @@ from ompadvisor.model import (
 )
 from ompadvisor.syntax import (
     _EXPRESSION_FRAMES, _PRECEDENCE, _STATEMENT_FRAMES, ASSIGN_OPS, KEYWORDS,
-    MAX_PARSE_FRAMES, TYPE_KEYWORDS, AstNode, ParseError, Token, parse_snippet,
+    MAX_PARSE_FRAMES, TYPE_KEYWORDS, AstNode, ParseError, Token, emit, parse_snippet,
     parse_source, tokenize,
 )
 
@@ -1108,6 +1108,13 @@ def reference_parse_source(source_text):
 def reference_parse_snippet(source_text):
     """Parse a bare statement/declaration sequence (loop samples, contexts)."""
     return _reference_parse(source_text, ReferenceParser.parse_snippet)
+
+
+def render(node):
+    """One node's canonical text from the package's renderer, syntax.emit:
+    single spaces, one statement per line, loop/branch bodies always braced.
+    parse∘render is the identity on parser output."""
+    return emit([node])[0][0]
 
 
 # ---------------------------------------------------------------------------

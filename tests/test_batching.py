@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import ompadvisor.encode
-from ompadvisor import metrics
+import ompadvisor.model
 from ompadvisor.corpus import extract_from_source
 from ompadvisor.encode import (
     BATCH_CELLS, build_vocabulary, encode_corpus, encode_sample, length_batches, pad_batch,
@@ -120,13 +120,14 @@ def test_predict_rows_pads_no_more_than_twice_the_real_cells(mixed, monkeypatch)
     interleaved = [s for pair in zip(long * 19, short) for s in pair]  # long, short, ...
     padded = []
 
-    def counting_pad_batch(encodings, *args):
-        out = pad_batch(encodings, *args)
+    def counting_pad_batch(encodings, *args, **kwargs):
+        out = pad_batch(encodings, *args, **kwargs)
         padded.append(out[0].shape)
         return out
 
-    monkeypatch.setattr(metrics, "pad_batch", counting_pad_batch)
+    monkeypatch.setattr(ompadvisor.model, "pad_batch", counting_pad_batch)
     predict_rows(params, config, vocab, interleaved)
+    assert padded
     real = sum(e.length ** 2 for e in encodings_of(interleaved, vocab))
     assert sum(b * length ** 2 for b, length in padded) <= 2 * real
 

@@ -13,6 +13,7 @@ from ompadvisor.augment import rename_variables
 from ompadvisor.cli import UsageError, build_parser, execute_command
 from ompadvisor.corpus import extract_for_prediction, extract_from_source
 from ompadvisor.metrics import report_from_rows, rows_from_csv
+from ompadvisor.model import load_model
 from ompadvisor.synthetic import generate_synthetic_corpus
 from ompadvisor.syntax import ParseError
 
@@ -415,7 +416,7 @@ def test_evaluate_empty_split_is_a_data_error(model_dir, tmp_path, capsys):
     ("--batch-size", "-1"), ("--batch-size", "0"), ("--epochs", "-1"), ("--epochs", "0"),
     ("--max-code", "-5"), ("--max-dfg", "-1"), ("--dropout", "-0.5"), ("--dropout", "1"),
     ("--dropout", "nan"), ("--epochs", "two"), ("--lr", "-1"), ("--lr", "inf"),
-    ("--seed", "-1"),
+    ("--seed", "-1"), ("--seed", str(2**63)),
 ])
 def test_train_rejects_bad_numeric_option(model_dir, tmp_path, capsys, option, value):
     corpus, _ = model_dir
@@ -435,6 +436,18 @@ def test_train_accepts_lower_bounds(model_dir, tmp_path, capsys):
     ]) == 0
 
 
+def test_train_accepts_largest_seed(model_dir, tmp_path):
+    """model.bin stores the seed as a signed 64-bit integer: 2**63 - 1 is
+    the largest train --seed and survives the round trip."""
+    corpus, _ = model_dir
+    out = tmp_path / "m"
+    assert execute_command([
+        "train", str(corpus), "--epochs", "1", "--d-model", "2", "--n-heads", "1",
+        "--n-layers", "1", "--d-ff", "1", "--seed", str(2**63 - 1), "-o", str(out),
+    ]) == 0
+    assert load_model(out / "model.bin")[1].seed == 2**63 - 1
+
+
 def _edit_vocab(edit):
     def mutate(raw):
         data = json.loads(raw)
@@ -443,12 +456,15 @@ def _edit_vocab(edit):
     return mutate
 
 
-def _set_header_field(offset, value):
+def _set_header_field(offset, value, fmt="<I"):
     def mutate(raw):
         data = bytearray(raw)
-        struct.pack_into("<I", data, offset, value)
+        struct.pack_into(fmt, data, offset, value)
         return bytes(data)
     return mutate
+
+
+SCALE_BYTE = len(b"OMPF1") + struct.calcsize("<6Iqf")  # 0 sqrt_d, 1 d
 
 
 # (file in the model directory, how it is changed, predict's exit code)
@@ -469,6 +485,8 @@ MODEL_DIR_EDITS = {
     "model_truncated": ("model.bin", lambda raw: raw[:-4], 2),
     "model_header_truncated": ("model.bin", lambda raw: raw[:12], 2),
     "model_zero_heads": ("model.bin", _set_header_field(len(b"OMPF1") + 4, 0), 2),
+    "model_scale_d": ("model.bin", _set_header_field(SCALE_BYTE, 1, "<B"), 0),
+    "model_scale_byte_7": ("model.bin", _set_header_field(SCALE_BYTE, 7, "<B"), 2),
 }
 
 

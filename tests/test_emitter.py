@@ -12,11 +12,11 @@ from ompadvisor import corpus, syntax
 from ompadvisor.augment import rename_variables
 from ompadvisor.corpus import extract_for_prediction, extract_from_source
 from ompadvisor.syntax import (
-    _STATEMENT_KINDS, ParseError, iter_nodes, parse_snippet, parse_source, render,
+    _STATEMENT_KINDS, ParseError, iter_nodes, parse_snippet, parse_source,
 )
 from oracles import (
     gen_source_program, reference_extract_for_prediction, reference_extract_from_source,
-    reference_render, reference_rename_variables,
+    reference_render, reference_rename_variables, render,
 )
 from test_cli import (
     C_LIKE, TERM_CHAIN_BOUND, nested_loops_source, prefix_chain_source, term_chain_source,

@@ -1,3 +1,4 @@
+import itertools
 import math
 import os
 import subprocess
@@ -9,7 +10,7 @@ import pytest
 
 import ompadvisor.encode
 import ompadvisor.model
-from ompadvisor.corpus import extract_from_source
+from ompadvisor.corpus import extract_for_prediction
 from ompadvisor.encode import (
     MASK_NEG, PAD_ID, build_vocabulary, encode_corpus, encode_sample, length_batches,
 )
@@ -421,22 +422,24 @@ def test_threshold_and_gate_rules():
 
 
 def test_forward_pass_returns_prediction():
+    """forward_pass gives one row of 3 probabilities per encoding, in input
+    order, each the train-mode forward's for that encoding alone."""
     samples = generate_synthetic_corpus(n=20, seed=3)
     vocab = build_vocabulary(samples, min_freq=1)
     config = ModelConfig(vocab_size=vocab.size, d_model=16, n_heads=2,
                          n_layers=1, d_ff=32, seed=0)
     params = init_params(config)
-    enc = encode_sample(samples[0], vocab)
-    prediction = forward_pass(params, config, enc, gate=True)
-    assert len(prediction.probs) == 3
-    assert all(0.0 < p < 1.0 for p in prediction.probs)
-    assert prediction.gated
-    if prediction.labels[0] == 0:
-        assert prediction.labels == (0, 0, 0)
-    ids, positions, mask, _ = pad_batch([enc])
-    probs, cache = forward_batch(params, config, ids, positions, mask, train=True)
-    assert cache["hidden"].shape == (1, enc.length, config.d_model)
-    np.testing.assert_allclose(prediction.probs, probs[0], rtol=0, atol=2e-7)
+    encodings = [encode_sample(s, vocab) for s in samples]
+    assert len({e.length for e in encodings}) > 1
+    probs = forward_pass(params, config, encodings)
+    assert probs.shape == (len(encodings), 3) and probs.dtype == np.float32
+    assert np.all((0.0 < probs) & (probs < 1.0))
+    for enc, row in zip(encodings, probs):
+        ids, positions, mask, _ = pad_batch([enc])
+        alone, cache = forward_batch(params, config, ids, positions, mask, train=True)
+        assert cache["hidden"].shape == (1, enc.length, config.d_model)
+        np.testing.assert_allclose(row, alone[0], rtol=0, atol=2e-7)
+    assert forward_pass(params, config, []).shape == (0, 3)
 
 
 def test_predict_source_runs_per_loop():
@@ -465,6 +468,51 @@ void f(int n, double *a, double *b) {
     for r in results:
         assert set(r["probs"]) == {"pragma", "private", "reduction"}
         assert r["gated"] is True
+
+
+@pytest.mark.parametrize("gate", [False, True])
+def test_predict_source_matches_single_sample_runs_in_loop_order(gate):
+    """predict_source runs a file's loops through one forward_pass; each
+    loop's probabilities are its single-sample forward_batch run's, in loop
+    order, and its labels are threshold_labels of them."""
+    samples = generate_synthetic_corpus(n=30, seed=5)
+    vocab = build_vocabulary(samples, min_freq=1)
+    config = ModelConfig(vocab_size=vocab.size, d_model=16, n_heads=2,
+                         n_layers=2, d_ff=32, seed=0)
+    params = init_params(config)
+    source = """
+void f(int n, double *a, double *b, double s) {
+  int i, j;
+  for (i = 0; i < n; i++) {
+    s += a[i] * b[i] + a[i] * a[i] - b[i] / (a[i] + 1.0) + s * 0.5;
+  }
+  for (i = 1; i < n; i++) a[i] = a[i - 1];
+  for (i = 0; i < n; i++) {
+    for (j = 0; j < n; j++) {
+      a[i * n + j] = b[j * n + i] + s;
+    }
+  }
+  for (j = 0; j < n; j++) b[j] = 0.0;
+}
+"""
+    loops = extract_for_prediction(source)
+    encodings = [encode_sample(info["sample"], vocab) for info in loops]
+    assert len(encodings) == 5 and len({e.length for e in encodings}) == 5
+    assert [e.length for e in encodings] != sorted(e.length for e in encodings)
+    alone = []
+    for enc in encodings:
+        ids, positions, mask, _ = pad_batch([enc])
+        alone.append(forward_batch(params, config, ids, positions, mask)[0][0])
+    # rows out of loop order could not pass unnoticed
+    assert min(np.abs(a - b).max() for a, b in itertools.combinations(alone, 2)) > 1e-6
+    results = predict_source(params, config, vocab, source, gate=gate)
+    assert [r["loop_index"] for r in results] == list(range(5))
+    assert [r["line"] for r in results] == [info["line"] for info in loops]
+    for r, expected in zip(results, alone):
+        got = [r["probs"][label] for label in LABELS]
+        np.testing.assert_allclose(got, expected, rtol=0, atol=2e-7)
+        assert tuple(r["labels"][label] for label in LABELS) == threshold_labels(got, gate)
+        assert r["gated"] is gate
 
 
 # ---------------------------------------------------------------------------
@@ -567,9 +615,6 @@ def test_training_steps_run_length_sub_batches_within_the_budget(mini_corpus, mo
     batches, so padding a batch whole fails the budget check."""
     monkeypatch.setattr(ompadvisor.encode, "BATCH_CELLS", 4000)
     seed, batch_size, epochs = 13, 16, 2
-    train_split = [s for s in mini_corpus if s.split == "train"]
-    config = ModelConfig(vocab_size=build_vocabulary(train_split, 1).size, dropout_rate=0.0,
-                         seed=seed)
     encoded = []  # per encode_corpus call: its encodings
     padded, steps = [], []  # the encodings of each pad, and the pads before each step
 
@@ -599,7 +644,7 @@ def test_training_steps_run_length_sub_batches_within_the_budget(mini_corpus, mo
     monkeypatch.setattr(ompadvisor.model, "forward_batch", recording_forward)
     monkeypatch.setattr(Adam, "step", recording_step)
     steps.append([])
-    train(mini_corpus, config=config, epochs=epochs, aug_mode="none", seed=seed, min_freq=1,
+    train(mini_corpus, arch={"dropout_rate": 0.0}, epochs=epochs, aug_mode="none", seed=seed, min_freq=1,
           batch_size=batch_size)
     steps.pop()  # opened by the last step; only eval-mode forwards follow it
 

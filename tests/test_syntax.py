@@ -4,12 +4,11 @@ from hypothesis import strategies as st
 
 from ompadvisor import syntax
 from ompadvisor.syntax import (
-    AstNode, ParseError, _strip_comments, iter_nodes, parse_snippet, parse_source,
-    render, tokenize,
+    AstNode, ParseError, _strip_comments, iter_nodes, parse_snippet, parse_source, tokenize,
 )
 from oracles import (
     ReferenceParser, ast_equal, gen_source_program, reference_parse_snippet,
-    reference_parse_source, reference_strip_comments, reference_tokenize,
+    reference_parse_source, reference_strip_comments, reference_tokenize, render,
 )
 from test_cli import C_LIKE
 
