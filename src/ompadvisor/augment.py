@@ -3,16 +3,17 @@
 Epoch 1 trains on original data; each later epoch renames a growing fraction
 of each sample's distinct variables (10% more per epoch, capped at 40%).
 Renamed variables become `var<k>` with a fresh random index, applied
-consistently across the loop, its context and any pragma clause arguments.
+consistently across the loop, its context, its data-flow nodes and any
+pragma clause arguments. A rename only relabels: the id and the data-flow
+edges stay as they are.
 """
 
 import random
 from dataclasses import replace
 
-from .corpus import content_hash
-from .dfg import build_dfg, dfg_to_json
+from .dfg import build_dfg  # noqa: F401 -- a traced binding in perfbench/spans.py
 from .pragmas import VAR_LIST_CLAUSES, parse_omp_pragma, render_omp_pragma
-from .syntax import emit, iter_nodes, parse_snippet
+from .syntax import iter_nodes, parse_snippet
 
 CURRICULUM_CAP = 0.4
 
@@ -35,10 +36,6 @@ def fraction_for_mode(mode, epoch):
     raise ValueError(f"unknown augmentation mode: {mode!r}")
 
 
-def _variable_names(snippet):
-    return sorted({n.attrs["name"] for n in iter_nodes(snippet) if n.kind == "Identifier"})
-
-
 def _rename_pragma(raw, mapping):
     pragma = parse_omp_pragma(raw)
     touched = False
@@ -55,11 +52,15 @@ def rename_variables(sample, fraction, seed):
     """Rename ⌊fraction·|V|⌋ of the sample's distinct variables to var<k>.
 
     Selection is a seeded shuffle of the sorted name list; indices are drawn
-    in [0, 9999] and redrawn until unique within the sample. Labels are
-    unchanged and the DFG is rebuilt. fraction=0 returns the sample as-is.
+    in [0, 9999] and redrawn until no identifier of the sample, call names
+    included, has the name. A rename is a relabeling: the new names are
+    written over the old ones' tokens in the text and the data-flow nodes,
+    and the id, the labels and the graph's edges are unchanged. fraction=0
+    returns the sample as-is.
     """
-    snippet, _ = parse_snippet(sample.source_text())
-    names = _variable_names(snippet)
+    snippet, tokens = parse_snippet(sample.source_text())
+    idents = [n for n in iter_nodes(snippet) if n.kind == "Identifier"]
+    names = sorted({n.attrs["name"] for n in idents})
     count = int(fraction * len(names))
     if count == 0:
         return replace(sample)
@@ -69,7 +70,7 @@ def rename_variables(sample, fraction, seed):
     rng.shuffle(order)
     chosen = order[:count]
 
-    taken = set(names)
+    taken = {t.lexeme for t in tokens if t.kind == "identifier"}
     mapping = {}
     for name in chosen:
         while True:
@@ -81,20 +82,23 @@ def rename_variables(sample, fraction, seed):
 
     if snippet.children[-1].kind != "ForStmt":
         raise ValueError("sample snippet does not end with a for-loop")
-    for node in iter_nodes(snippet):  # the snippet is this call's own parse
-        if node.kind == "Identifier" and node.attrs["name"] in mapping:
-            node.attrs["name"] = mapping[node.attrs["name"]]
-
-    texts, slots, _ = emit(snippet.children)
+    lines = sample.source_text().split("\n")
+    for node in sorted(idents, key=lambda n: n.token_span[0], reverse=True):
+        if node.attrs["name"] in mapping:  # right to left, so columns hold
+            tok = tokens[node.token_span[0]]
+            text = lines[tok.line - 1]
+            lines[tok.line - 1] = (text[:tok.col - 1] + mapping[tok.lexeme]
+                                   + text[tok.col - 1 + len(tok.lexeme):])
+    n_context = sample.context_code.count("\n") + 1 if sample.context_code else 0
     pragma_raw = sample.pragma_raw
     if pragma_raw is not None:
         pragma_raw = _rename_pragma(pragma_raw, mapping)
 
     return replace(
         sample,
-        id=content_hash(texts[-1]),
-        loop_code=texts[-1],
-        context_code="\n".join(texts[:-1]),
+        loop_code="\n".join(lines[n_context:]),
+        context_code="\n".join(lines[:n_context]),
         pragma_raw=pragma_raw,
-        dfg=dfg_to_json(build_dfg(snippet, slots)),
+        dfg=dict(sample.dfg, nodes=[[mapping.get(name, name), slot]
+                                    for name, slot in sample.dfg["nodes"]]),
     )

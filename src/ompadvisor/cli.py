@@ -45,9 +45,10 @@ def _in_range(convert, low, high=float("inf")):
     return parse
 
 
-def _write_run_config(path, command, options):
+def _write_run_config(path, args, **extra):
+    """The command's parsed options, and any extra derived ones."""
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump({"command": command, **options}, fh, indent=2, sort_keys=True)
+        json.dump({**vars(args), **extra}, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
@@ -132,10 +133,7 @@ def _cmd_build_corpus(args):
         args.src_dir, args.out, with_scope=args.with_scope,
         benchmarks_dir=args.benchmarks, seed=args.seed,
     )
-    _write_run_config(Path(args.out) / "run_config.json", "build-corpus", {
-        "src_dir": args.src_dir, "with_scope": args.with_scope,
-        "benchmarks": args.benchmarks, "seed": args.seed, "out": args.out,
-    })
+    _write_run_config(Path(args.out) / "run_config.json", args)
     print(f"corpus: {len(samples)} samples, {len(rejects)} rejects -> {args.out}")
     print("rejects: " + ", ".join(f"{reason} {n}" for reason, n in stats["rejects"].items()))
     return 0
@@ -146,10 +144,7 @@ def _cmd_augment(args):
     fraction = fraction_for_mode(args.mode, args.epoch)
     out = [rename_variables(s, fraction, args.seed + args.epoch) for s in samples]
     write_jsonl(args.out, [s.to_json_dict() for s in out])
-    _write_run_config(f"{args.out}.run_config.json", "augment", {
-        "corpus": args.corpus, "mode": args.mode, "epoch": args.epoch,
-        "seed": args.seed, "fraction": fraction, "out": args.out,
-    })
+    _write_run_config(f"{args.out}.run_config.json", args, fraction=fraction)
     print(f"augmented {len(out)} samples at fraction {fraction} -> {args.out}")
     return 0
 
@@ -183,14 +178,7 @@ def _cmd_train(args):
     with open(out / "encode_stats.json", "w", encoding="utf-8") as fh:
         json.dump(result.encode_stats, fh, indent=2)
         fh.write("\n")
-    _write_run_config(out / "run_config.json", "train", {
-        "corpus_dir": args.corpus_dir, "aug": args.aug, "epochs": args.epochs,
-        "seed": args.seed, "batch_size": args.batch_size, "lr": args.lr,
-        "d_model": args.d_model, "n_heads": args.n_heads,
-        "n_layers": args.n_layers, "d_ff": args.d_ff, "dropout": args.dropout,
-        "min_freq": args.min_freq, "max_code": args.max_code,
-        "max_dfg": args.max_dfg, "scale_mode": args.scale_mode, "out": args.out,
-    })
+    _write_run_config(out / "run_config.json", args)
     print(f"model -> {out}")
     return 0
 
@@ -263,10 +251,7 @@ def _cmd_evaluate(args):
         fh.write(format_report(report))
     with open(out / "per_sample.csv", "w", encoding="utf-8") as fh:
         fh.write(rows_to_csv(rows))
-    _write_run_config(out / "run_config.json", "evaluate", {
-        "model_dir": args.model_dir, "corpus": args.corpus, "gate": args.gate,
-        "split": args.split, "out": args.out,
-    })
+    _write_run_config(out / "run_config.json", args)
     mode = "gated" if args.gate else "raw"
     block = report[mode]
     print(f"scored split {args.split}: n={len(samples)}")

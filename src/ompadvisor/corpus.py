@@ -225,19 +225,18 @@ def _loops(unit, tokens):
                     yield func, loop, tokens[loop.token_span[0]].line
 
 
-def _build_sample(func, loop, loop_code, loop_slots, with_scope, **fields):
+def _build_sample(func, loop, with_scope, **fields):
     """The sample for one loop: its scope context when asked for, and the
-    data-flow graph of context plus loop over the file's AST and the slots
-    of the emitted text."""
+    data-flow graph of context plus loop over the file's AST at the slots
+    of one emitted text."""
     context = []
     if with_scope:
         used = _used_variables(loop)
         context = [p for p in func.children[:-1] if _declared_name(p) in used]
         _context_statements(func.children[-1], loop, used, context)
-    context_lines, slots, n_context = emit(context, strip_pragmas=True)
-    slots.update((key, n_context + slot) for key, slot in loop_slots.items())
+    texts, slots, _ = emit(context + [loop], strip_pragmas=True)
     snippet = AstNode("TranslationUnit", context + [loop])
-    return Sample(loop_code=loop_code, context_code="\n".join(context_lines),
+    return Sample(loop_code=texts[-1], context_code="\n".join(texts[:-1]),
                   dfg=dfg_to_json(build_dfg(snippet, slots)),
                   offset=loop.token_span[0], **fields)
 
@@ -282,19 +281,18 @@ def extract_from_source(source_text, path, with_scope=False):
             rejects.append(Reject(path, line, "barrier_critical_atomic"))
             continue
         try:
-            (loop_code,), loop_slots, _ = emit([loop], strip_pragmas=True)
-            sample_id = content_hash(loop_code)
-            if sample_id in seen_hashes:
-                rejects.append(Reject(path, line, "nested_duplicate"))
-                continue
-            sample = _build_sample(func, loop, loop_code, loop_slots, with_scope,
-                                   id=sample_id, path=path, **_labels(attached))
+            sample = _build_sample(func, loop, with_scope, id="", path=path,
+                                   **_labels(attached))
         except (ParseError, RecursionError):
             # The loop parsed, but its canonical text nests too deeply to
             # read back (long prefix chains like !!!...x, written !(!(...))).
             rejects.append(Reject(path, line, "parse_error"))
             continue
-        seen_hashes.add(sample_id)
+        sample.id = content_hash(sample.loop_code)
+        if sample.id in seen_hashes:
+            rejects.append(Reject(path, line, "nested_duplicate"))
+            continue
+        seen_hashes.add(sample.id)
         samples.append(sample)
     return samples, rejects
 
@@ -306,7 +304,8 @@ def extract_samples(file_path, with_scope=False, rel_path=None):
 
 
 def extract_for_prediction(source_text, with_scope=False):
-    """Every loop in the file as an unlabeled sample, no exclusion rules.
+    """Every loop in the file as an unlabeled sample, no exclusion rules and
+    no id, which nothing reads.
 
     Returns a list of {"sample": Sample, "line": int}; raises ParseError if
     the file does not parse.
@@ -315,9 +314,7 @@ def extract_for_prediction(source_text, with_scope=False):
     out = []
     for func, loop, line in _loops(unit, tokens):
         try:
-            (loop_code,), loop_slots, _ = emit([loop], strip_pragmas=True)
-            sample = _build_sample(func, loop, loop_code, loop_slots, with_scope,
-                                   id=content_hash(loop_code), path="<input>",
+            sample = _build_sample(func, loop, with_scope, id="", path="<input>",
                                    **_labels(None))
         except (ParseError, RecursionError):
             start = tokens[loop.token_span[0]]

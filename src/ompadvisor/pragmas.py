@@ -1,5 +1,6 @@
 """Parsing and rendering of `#pragma omp` directive lines."""
 
+import re
 from dataclasses import dataclass, field
 
 REDUCTION_OPS = frozenset({"+", "*", "-", "&", "|", "^", "&&", "||", "min", "max"})
@@ -31,34 +32,15 @@ class OmpPragma:
         return any(c.name == name for c in self.clauses)
 
 
+# A pragma line's words, parens, commas, colons and operators: "&&" and "||"
+# whole, and "-" alone only where a separator or the end follows (\Z, since
+# $ also matches before a final newline). Whitespace matches with no group.
+_WORD_RE = re.compile(r"[ \t]+|(&&|\|\||[(),:&|+*^]|-(?=[ \t:,)]|\Z)|[^ \t(),:&|]+)")
+
+
 def _split_words(raw):
     """Tokenize a pragma line into words, parens, commas and colons."""
-    out = []
-    i, n = 0, len(raw)
-    while i < n:
-        c = raw[i]
-        if c in " \t":
-            i += 1
-        elif c in "(),:":
-            out.append(c)
-            i += 1
-        elif c in "&|":
-            if i + 1 < n and raw[i + 1] == c:
-                out.append(c + c)
-                i += 2
-            else:
-                out.append(c)
-                i += 1
-        elif c in "+*^" or (c == "-" and (i + 1 >= n or raw[i + 1] in " \t:,)")):
-            out.append(c)
-            i += 1
-        else:
-            j = i
-            while j < n and raw[j] not in " \t(),:&|":
-                j += 1
-            out.append(raw[i:j])
-            i = j
-    return out
+    return [w for w in _WORD_RE.findall(raw) if w]
 
 
 def parse_omp_pragma(raw):

@@ -170,6 +170,9 @@ def tokenize(source_text):
                 raise ParseError(line, col, "closing quote", got)
             tokens.append(Token("string-literal" if lexeme[0] == '"' else "char-literal",
                                 lexeme, line, col))
+            if "\n" in lexeme:  # continued by backslash-newline
+                line += lexeme.count("\n")
+                line_start = match.start() + lexeme.rindex("\n") + 1
         elif kind == "other":
             raise ParseError(line, col, "a token", lexeme)
     return tokens

@@ -11,9 +11,11 @@ sub-batches replaced, the reference forward is the encoder forward that
 ran the last layer at every row in eval mode, the reference data-flow
 builder is the two-pass loop analysis the one-pass builder replaced, the
 reference parser is the one-function-per-precedence-level parser that
-precedence climbing replaced, and the reference renderer, extraction and
-renaming are the string renderer and the re-parsing sample builders that
-the slot-emitting renderer replaced.
+precedence climbing replaced, the reference renderer and extraction are
+the string renderer and the re-parsing sample builders that the
+slot-emitting renderer replaced, and the reference renaming rebuilds a
+renamed sample from scratch (render, re-parse, data flow, hash), which
+the relabeling in augment.rename_variables replaced.
 """
 
 import random
@@ -21,7 +23,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from ompadvisor.augment import _rename_pragma, _variable_names
+from ompadvisor.augment import _rename_pragma
 from ompadvisor.corpus import (
     Reject, Sample, _attached_pragma, _context_statements, _declared_name,
     _has_blocking_pragma, _labels, _loop_is_empty, _loops, _parent_map, _used_variables,
@@ -35,8 +37,8 @@ from ompadvisor.model import (
 )
 from ompadvisor.syntax import (
     _EXPRESSION_FRAMES, _PRECEDENCE, _STATEMENT_FRAMES, ASSIGN_OPS, KEYWORDS,
-    MAX_PARSE_FRAMES, TYPE_KEYWORDS, AstNode, ParseError, Token, emit, parse_snippet,
-    parse_source, tokenize,
+    MAX_PARSE_FRAMES, TYPE_KEYWORDS, AstNode, ParseError, Token, emit, iter_nodes,
+    parse_snippet, parse_source, tokenize,
 )
 
 VARS = ["a", "b", "c", "d", "e", "f"]
@@ -335,8 +337,13 @@ def reference_tokenize(source_text):
             if j >= n:
                 raise ParseError(line, col, "closing quote", "end of input")
             kind = "string-literal" if c == '"' else "char-literal"
-            tokens.append(Token(kind, text[i : j + 1], line, col))
-            col += j + 1 - i
+            lexeme = text[i : j + 1]
+            tokens.append(Token(kind, lexeme, line, col))
+            if "\n" in lexeme:  # continued by backslash-newline
+                line += lexeme.count("\n")
+                col = len(lexeme) - lexeme.rindex("\n")
+            else:
+                col += len(lexeme)
             i = j + 1
             continue
         for op in _OPERATORS:
@@ -1341,14 +1348,19 @@ def _reference_rename_tree(node, mapping):
                    node.token_span, attrs)
 
 
+def _variable_names(snippet):
+    return sorted({n.attrs["name"] for n in iter_nodes(snippet) if n.kind == "Identifier"})
+
+
 def reference_rename_variables(sample, fraction, seed):
     """Rename ⌊fraction·|V|⌋ of the sample's distinct variables to var<k>.
 
     Selection is a seeded shuffle of the sorted name list; indices are drawn
-    in [0, 9999] and redrawn until unique within the sample. Labels are
-    unchanged and the DFG is rebuilt. fraction=0 returns the sample as-is.
+    in [0, 9999] and redrawn until no identifier of the sample, call names
+    included, has the name. Labels are unchanged; the text, the DFG and the
+    id are rebuilt. fraction=0 returns the sample as-is.
     """
-    snippet, _ = parse_snippet(sample.source_text())
+    snippet, tokens = parse_snippet(sample.source_text())
     names = _variable_names(snippet)
     count = int(fraction * len(names))
     if count == 0:
@@ -1359,7 +1371,7 @@ def reference_rename_variables(sample, fraction, seed):
     rng.shuffle(order)
     chosen = order[:count]
 
-    taken = set(names)
+    taken = {t.lexeme for t in tokens if t.kind == "identifier"}
     mapping = {}
     for name in chosen:
         while True:
@@ -1391,3 +1403,37 @@ def reference_rename_variables(sample, fraction, seed):
     new_snippet, _ = parse_snippet(new_sample.source_text())
     new_sample.dfg = dfg_to_json(build_dfg(new_snippet))
     return new_sample
+
+
+# ---------------------------------------------------------------------------
+# reference pragma word splitter: the hand lexer the word regex replaced
+
+
+def reference_split_words(raw):
+    """Tokenize a pragma line into words, parens, commas and colons."""
+    out = []
+    i, n = 0, len(raw)
+    while i < n:
+        c = raw[i]
+        if c in " \t":
+            i += 1
+        elif c in "(),:":
+            out.append(c)
+            i += 1
+        elif c in "&|":
+            if i + 1 < n and raw[i + 1] == c:
+                out.append(c + c)
+                i += 2
+            else:
+                out.append(c)
+                i += 1
+        elif c in "+*^" or (c == "-" and (i + 1 >= n or raw[i + 1] in " \t:,)")):
+            out.append(c)
+            i += 1
+        else:
+            j = i
+            while j < n and raw[j] not in " \t(),:&|":
+                j += 1
+            out.append(raw[i:j])
+            i = j
+    return out

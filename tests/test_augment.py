@@ -5,8 +5,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from ompadvisor.augment import curriculum_ratio, fraction_for_mode, rename_variables
-from ompadvisor.corpus import extract_from_source
+from ompadvisor.corpus import content_hash, extract_from_source
+from ompadvisor.dfg import build_dfg, dfg_to_json
 from ompadvisor.pragmas import parse_omp_pragma
+from ompadvisor.synthetic import generate_synthetic_corpus
 from ompadvisor.syntax import iter_nodes, parse_snippet, tokenize
 
 
@@ -152,3 +154,46 @@ def test_unparseable_sample_raises(reduction_sample):
     broken = replace(reduction_sample, loop_code="for (i = 0; i < n; i++ {")
     with pytest.raises(ParseError):
         rename_variables(broken, 0.5, seed=1)
+
+
+@pytest.fixture(scope="module")
+def synthetic_samples():
+    return generate_synthetic_corpus(n=2000)
+
+
+def identifiers(sample):
+    return [t.lexeme for t in tokenize(sample.source_text()) if t.kind == "identifier"]
+
+
+@pytest.mark.parametrize("fraction", [0.1, 0.4, 1.0])
+def test_rename_is_a_relabeling(synthetic_samples, fraction):
+    """A rename is a bijection on identifiers that keeps the id and the
+    graph's edges and maps the graph's names as it maps the text's; the
+    text, graph and id are also what deriving them anew gives."""
+    for k, sample in enumerate(synthetic_samples):
+        renamed = rename_variables(sample, fraction, seed=k)
+        before, after = identifiers(sample), identifiers(renamed)
+        mapping = dict(zip(before, after))
+        assert [mapping[name] for name in before] == after
+        assert len(set(mapping.values())) == len(mapping)
+        assert renamed.id == sample.id == content_hash(renamed.loop_code)
+        assert renamed.dfg == {
+            "nodes": [[mapping[name], slot] for name, slot in sample.dfg["nodes"]],
+            "edges": sample.dfg["edges"]}
+        assert renamed.dfg == dfg_to_json(build_dfg(parse_snippet(renamed.source_text())[0]))
+
+
+def test_no_variable_takes_a_call_name():
+    """At seed 7, n's first draw is the called function's name; a redraw
+    keeps the identifiers distinct, so the id does not change."""
+    source = ("void f(int n, double *a) {\nint i;\nfor (i = 0; i < n; i++) {\n"
+              "a[i] = var6468(i);\n}\n}\n")
+    (sample,), _ = extract_from_source(source, "t.c")
+    assert sample.id == "9a6f6a379b219687"
+    for fraction in (0.4, 1.0):
+        renamed = rename_variables(sample, fraction, seed=7)
+        snippet, _ = parse_snippet(renamed.source_text())
+        assert [n.attrs["name"] for n in iter_nodes(snippet) if n.kind == "Call"] == ["var6468"]
+        assert "var6468" not in variable_names(renamed)
+        assert renamed.id == sample.id
+        assert "n" not in variable_names(renamed)

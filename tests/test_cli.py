@@ -160,6 +160,28 @@ def test_predict_a_loop_storing_through_a_computed_base(model_dir, tmp_path, cap
     assert [loop["line"] for loop in payload] == [3, 6]
 
 
+# A string literal continued by backslash-newline spans lines 3 and 4.
+CONTINUED_LITERAL = 'void f(int n, double *a, char *s) {\nint i;\ns = "ab\\\ncd";\n'
+
+
+def test_predict_counts_lines_inside_a_continued_literal(model_dir, tmp_path, capsys):
+    _, out = model_dir
+    source = tmp_path / "kernel.c"
+    source.write_text(CONTINUED_LITERAL + "for (i = 0; i < n; i++) {\na[i] = i;\n}\n}\n")
+    assert execute_command(["predict", str(out), str(source), "--json"]) == 0
+    assert [loop["line"] for loop in json.loads(capsys.readouterr().out)] == [5]
+
+
+def test_build_corpus_counts_lines_inside_a_continued_literal(tmp_path, capsys):
+    src = tmp_path / "src"
+    src.mkdir()
+    (src / "bad.c").write_text(CONTINUED_LITERAL + "n = n @ 1;\n}\n")
+    assert execute_command(["build-corpus", str(src), "-o", str(tmp_path / "corpus")]) == 0
+    rejects = (tmp_path / "corpus" / "rejects.jsonl").read_text().splitlines()
+    assert [json.loads(line) for line in rejects] == [
+        {"path": "bad.c", "line": 5, "reason": "parse_error"}]
+
+
 def test_predict_plain_output(model_dir, tmp_path, capsys):
     _, out = model_dir
     source = tmp_path / "empty.c"

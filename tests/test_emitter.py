@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from ompadvisor import corpus, syntax
+from ompadvisor import augment, corpus, dfg, syntax
 from ompadvisor.augment import rename_variables
 from ompadvisor.corpus import extract_for_prediction, extract_from_source
 from ompadvisor.syntax import (
@@ -107,7 +107,9 @@ def _extracted(extract, text, scope):
 
 
 def _predicted(extract, text, scope):
-    return [(p["line"], _samples([p["sample"]])) for p in extract(text, scope)]
+    """Each loop's line and sample, without the id: prediction leaves it empty."""
+    return [(p["line"], {k: v for k, v in p["sample"].to_json_dict().items() if k != "id"},
+             p["sample"].offset) for p in extract(text, scope)]
 
 
 def _postfix_on_prefix(text):
@@ -179,6 +181,10 @@ def assert_extracts_like_reference(text):
 @example(prefix_chain_source(34))
 @example("void f(int n, double *a, int *p) {\nint i;\nfor (i = 0; i < n; i++) {\n"
          "a[i] = f(x)[i] + -(-x) + !(!(x)) + (a = b)[i] + p[i]++;\nf(x)[i] = 1;\n}\n}\n")
+@example("void f(int n, double *a, char *s) {\nint i;\ns = \"ab\\\ncd\";\n"
+         "for (i = 0; i < n; i++) {\na[i] = g(s, \"x\\\ny\", i) + n;\n}\n}\n")
+@example("void f(int n, double *a) {\nint i;\nfor (i = 0; i < n; i++) {\n"
+         "a[i] = var6468(i);\n}\n}\n")
 def test_extraction_matches_reference(text):
     assume(not _postfix_on_prefix(text))
     assert_extracts_like_reference(text)
@@ -234,19 +240,22 @@ def test_postfix_operator_keeps_a_prefix_operand_parenthesized():
 
 @pytest.fixture
 def counted(monkeypatch):
-    """Counts of parses and tokenizations, wherever they are called from;
-    corpus's parse_snippet binding fails if called."""
-    counts = {"parse": 0, "tokenize": 0}
+    """Counts of parses, tokenizations, renderings, data-flow builds and
+    content hashes, wherever they are called from; corpus's parse_snippet
+    binding fails if called."""
+    counts = dict.fromkeys(("parse", "tokenize", "emit", "build_dfg", "content_hash"), 0)
 
     def counting(name, fn):
-        def wrapper(*args):
+        def wrapper(*args, **kwargs):
             counts[name] += 1
-            return fn(*args)
+            return fn(*args, **kwargs)
         return wrapper
 
     monkeypatch.setattr(syntax, "_parse", counting("parse", syntax._parse))
-    monkeypatch.setattr(syntax, "tokenize", counting("tokenize", syntax.tokenize))
-    monkeypatch.setattr(corpus, "tokenize", counting("tokenize", corpus.tokenize))
+    for module in (syntax, corpus, augment, dfg):
+        for name in ("tokenize", "emit", "build_dfg", "content_hash"):
+            if name in vars(module):
+                monkeypatch.setattr(module, name, counting(name, vars(module)[name]))
 
     def no_snippet_parse(text):
         raise AssertionError("extraction re-parsed a snippet")
@@ -260,18 +269,22 @@ def test_extraction_parses_once_and_tokenizes_once_per_loop(counted, scope):
     text = nested_loops_source(4) + gen_source_program(13)
     n_loops = sum(n.kind == "ForStmt" for n in iter_nodes(parse_source(text)[0]))
     assert n_loops == 6
-    counted.update(parse=0, tokenize=0)
+    counted.update(dict.fromkeys(counted, 0))
     samples, rejects = extract_from_source(text, "t.c", scope)
     assert len(samples) + len(rejects) == n_loops and not rejects
-    assert counted == {"parse": 1, "tokenize": 1 + n_loops}
-    counted.update(parse=0, tokenize=0)
-    assert len(extract_for_prediction(text, scope)) == n_loops
-    assert counted == {"parse": 1, "tokenize": 1 + n_loops}
+    assert counted == {"parse": 1, "tokenize": 1 + n_loops, "emit": n_loops,
+                       "build_dfg": n_loops, "content_hash": n_loops}
+    counted.update(dict.fromkeys(counted, 0))
+    predicted = extract_for_prediction(text, scope)
+    assert len(predicted) == n_loops and all(p["sample"].id == "" for p in predicted)
+    assert counted == {"parse": 1, "tokenize": 1, "emit": n_loops, "build_dfg": n_loops,
+                       "content_hash": 0}
 
 
 def test_rename_parses_once(counted):
+    """A rename relabels: one parse, and no rendering, data flow or hash."""
     (sample,), _ = extract_from_source(nested_loops_source(1), "t.c", with_scope=True)
-    counted.update(parse=0, tokenize=0)
+    counted.update(dict.fromkeys(counted, 0))
     renamed = rename_variables(sample, 1.0, seed=3)
     assert renamed.loop_code != sample.loop_code
-    assert counted["parse"] == 1
+    assert counted == {"parse": 1, "tokenize": 1, "emit": 0, "build_dfg": 0, "content_hash": 0}

@@ -1,7 +1,23 @@
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ompadvisor.pragmas import (
-    REDUCTION_OPS, PragmaError, parse_omp_pragma, render_omp_pragma,
+    REDUCTION_OPS, PragmaError, _split_words, parse_omp_pragma, render_omp_pragma,
+)
+from oracles import reference_split_words
+
+# Pieces of pragma lines: every separator and operator, the characters the
+# word pattern treats specially, words that hold operators, and newlines.
+PRAGMA_PIECES = [
+    " ", "\t", "\n", "\r", "(", ")", ",", ":", "&", "|", "&&", "||", "+", "*", "^", "-",
+    "#pragma", "omp", "parallel", "for", "private", "reduction", "min", "x", "a-b",
+    "b+1", "é", "1",
+]
+pragma_lines = st.one_of(
+    st.lists(st.sampled_from(PRAGMA_PIECES), max_size=30).map("".join),
+    st.text(alphabet=" \t\n()-,:&|+*^x", max_size=30),
+    st.text(max_size=30),
 )
 
 
@@ -86,3 +102,19 @@ def test_directive_word_order():
 def test_malformed_pragmas_raise(raw):
     with pytest.raises(PragmaError):
         parse_omp_pragma(raw)
+
+
+@settings(max_examples=500, deadline=None)
+@given(pragma_lines)
+@example("#pragma omp parallel for reduction(-:x)")
+@example("reduction(-:s) -")
+@example("x -\n")  # "-" before a final newline is part of a word
+@example("a&&&b|||c")
+def test_word_splitter_matches_reference(raw):
+    assert _split_words(raw) == reference_split_words(raw)
+
+
+def test_word_splitter_matches_reference_on_fixture_lines(pragma_fixture_lines):
+    for line in pragma_fixture_lines:
+        assert _split_words(line) == reference_split_words(line)
+        assert _split_words(line.strip()) == reference_split_words(line.strip())
