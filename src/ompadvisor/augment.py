@@ -56,14 +56,15 @@ def rename_variables(sample, fraction, seed):
     included, has the name. A rename is a relabeling: the new names are
     written over the old ones' tokens in the text and the data-flow nodes,
     and the id, the labels and the graph's edges are unchanged. fraction=0
-    returns the sample as-is.
+    returns the sample as-is. Either way the result carries this parse's lexemes.
     """
     snippet, tokens = parse_snippet(sample.source_text())
     idents = [n for n in iter_nodes(snippet) if n.kind == "Identifier"]
     names = sorted({n.attrs["name"] for n in idents})
     count = int(fraction * len(names))
+    lexemes = [t.lexeme for t in tokens]
     if count == 0:
-        return replace(sample)
+        return replace(sample, lexemes=lexemes)
 
     rng = random.Random(seed)
     order = list(names)
@@ -86,6 +87,7 @@ def rename_variables(sample, fraction, seed):
     for node in sorted(idents, key=lambda n: n.token_span[0], reverse=True):
         if node.attrs["name"] in mapping:  # right to left, so columns hold
             tok = tokens[node.token_span[0]]
+            lexemes[node.token_span[0]] = mapping[tok.lexeme]
             text = lines[tok.line - 1]
             lines[tok.line - 1] = (text[:tok.col - 1] + mapping[tok.lexeme]
                                    + text[tok.col - 1 + len(tok.lexeme):])
@@ -99,6 +101,7 @@ def rename_variables(sample, fraction, seed):
         loop_code="\n".join(lines[n_context:]),
         context_code="\n".join(lines[:n_context]),
         pragma_raw=pragma_raw,
+        lexemes=lexemes,
         dfg=dict(sample.dfg, nodes=[[mapping.get(name, name), slot]
                                     for name, slot in sample.dfg["nodes"]]),
     )

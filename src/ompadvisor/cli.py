@@ -45,11 +45,15 @@ def _in_range(convert, low, high=float("inf")):
     return parse
 
 
+def _write_json(path, data, **options):
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(data, fh, indent=2, **options)
+        fh.write("\n")
+
+
 def _write_run_config(path, args, **extra):
     """The command's parsed options, and any extra derived ones."""
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump({**vars(args), **extra}, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(path, {**vars(args), **extra}, sort_keys=True)
 
 
 @functools.cache  # parse_args leaves the parser as it found it
@@ -172,12 +176,8 @@ def _cmd_train(args):
     out.mkdir(parents=True, exist_ok=True)
     save_model(out / "model.bin", result.params, result.config)
     result.vocab.save(out / "vocab.json")
-    with open(out / "history.json", "w", encoding="utf-8") as fh:
-        json.dump(result.history, fh, indent=2)
-        fh.write("\n")
-    with open(out / "encode_stats.json", "w", encoding="utf-8") as fh:
-        json.dump(result.encode_stats, fh, indent=2)
-        fh.write("\n")
+    _write_json(out / "history.json", result.history)
+    _write_json(out / "encode_stats.json", result.encode_stats)
     _write_run_config(out / "run_config.json", args)
     print(f"model -> {out}")
     return 0
@@ -240,13 +240,12 @@ def _cmd_evaluate(args):
         samples = [s for s in samples if s.split == args.split]
         if not samples:
             raise ValueError(f"split {args.split!r} of {args.corpus} holds no samples")
-    report, rows = evaluate(params, config, vocab, samples, **limits)
+    report, rows, stats = evaluate(params, config, vocab, samples, **limits)
     report["gate"] = args.gate
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    with open(out / "report.json", "w", encoding="utf-8") as fh:
-        json.dump(report, fh, indent=2)
-        fh.write("\n")
+    _write_json(out / "report.json", report)
+    _write_json(out / "eval_stats.json", {"split": args.split, "n": stats.pop("samples"), **stats})
     with open(out / "report.txt", "w", encoding="utf-8") as fh:
         fh.write(format_report(report))
     with open(out / "per_sample.csv", "w", encoding="utf-8") as fh:

@@ -38,6 +38,7 @@ class Sample:
     dfg: dict
     split: str = "none"
     offset: int = field(default=0, repr=False, compare=False)  # not serialized
+    lexemes: list = field(default=None, repr=False, compare=False)  # source_text()'s, ditto
 
     def source_text(self):
         """The model-facing snippet: context (when present) then the loop."""
@@ -225,20 +226,24 @@ def _loops(unit, tokens):
                     yield func, loop, tokens[loop.token_span[0]].line
 
 
-def _build_sample(func, loop, with_scope, **fields):
+def _build_sample(func, loop, with_scope, path, attached, seen=None):
     """The sample for one loop: its scope context when asked for, and the
     data-flow graph of context plus loop over the file's AST at the slots
-    of one emitted text."""
+    of one emitted text. Given seen, its id is the loop's content hash, and
+    a hash in seen is None before any data flow or label is built."""
     context = []
     if with_scope:
         used = _used_variables(loop)
         context = [p for p in func.children[:-1] if _declared_name(p) in used]
         _context_statements(func.children[-1], loop, used, context)
-    texts, slots, _ = emit(context + [loop], strip_pragmas=True)
+    texts, slots, lexemes = emit(context + [loop], strip_pragmas=True)
+    sample_id = "" if seen is None else content_hash(texts[-1])
+    if seen is not None and sample_id in seen:
+        return None
     snippet = AstNode("TranslationUnit", context + [loop])
-    return Sample(loop_code=texts[-1], context_code="\n".join(texts[:-1]),
-                  dfg=dfg_to_json(build_dfg(snippet, slots)),
-                  offset=loop.token_span[0], **fields)
+    return Sample(id=sample_id, path=path, loop_code=texts[-1], context_code="\n".join(texts[:-1]),
+                  dfg=dfg_to_json(build_dfg(snippet, slots)), **_labels(attached),
+                  offset=loop.token_span[0], lexemes=lexemes)
 
 
 def _labels(attached):
@@ -281,15 +286,13 @@ def extract_from_source(source_text, path, with_scope=False):
             rejects.append(Reject(path, line, "barrier_critical_atomic"))
             continue
         try:
-            sample = _build_sample(func, loop, with_scope, id="", path=path,
-                                   **_labels(attached))
+            sample = _build_sample(func, loop, with_scope, path, attached, seen_hashes)
         except (ParseError, RecursionError):
             # The loop parsed, but its canonical text nests too deeply to
             # read back (long prefix chains like !!!...x, written !(!(...))).
             rejects.append(Reject(path, line, "parse_error"))
             continue
-        sample.id = content_hash(sample.loop_code)
-        if sample.id in seen_hashes:
+        if sample is None:
             rejects.append(Reject(path, line, "nested_duplicate"))
             continue
         seen_hashes.add(sample.id)
@@ -314,8 +317,7 @@ def extract_for_prediction(source_text, with_scope=False):
     out = []
     for func, loop, line in _loops(unit, tokens):
         try:
-            sample = _build_sample(func, loop, with_scope, id="", path="<input>",
-                                   **_labels(None))
+            sample = _build_sample(func, loop, with_scope, "<input>", None)
         except (ParseError, RecursionError):
             start = tokens[loop.token_span[0]]
             raise ParseError(start.line, start.col, "less deeply nested code") from None

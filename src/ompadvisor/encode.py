@@ -6,7 +6,9 @@ padded batch gets its additive attention mask from build_attention_mask:
 code positions (and CLS/SEP) attend freely, data-flow nodes attend their
 graph neighbours, themselves and their aligned code token, and a pad slot
 attends only to itself. Masked pairs carry a large negative value that
-underflows to an exact zero attention weight after softmax.
+underflows to an exact zero attention weight after softmax. The code tokens'
+lexemes are those a sample carries from extraction (syntax.emit) or renaming;
+only a sample read from corpus.jsonl has its text tokenized again.
 """
 
 import json
@@ -86,7 +88,7 @@ class EncodedInput:
 
 
 def sample_lexemes(sample):
-    return [t.lexeme for t in tokenize(sample.source_text())]
+    return sample.lexemes or [t.lexeme for t in tokenize(sample.source_text())]
 
 
 def build_vocabulary(train_samples, min_freq=DEFAULT_MIN_FREQ):

@@ -101,8 +101,8 @@ def report_from_rows(rows):
 
 def predict_rows(params, config, vocab, samples, max_code=256, max_dfg=32):
     """Per-sample probabilities and 0.5-threshold predictions, in sample
-    order, from one forward_pass."""
-    encodings, _ = encode_corpus(samples, vocab, max_code, max_dfg)
+    order, from one forward_pass; and the encoding's truncation stats."""
+    encodings, stats = encode_corpus(samples, vocab, max_code, max_dfg)
     probs = forward_pass(params, config, encodings)
     rows = []
     for sample, p in zip(samples, probs.tolist()):
@@ -112,16 +112,16 @@ def predict_rows(params, config, vocab, samples, max_code=256, max_dfg=32):
             row[f"label_{label}"] = getattr(sample, f"label_{label}")
             row[f"pred_{label}"] = pred
         rows.append(row)
-    return rows
+    return rows, stats
 
 
 def evaluate(params, config, vocab, samples, max_code=256, max_dfg=32):
-    """Evaluate samples: (report dict, per-sample rows). The report carries
-    both raw and gated metrics; per-benchmark blocks are added when the
-    samples span several top-level directories."""
+    """Evaluate samples: (report dict, per-sample rows, encoding stats). The
+    report carries both raw and gated metrics; per-benchmark blocks are added
+    when the samples span several top-level directories."""
     if not samples:
         raise ValueError("cannot evaluate an empty sample list")
-    rows = predict_rows(params, config, vocab, samples, max_code, max_dfg)
+    rows, stats = predict_rows(params, config, vocab, samples, max_code, max_dfg)
     report = report_from_rows(rows)
 
     groups = sorted({s.path.split("/", 1)[0] for s in samples})
@@ -131,7 +131,7 @@ def evaluate(params, config, vocab, samples, max_code=256, max_dfg=32):
                                     if s.path.split("/", 1)[0] == name])
             for name in groups
         }
-    return report, rows
+    return report, rows, stats
 
 
 # ---------------------------------------------------------------------------

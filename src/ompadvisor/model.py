@@ -7,7 +7,8 @@ literal division by the per-head dimension is available behind
 scale_mode="d". All gradients are hand-derived so they can be verified
 against finite differences. forward_pass is the one eval-mode path: the
 validation pass of train, metrics.predict_rows and predict_source all run
-their encodings through it, and threshold_labels is the one gating rule.
+their encodings through it, and threshold_labels is the one gating rule. The
+eval softmax and ReLU run in place, as every bias add does: the same floats.
 """
 
 import math
@@ -120,10 +121,10 @@ def init_params(config, dtype=np.float32):
 # forward / backward
 
 
-def masked_softmax(scores):
+def masked_softmax(scores, out=None):
     """Softmax over the last axis; entries pushed down by MASK_NEG come out
-    exactly zero because their shifted exponent underflows."""
-    out = scores - scores.max(axis=-1, keepdims=True)
+    exactly zero as their shifted exponent underflows; out=scores overwrites."""
+    out = np.subtract(scores, scores.max(axis=-1, keepdims=True), out=out)
     np.exp(out, out=out)
     out /= out.sum(axis=-1, keepdims=True)
     return out
@@ -153,6 +154,13 @@ def _weight_grad(a, b):
     the (d, e) gradient of a weight applied as a @ w, as one (B·L)-row matmul
     (np.einsum would not dispatch this contraction to BLAS)."""
     return a.reshape(-1, a.shape[-1]).T @ b.reshape(-1, b.shape[-1])
+
+
+def _affine(x, w, b):
+    """x @ w + b, the bias added in place."""
+    y = x @ w
+    y += b
+    return y
 
 
 def _split_heads(x, n_heads):
@@ -186,7 +194,8 @@ def forward_batch(params, config, ids, positions, mask, train=False, rng=None):
     after its keys and values, the last layer runs at rows 0-1 only: the head
     reads row 0 (CLS), every later op is row-wise, and two rows keep numpy's
     products on BLAS gemm, which sums row 0 as the full product does (gemv,
-    which a one-row product gets, sums in another order).
+    which a one-row product gets, sums in another order). An eval forward
+    writes the softmax weights over the scores and the ReLU over its input.
     """
     drop_rng = rng if train else None
     dtype = params["tok_emb"].dtype
@@ -196,26 +205,26 @@ def forward_batch(params, config, ids, positions, mask, train=False, rng=None):
         p = {k: params[f"layer{layer}.{k}"] for k in LAYER_KEYS}
         x_in = x
         rows = x_in if train or layer < config.n_layers - 1 else x_in[:, :2]
-        q = rows @ p["wq"] + p["bq"]
-        k = x_in @ p["wk"] + p["bk"]
-        v = x_in @ p["wv"] + p["bv"]
+        q = _affine(rows, p["wq"], p["bq"])
+        k = _affine(x_in, p["wk"], p["bk"])
+        v = _affine(x_in, p["wv"], p["bv"])
         qh, kh, vh = (_split_heads(t, config.n_heads) for t in (q, k, v))
         scores = qh @ kh.transpose(0, 1, 3, 2)
         scores /= config.attn_scale
         # A wider mask widens the scores, as an out-of-place sum would.
         scores = scores.astype(np.result_type(scores, mask), copy=False)
         scores += mask[:, None, :rows.shape[1]]
-        attn = masked_softmax(scores)
+        attn = masked_softmax(scores, out=None if train else scores)
         attn_drop_mask = _dropout_mask(drop_rng, attn.shape, config.dropout_rate, dtype)
         attn_dropped = _apply_drop(attn, attn_drop_mask)
         context = _merge_heads(attn_dropped @ vh)
-        proj = context @ p["wo"] + p["bo"]
+        proj = _affine(context, p["wo"], p["bo"])
         proj_drop_mask = _dropout_mask(drop_rng, proj.shape, config.dropout_rate, dtype)
         res1 = rows + _apply_drop(proj, proj_drop_mask)
         x1, ln1_cache = _layer_norm(res1, p["ln1_g"], p["ln1_b"])
-        ff_pre = x1 @ p["w1"] + p["b1"]
-        ff_hidden = np.maximum(ff_pre, 0.0)
-        ff_out = ff_hidden @ p["w2"] + p["b2"]
+        ff_pre = _affine(x1, p["w1"], p["b1"])
+        ff_hidden = np.maximum(ff_pre, 0.0, out=None if train else ff_pre)
+        ff_out = _affine(ff_hidden, p["w2"], p["b2"])
         ff_drop_mask = _dropout_mask(drop_rng, ff_out.shape, config.dropout_rate, dtype)
         res2 = x1 + _apply_drop(ff_out, ff_drop_mask)
         x2, ln2_cache = _layer_norm(res2, p["ln2_g"], p["ln2_b"])

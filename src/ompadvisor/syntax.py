@@ -638,7 +638,7 @@ class _Emitter:
     def __init__(self, strip_pragmas):
         self.strip_pragmas = strip_pragmas
         self.parts = []  # tokens and the " " and "\n" between them
-        self.n_tokens = 0
+        self.lexemes = []  # the tokens alone
         self.slots = {}  # id(Identifier or Call node) -> its name's token index
         self.frames = 0
 
@@ -648,7 +648,7 @@ class _Emitter:
             col = sum(map(len, self.parts[lines[-1] + 1 if lines else 0:])) + 1
             raise ParseError(len(lines) + 1, col, "less deeply nested code", lexeme)
         self.parts.append(lexeme)
-        self.n_tokens += 1
+        self.lexemes.append(lexeme)
 
     def put(self, *pieces):
         """Write pieces: " " and "\n" as they are, other non-empty strings as
@@ -724,7 +724,7 @@ class _Emitter:
         self.frames += frames
         kind, c, attrs = node.kind, node.children, node.attrs
         if kind == "Identifier" or kind == "Call":
-            self.slots[id(node)] = self.n_tokens
+            self.slots[id(node)] = len(self.lexemes)
             self.token(attrs["name"])
             if kind == "Call":
                 self.put("(", c, ")")
@@ -765,9 +765,9 @@ class _Emitter:
 def emit(nodes, strip_pragmas=False):
     """Render nodes as the consecutive lines of one snippet, in one walk.
 
-    Returns (texts, slots, n_tokens): each node's canonical text, the token
+    Returns (texts, slots, lexemes): each node's canonical text, the token
     index in "\n".join(texts) of every Identifier and Call name by id(node),
-    and the number of tokens. strip_pragmas leaves PragmaDirective items out.
+    and the lexemes tokenize reads in it. strip_pragmas leaves pragmas out.
     Raises the ParseError parse_snippet would raise reading the text back."""
     emitter = _Emitter(strip_pragmas)
     texts = []
@@ -776,7 +776,7 @@ def emit(nodes, strip_pragmas=False):
         emitter.items([node])
         texts.append("".join(emitter.parts[start:]))
         emitter.parts.append("\n")
-    return texts, emitter.slots, emitter.n_tokens
+    return texts, emitter.slots, emitter.lexemes
 
 
 def iter_nodes(node):

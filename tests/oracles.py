@@ -1399,6 +1399,7 @@ def reference_rename_variables(sample, fraction, seed):
         loop_code=loop_code,
         context_code=context_code,
         pragma_raw=pragma_raw,
+        lexemes=None,  # the text changed; encoding re-tokenizes it
     )
     new_snippet, _ = parse_snippet(new_sample.source_text())
     new_sample.dfg = dfg_to_json(build_dfg(new_snippet))

@@ -62,7 +62,7 @@ def renamed_test_set(synthetic_corpus):
 def label_accuracies(result, samples):
     from ompadvisor.metrics import predict_rows
 
-    rows = predict_rows(result.params, result.config, result.vocab, samples)
+    rows, _ = predict_rows(result.params, result.config, result.vocab, samples)
     return tuple(
         sum(1 for r in rows if r[f"pred_{label}"] == r[f"label_{label}"]) / len(rows)
         for label in ("pragma", "private", "reduction")
@@ -267,7 +267,7 @@ def test_criterion_9_metrics_arithmetic(synthetic_corpus, trained_none, tmp_path
     from ompadvisor.metrics import predict_rows
 
     test = [s for s in synthetic_corpus if s.split == "test"]
-    rows = predict_rows(result.params, result.config, result.vocab, test)
+    rows, _ = predict_rows(result.params, result.config, result.vocab, test)
     report_dict = report_from_rows(rows)
     (tmp_path / "per_sample.csv").write_text(rows_to_csv(rows))
     (tmp_path / "report.json").write_text(json.dumps(report_dict))

@@ -101,7 +101,7 @@ def test_predict_rows_match_single_sample_runs_in_input_order(mixed):
     assert spread.min() > 1e-2  # rows out of order could not pass unnoticed
     for mix in shuffled_mixes(len(samples), seed=1):
         chosen = [samples[i] for i in mix]
-        rows = predict_rows(params, config, vocab, chosen)
+        rows, _ = predict_rows(params, config, vocab, chosen)
         assert [r["id"] for r in rows] == [s.id for s in chosen]
         for row, sample in zip(rows, chosen):
             got = [row[f"p_{label}"] for label in LABELS]

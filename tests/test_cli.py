@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 
 from ompadvisor.augment import rename_variables
 from ompadvisor.cli import UsageError, build_parser, execute_command
-from ompadvisor.corpus import extract_for_prediction, extract_from_source
+from ompadvisor.corpus import extract_for_prediction, extract_from_source, read_samples
+from ompadvisor.encode import Vocabulary, encode_corpus
 from ompadvisor.metrics import report_from_rows, rows_from_csv
 from ompadvisor.model import load_model
 from ompadvisor.synthetic import generate_synthetic_corpus
@@ -415,6 +416,27 @@ def test_evaluate_reports_scored_split(model_dir, tmp_path, capsys):
                             "--split", "valid", "-o", str(eval_dir)]) == 0
     assert f"scored split valid: n={n_valid}\n" in capsys.readouterr().out
     assert json.loads((eval_dir / "report.json").read_text())["n"] == n_valid
+
+
+def test_evaluate_writes_the_encodings_truncation_counts(model_dir, tmp_path):
+    """eval_stats.json holds the split, its size and the truncation counts at
+    the limits the model directory was trained with; report.json is as before."""
+    corpus, out = model_dir
+    limited = tmp_path / "model"
+    shutil.copytree(out, limited)
+    run_config = json.loads((out / "run_config.json").read_text())
+    (limited / "run_config.json").write_text(json.dumps(dict(run_config, max_code=30, max_dfg=8)))
+    eval_dir = tmp_path / "eval"
+    assert execute_command(["evaluate", str(limited), str(corpus / "corpus.jsonl"),
+                            "--split", "valid", "-o", str(eval_dir)]) == 0
+    valid = [s for s in read_samples(corpus / "corpus.jsonl") if s.split == "valid"]
+    _, stats = encode_corpus(valid, Vocabulary.load(out / "vocab.json"), 30, 8)
+    assert 0 < stats["code_truncated"] < len(valid) and 0 < stats["dfg_truncated"] < len(valid)
+    assert json.loads((eval_dir / "eval_stats.json").read_text()) == {
+        "split": "valid", "n": len(valid), "code_truncated": stats["code_truncated"],
+        "dfg_truncated": stats["dfg_truncated"], "max_code": 30, "max_dfg": 8}
+    report = json.loads((eval_dir / "report.json").read_text())
+    assert set(report) == {"n", "raw", "gated", "reference", "gate"}
 
 
 def test_evaluate_empty_split_is_a_data_error(model_dir, tmp_path, capsys):

@@ -1,18 +1,23 @@
-"""The canonical renderer emits token slots: extraction and renaming build
-data flow from them without re-parsing, and match the string renderer and
-re-parsing sample builders they replaced (tests/oracles.py)."""
+"""The canonical renderer emits token slots and lexemes: extraction and
+renaming build data flow from them without re-parsing, hand the encoder the
+lexemes tokenize would read, and match the string renderer and re-parsing
+sample builders they replaced (tests/oracles.py)."""
 
+import importlib.util
 from pathlib import Path
 
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from ompadvisor import augment, corpus, dfg, syntax
+from ompadvisor import augment, corpus, dfg, encode, syntax
 from ompadvisor.augment import rename_variables
-from ompadvisor.corpus import extract_for_prediction, extract_from_source
+from ompadvisor.corpus import Sample, extract_for_prediction, extract_from_source
+from ompadvisor.encode import build_vocabulary, encode_sample
+from ompadvisor.model import ModelConfig, init_params, predict_source
+from ompadvisor.synthetic import generate_synthetic_corpus
 from ompadvisor.syntax import (
-    _STATEMENT_KINDS, ParseError, iter_nodes, parse_snippet, parse_source,
+    _STATEMENT_KINDS, ParseError, iter_nodes, parse_snippet, parse_source, tokenize,
 )
 from oracles import (
     gen_source_program, reference_extract_for_prediction, reference_extract_from_source,
@@ -101,6 +106,11 @@ def _samples(samples):
     return [(s.to_json_dict(), s.offset) for s in samples]
 
 
+def assert_carries_its_lexemes(sample):
+    """The lexemes a sample hands the encoder are its text's tokens."""
+    assert sample.lexemes == [t.lexeme for t in tokenize(sample.source_text())]
+
+
 def _extracted(extract, text, scope):
     samples, rejects = extract(text, "t.c", scope)
     return _samples(samples), [(r.path, r.line, r.reason) for r in rejects]
@@ -162,8 +172,12 @@ def assert_extracts_like_reference(text):
             _call(_extracted, reference_extract_from_source, text, scope)
         assert _call(_predicted, extract_for_prediction, text, scope) == \
             _call(_predicted, reference_extract_for_prediction, text, scope)
+        predicted = _call(extract_for_prediction, text, scope)
+        for info in predicted if isinstance(predicted, list) else ():
+            assert_carries_its_lexemes(info["sample"])
         samples, _ = extract_from_source(text, "t.c", scope)
         for sample in samples:
+            assert_carries_its_lexemes(sample)
             for fraction in (0.1, 0.4, 1.0):
                 renamed = _call(rename_variables, sample, fraction, 7)
                 expected = _call(reference_rename_variables, sample, fraction, 7)
@@ -171,6 +185,7 @@ def assert_extracts_like_reference(text):
                     assert renamed == expected
                 else:
                     assert _samples([renamed]) == _samples([expected])
+                    assert_carries_its_lexemes(renamed)
 
 
 @settings(max_examples=150, deadline=None)
@@ -240,9 +255,9 @@ def test_postfix_operator_keeps_a_prefix_operand_parenthesized():
 
 @pytest.fixture
 def counted(monkeypatch):
-    """Counts of parses, tokenizations, renderings, data-flow builds and
-    content hashes, wherever they are called from; corpus's parse_snippet
-    binding fails if called."""
+    """Counts of parses, tokenizations (the encoder's included), renderings,
+    data-flow builds and content hashes, wherever they are called from;
+    corpus's parse_snippet binding fails if called."""
     counts = dict.fromkeys(("parse", "tokenize", "emit", "build_dfg", "content_hash"), 0)
 
     def counting(name, fn):
@@ -252,7 +267,7 @@ def counted(monkeypatch):
         return wrapper
 
     monkeypatch.setattr(syntax, "_parse", counting("parse", syntax._parse))
-    for module in (syntax, corpus, augment, dfg):
+    for module in (syntax, corpus, augment, dfg, encode):
         for name in ("tokenize", "emit", "build_dfg", "content_hash"):
             if name in vars(module):
                 monkeypatch.setattr(module, name, counting(name, vars(module)[name]))
@@ -288,3 +303,108 @@ def test_rename_parses_once(counted):
     renamed = rename_variables(sample, 1.0, seed=3)
     assert renamed.loop_code != sample.loop_code
     assert counted == {"parse": 1, "tokenize": 1, "emit": 0, "build_dfg": 0, "content_hash": 0}
+
+
+def small_model(samples):
+    vocab = build_vocabulary(samples, min_freq=1)
+    config = ModelConfig(vocab_size=vocab.size, d_model=8, n_heads=2, n_layers=2, d_ff=16)
+    return init_params(config), config, vocab
+
+
+@pytest.mark.parametrize("scope", [False, True])
+def test_prediction_tokenizes_only_the_file(counted, scope):
+    """Every predicted loop is encoded from the lexemes its emit wrote."""
+    text = nested_loops_source(4) + gen_source_program(13)
+    params, config, vocab = small_model(extract_from_source(text, "t.c", scope)[0])
+    counted.update(dict.fromkeys(counted, 0))
+    assert len(predict_source(params, config, vocab, text, with_scope=scope)) == 6
+    assert counted == {"parse": 1, "tokenize": 1, "emit": 6, "build_dfg": 6, "content_hash": 0}
+
+
+@pytest.mark.parametrize("fraction", [0.0, 0.4])
+def test_encoding_a_renamed_sample_tokenizes_only_in_the_rename(counted, fraction):
+    """A sample read back from corpus.jsonl carries no lexemes; its rename
+    hands over those of its one parse, with the new names written in."""
+    (sample,), _ = extract_from_source(nested_loops_source(1), "t.c", with_scope=True)
+    stored = Sample.from_json_dict(sample.to_json_dict())
+    assert stored.lexemes is None
+    vocab = build_vocabulary([stored], min_freq=1)
+    counted.update(dict.fromkeys(counted, 0))
+    renamed = rename_variables(stored, fraction, 3)
+    assert (renamed.loop_code != stored.loop_code) == (fraction > 0)
+    encode_sample(renamed, vocab)
+    assert counted["tokenize"] == 1
+
+
+def test_nested_duplicates_are_rejected_before_their_data_flow(counted):
+    """A loop whose hash the file already holds is rejected after its emit:
+    one data-flow build per kept sample."""
+    loop = "for ({0} = 0; {0} < n; {0}++) {{\n{1}[{0}] = {1}[{0}] + 1.0;\n}}\n"
+    text = ("void f(int n, double *a, double *b) {\nint i, j;\n" + loop.format("i", "a")
+            + loop.format("j", "b") + loop.format("i", "b") + "}\n")
+    counted.update(dict.fromkeys(counted, 0))
+    samples, rejects = extract_from_source(text, "t.c", with_scope=True)
+    assert len(samples) == 1
+    assert [r.reason for r in rejects] == ["nested_duplicate"] * 2
+    assert counted == {"parse": 1, "tokenize": 4, "emit": 3, "build_dfg": 1, "content_hash": 3}
+
+
+# ---------------------------------------------------------------------------
+# carried lexemes against re-tokenizing
+
+
+def benchmark_trees(out):
+    """The .c files of both benchmark workloads' trees at seed 1."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "workload.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workload", path)
+    workload = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workload)
+    for name in ("short-curriculum", "long-scoped"):
+        workload.generate(name, 1, out / name)
+    return sorted(out.glob("**/*.c"))
+
+
+def test_extracted_and_predicted_samples_carry_their_lexemes(tmp_path):
+    """Over the fixtures and both benchmark trees, with and without scope."""
+    paths = sorted((Path(__file__).parent / "fixtures").glob("**/*.c"))
+    paths += benchmark_trees(tmp_path)
+    n_samples = 0
+    for path in paths:
+        text = path.read_text(encoding="utf-8")
+        for scope in (False, True):
+            samples, _ = extract_from_source(text, str(path), scope)
+            try:
+                predicted = [info["sample"] for info in extract_for_prediction(text, scope)]
+            except ParseError:
+                predicted = []
+            for sample in samples + predicted:
+                assert_carries_its_lexemes(sample)
+            n_samples += len(samples) + len(predicted)
+    assert n_samples > 3000
+
+
+def test_renamed_samples_carry_their_lexemes():
+    """Over the synthetic corpus at three fractions, and for a call named
+    like a renamed variable, which keeps its name in text and lexemes."""
+    samples = generate_synthetic_corpus(2000)
+    for fraction in (0.1, 0.4, 1.0):
+        for sample in samples:
+            assert_carries_its_lexemes(rename_variables(sample, fraction, 5))
+    source = ("void f(int n, double *a, double x) {\nint i;\n"
+              "for (i = 0; i < n; i++) {\na[i] = x + x(i);\n}\n}\n")
+    (sample,), _ = extract_from_source(source, "t.c")
+    renamed = rename_variables(sample, 1.0, 5)
+    assert_carries_its_lexemes(renamed)
+    assert "+ x(" in renamed.loop_code and renamed.lexemes.count("x") == 1
+
+
+def test_encoding_is_the_same_with_and_without_carried_lexemes():
+    samples = generate_synthetic_corpus(200) + extract_from_source(
+        nested_loops_source(4) + gen_source_program(13), "t.c", True)[0]
+    vocab = build_vocabulary(samples, min_freq=1)
+    for sample in samples:
+        stored = Sample.from_json_dict(sample.to_json_dict())
+        assert sample.lexemes is not None and stored.lexemes is None
+        for max_code in (8, 256):
+            assert encode_sample(sample, vocab, max_code, 4) == \
+                encode_sample(stored, vocab, max_code, 4)

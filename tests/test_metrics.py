@@ -144,7 +144,7 @@ def test_grouped_report_for_benchmark_paths():
     config = ModelConfig(vocab_size=vocab.size, d_model=16, n_heads=2,
                          n_layers=1, d_ff=32, seed=0)
     params = init_params(config)
-    report, rows = evaluate(params, config, vocab, samples)
+    report, rows, _ = evaluate(params, config, vocab, samples)
     assert set(report["groups"]) == set(groups)
     assert sum(g["n"] for g in report["groups"].values()) == len(samples)
     assert len(rows) == len(samples)

@@ -223,18 +223,20 @@ def test_eval_forward_runs_the_last_layer_at_the_cls_rows(monkeypatch):
     """A guard without timing: at n_layers = 2 an eval forward takes one
     (B, H, L, L) softmax, then one (B, H, 2, L) over the rows up to CLS
     (two, so that BLAS sums row 0 as in the full product), and keeps no
-    cache."""
+    cache. Each eval softmax writes its weights over its scores."""
     params, config, ids, positions, mask = mixed_eval_batch(2, np.float32, 0)
-    shapes = []
+    shapes, in_place = [], []
 
-    def recording_softmax(scores):
+    def recording_softmax(scores, out=None):
         shapes.append(scores.shape)
-        return masked_softmax(scores)
+        in_place.append(out is scores)
+        return masked_softmax(scores, out=out)
 
     monkeypatch.setattr(ompadvisor.model, "masked_softmax", recording_softmax)
     _, cache = forward_batch(params, config, ids, positions, mask)
     (b, length), h = ids.shape, config.n_heads
     assert shapes == [(b, h, length, length), (b, h, 2, length)]
+    assert in_place == [True, True]
     assert cache is None
 
 
@@ -597,7 +599,7 @@ def test_validation_history_matches_batched_predictions(mini_corpus, monkeypatch
 
     for epochs in (1, 2):
         result = full if epochs == 2 else train(mini_corpus, epochs=epochs, **settings)
-        rows = predict_rows(result.params, result.config, result.vocab, valid)
+        rows, _ = predict_rows(result.params, result.config, result.vocab, valid)
         probs = np.array([[r[f"p_{label}"] for label in LABELS] for r in rows])
         labels = np.array([[r[f"label_{label}"] for label in LABELS] for r in rows])
         record = full.history[epochs - 1]
