@@ -2,8 +2,8 @@
 stats and check-gradients subcommands.
 
 Every artifact-producing run writes a run_config.json echoing its effective
-options; identical inputs and seed give byte-identical outputs. Exit codes:
-0 success, 1 usage error, 2 data error.
+options, a log that no command reads; identical inputs and seed give
+byte-identical outputs. Exit codes: 0 success, 1 usage error, 2 data error.
 """
 
 import argparse
@@ -92,7 +92,7 @@ def build_parser():
     p.add_argument("--n-layers", type=positive, default=2)
     p.add_argument("--d-ff", type=positive, default=256)
     p.add_argument("--dropout", type=_in_range(float, 0.0, 1.0), default=0.1)
-    p.add_argument("--min-freq", type=int, default=DEFAULT_MIN_FREQ)
+    p.add_argument("--min-freq", type=non_negative, default=DEFAULT_MIN_FREQ)
     p.add_argument("--max-code", type=non_negative, default=DEFAULT_MAX_CODE)
     p.add_argument("--max-dfg", type=non_negative, default=DEFAULT_MAX_DFG)
     scale = p.add_mutually_exclusive_group()
@@ -184,9 +184,9 @@ def _cmd_train(args):
 
 
 def _load_model_dir(model_dir):
-    """(params, config, vocab, limits) of a trained model directory, checked
-    for consistency; limits holds the max_code and max_dfg it was trained
-    with."""
+    """(params, config, vocab) of a trained model directory, checked for
+    consistency: the vocabulary's size is the model's, and its max_code and
+    max_dfg fit the model's positions. run_config.json is not read."""
     model_path = Path(model_dir) / "model.bin"
     vocab_path = Path(model_dir) / "vocab.json"
     if not model_path.exists() or not vocab_path.exists():
@@ -196,27 +196,17 @@ def _load_model_dir(model_dir):
     if vocab.size != config.vocab_size:
         raise ValueError(f"{vocab_path} holds {vocab.size} tokens, "
                          f"the model {config.vocab_size}")
-    options = {}
-    run_config = Path(model_dir) / "run_config.json"
-    if run_config.exists():
-        with open(run_config, encoding="utf-8") as fh:
-            options = json.load(fh)
-    if not isinstance(options, dict):
-        raise ValueError(f"{run_config} does not hold a JSON object")
-    limits = {"max_code": options.get("max_code", DEFAULT_MAX_CODE),
-              "max_dfg": options.get("max_dfg", DEFAULT_MAX_DFG)}
-    if (not all(type(v) is int and v >= 0 for v in limits.values())
-            or sum(limits.values()) + 2 > config.max_len):
-        raise ValueError(f"{run_config}: max_code and max_dfg must be integers >= 0 "
-                         f"with max_code + max_dfg + 2 <= {config.max_len}")
-    return params, config, vocab, limits
+    if vocab.max_code + vocab.max_dfg + 2 > config.max_len:
+        raise ValueError(f"{vocab_path}: max_code + max_dfg + 2 exceeds the model's "
+                         f"{config.max_len} positions")
+    return params, config, vocab
 
 
 def _cmd_predict(args):
-    params, config, vocab, limits = _load_model_dir(args.model_dir)
+    params, config, vocab = _load_model_dir(args.model_dir)
     source = Path(args.file).read_text(encoding="utf-8")
     results = predict_source(params, config, vocab, source, gate=args.gate,
-                             with_scope=args.with_scope, **limits)
+                             with_scope=args.with_scope)
     if args.as_json:
         printable = [{k: v for k, v in r.items() if k != "loop_code"} for r in results]
         print(json.dumps(printable, indent=2))
@@ -234,13 +224,13 @@ def _cmd_predict(args):
 
 
 def _cmd_evaluate(args):
-    params, config, vocab, limits = _load_model_dir(args.model_dir)
+    params, config, vocab = _load_model_dir(args.model_dir)
     samples = read_samples(args.corpus)
     if args.split != "all":
         samples = [s for s in samples if s.split == args.split]
         if not samples:
             raise ValueError(f"split {args.split!r} of {args.corpus} holds no samples")
-    report, rows, stats = evaluate(params, config, vocab, samples, **limits)
+    report, rows, stats = evaluate(params, config, vocab, samples)
     report["gate"] = args.gate
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

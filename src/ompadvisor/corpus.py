@@ -20,6 +20,8 @@ SAMPLE_KEYS = (
     "id", "path", "loop_code", "context_code", "pragma_raw",
     "label_pragma", "label_private", "label_reduction", "dfg", "split",
 )
+_TEXT_KEYS = ("id", "path", "loop_code", "context_code", "split")
+_LABEL_KEYS = ("label_pragma", "label_private", "label_reduction")
 
 BLOCKING_DIRECTIVES = frozenset({"barrier", "critical", "atomic"})
 POSITIVE_DIRECTIVES = frozenset({"parallel_for", "for"})
@@ -301,9 +303,16 @@ def extract_from_source(source_text, path, with_scope=False):
 
 
 def extract_samples(file_path, with_scope=False, rel_path=None):
-    """File wrapper around extract_from_source."""
-    text = Path(file_path).read_text(encoding="utf-8")
-    return extract_from_source(text, rel_path or str(file_path), with_scope)
+    """File wrapper around extract_from_source. A file that is not UTF-8 is
+    one parse_error reject, at the line of its first bad byte."""
+    path, data = rel_path or str(file_path), Path(file_path).read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as err:
+        return [], [Reject(path, len((data[:err.start] + b".").splitlines()), "parse_error")]
+    # the universal newlines of open() in text mode
+    text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return extract_from_source(text, path, with_scope)
 
 
 def extract_for_prediction(source_text, with_scope=False):
@@ -422,13 +431,35 @@ def write_jsonl(path, dicts):
             fh.write(json.dumps(d, ensure_ascii=False) + "\n")
 
 
+def _check_row(row):
+    """Raise ValueError unless a decoded corpus row has a sample's shape; each
+    edge's pair of node indices is checked where encode_sample reads it."""
+    if not isinstance(row, dict) or not row.keys() >= set(SAMPLE_KEYS):
+        raise ValueError("a row is an object with the keys " + ", ".join(SAMPLE_KEYS))
+    if not (all(type(row[key]) is str for key in _TEXT_KEYS)
+            and isinstance(row["pragma_raw"], (str, type(None)))
+            and all(type(row[key]) is int and 0 <= row[key] <= 1 for key in _LABEL_KEYS)):
+        raise ValueError("its text fields are strings (pragma_raw may be null), its labels 0 or 1")
+    dfg = row["dfg"] if isinstance(row["dfg"], dict) else {}
+    nodes, edges = dfg.get("nodes"), dfg.get("edges")
+    if not (isinstance(nodes, list) and isinstance(edges, list) and all(
+            type(n) is list and len(n) == 2 and type(n[0]) is str and type(n[1]) is int
+            and n[1] >= 0 for n in nodes) and set(map(type, edges)) <= {list}):
+        raise ValueError("its dfg holds nodes, [name, code slot >= 0] pairs, and edges, lists")
+
+
 def read_samples(path):
     samples = []
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
+        for number, line in enumerate(fh, 1):
             line = line.strip()
             if line:
-                samples.append(Sample.from_json_dict(json.loads(line)))
+                try:
+                    row = json.loads(line)
+                    _check_row(row)
+                except ValueError as err:  # a row that is no sample: name its line
+                    raise ValueError(f"{path}:{number}: {err}") from None
+                samples.append(Sample.from_json_dict(row))
     return samples
 
 

@@ -6,9 +6,11 @@ padded batch gets its additive attention mask from build_attention_mask:
 code positions (and CLS/SEP) attend freely, data-flow nodes attend their
 graph neighbours, themselves and their aligned code token, and a pad slot
 attends only to itself. Masked pairs carry a large negative value that
-underflows to an exact zero attention weight after softmax. The code tokens'
-lexemes are those a sample carries from extraction (syntax.emit) or renaming;
-only a sample read from corpus.jsonl has its text tokenized again.
+underflows to an exact zero attention weight after softmax. A sample is cut
+to the vocabulary's max_code code tokens and max_dfg nodes, so a model's
+vocab.json carries its limits with its token ids. The code tokens' lexemes
+are those a sample carries from extraction (syntax.emit) or renaming; only a
+sample read from corpus.jsonl has its text tokenized again.
 """
 
 import json
@@ -30,6 +32,7 @@ MASK_NEG = -1e9  # stands in for -inf; underflows to weight 0 in float32 softmax
 DEFAULT_MAX_CODE = 256
 DEFAULT_MAX_DFG = 32
 DEFAULT_MIN_FREQ = 2
+_NUMBERS = ("min_freq", "max_code", "max_dfg")  # a Vocabulary's fields besides its tokens
 
 # Padded cells B·L² one batch may hold, in training sub-batches and in
 # inference alike: each float32 (B, H, L, L) attention tensor then stays
@@ -41,6 +44,8 @@ BATCH_CELLS = 65536
 class Vocabulary:
     token_to_id: dict
     min_freq: int
+    max_code: int
+    max_dfg: int
 
     @property
     def size(self):
@@ -50,7 +55,7 @@ class Vocabulary:
         return self.token_to_id.get(token, UNK_ID)
 
     def to_json(self):
-        return {"min_freq": self.min_freq, "tokens": self.token_to_id}
+        return {key: getattr(self, key) for key in _NUMBERS} | {"tokens": self.token_to_id}
 
     @classmethod
     def from_json(cls, data):
@@ -58,7 +63,11 @@ class Vocabulary:
         if not isinstance(tokens, dict) or sorted(
                 i for i in tokens.values() if type(i) is int) != list(range(len(tokens))):
             raise ValueError("a vocabulary maps its tokens to the ids 0..n-1")
-        return cls(dict(tokens), data["min_freq"])
+        numbers = [data.get(key) for key in _NUMBERS]
+        if not all(type(n) is int and n >= 0 for n in numbers):
+            raise ValueError("a vocabulary holds min_freq, max_code and max_dfg as integers "
+                             ">= 0; one written without the limits predates them: retrain")
+        return cls(dict(tokens), *numbers)
 
     def save(self, path):
         with open(path, "w", encoding="utf-8") as fh:
@@ -91,7 +100,8 @@ def sample_lexemes(sample):
     return sample.lexemes or [t.lexeme for t in tokenize(sample.source_text())]
 
 
-def build_vocabulary(train_samples, min_freq=DEFAULT_MIN_FREQ):
+def build_vocabulary(train_samples, min_freq=DEFAULT_MIN_FREQ, max_code=DEFAULT_MAX_CODE,
+                     max_dfg=DEFAULT_MAX_DFG):
     """Vocabulary over code-token lexemes and data-flow node names of the
     train split, ids dense from 4 in (frequency desc, lexeme asc) order."""
     if not train_samples:
@@ -107,7 +117,7 @@ def build_vocabulary(train_samples, min_freq=DEFAULT_MIN_FREQ):
     )
     for tok in kept:
         token_to_id[tok] = len(token_to_id)
-    return Vocabulary(token_to_id, min_freq)
+    return Vocabulary(token_to_id, min_freq, max_code, max_dfg)
 
 
 def build_attention_mask(encodings, dtype=np.float32):
@@ -183,18 +193,21 @@ def length_batches(encodings):
     return batches
 
 
-def encode_sample(sample, vocab, max_code=DEFAULT_MAX_CODE, max_dfg=DEFAULT_MAX_DFG):
-    """Encode one sample: head-keep truncation for code, program-order
-    truncation for data-flow nodes, edges to dropped nodes removed."""
+def encode_sample(sample, vocab):
+    """Encode one sample at vocab's limits: head-keep truncation for code,
+    program-order truncation for data-flow nodes, edges to dropped nodes removed."""
     lexemes = sample_lexemes(sample)
-    code_truncated = len(lexemes) > max_code
-    lexemes = lexemes[:max_code]
+    code_truncated = len(lexemes) > vocab.max_code
+    lexemes = lexemes[:vocab.max_code]
     n_code = len(lexemes)
 
     nodes = sample.dfg.get("nodes", [])
     edges = sample.dfg.get("edges", [])
-    dfg_truncated = len(nodes) > max_dfg
-    nodes = nodes[:max_dfg]
+    if not all(len(e) == 2 and type(e[0]) is int and type(e[1]) is int
+               and 0 <= e[0] < len(nodes) and 0 <= e[1] < len(nodes) for e in edges):
+        raise ValueError(f"sample {sample.id}: a data-flow edge is no pair of node indices")
+    dfg_truncated = len(nodes) > vocab.max_dfg
+    nodes = nodes[:vocab.max_dfg]
     edges = [(t, f) for t, f in edges if t < len(nodes) and f < len(nodes)]
 
     alignment = [1 + tok_idx if tok_idx < n_code else None for _, tok_idx in nodes]
@@ -208,14 +221,14 @@ def encode_sample(sample, vocab, max_code=DEFAULT_MAX_CODE, max_dfg=DEFAULT_MAX_
     )
 
 
-def encode_corpus(samples, vocab, max_code=DEFAULT_MAX_CODE, max_dfg=DEFAULT_MAX_DFG):
+def encode_corpus(samples, vocab):
     """Encode a sample list; returns (encodings, truncation stats)."""
-    encoded = [encode_sample(s, vocab, max_code, max_dfg) for s in samples]
+    encoded = [encode_sample(s, vocab) for s in samples]
     stats = {
         "samples": len(encoded),
         "code_truncated": sum(e.code_truncated for e in encoded),
         "dfg_truncated": sum(e.dfg_truncated for e in encoded),
-        "max_code": max_code,
-        "max_dfg": max_dfg,
+        "max_code": vocab.max_code,
+        "max_dfg": vocab.max_dfg,
     }
     return encoded, stats

@@ -99,10 +99,10 @@ def report_from_rows(rows):
     }
 
 
-def predict_rows(params, config, vocab, samples, max_code=256, max_dfg=32):
+def predict_rows(params, config, vocab, samples):
     """Per-sample probabilities and 0.5-threshold predictions, in sample
     order, from one forward_pass; and the encoding's truncation stats."""
-    encodings, stats = encode_corpus(samples, vocab, max_code, max_dfg)
+    encodings, stats = encode_corpus(samples, vocab)
     probs = forward_pass(params, config, encodings)
     rows = []
     for sample, p in zip(samples, probs.tolist()):
@@ -115,13 +115,13 @@ def predict_rows(params, config, vocab, samples, max_code=256, max_dfg=32):
     return rows, stats
 
 
-def evaluate(params, config, vocab, samples, max_code=256, max_dfg=32):
+def evaluate(params, config, vocab, samples):
     """Evaluate samples: (report dict, per-sample rows, encoding stats). The
     report carries both raw and gated metrics; per-benchmark blocks are added
     when the samples span several top-level directories."""
     if not samples:
         raise ValueError("cannot evaluate an empty sample list")
-    rows, stats = predict_rows(params, config, vocab, samples, max_code, max_dfg)
+    rows, stats = predict_rows(params, config, vocab, samples)
     report = report_from_rows(rows)
 
     groups = sorted({s.path.split("/", 1)[0] for s in samples})

@@ -21,7 +21,8 @@ import numpy as np
 from .augment import fraction_for_mode, rename_variables
 from .corpus import extract_for_prediction
 from .encode import (
-    EncodedInput, build_vocabulary, encode_corpus, encode_sample, length_batches, pad_batch,
+    DEFAULT_MAX_CODE, DEFAULT_MAX_DFG, DEFAULT_MIN_FREQ, EncodedInput, build_vocabulary,
+    encode_corpus, encode_sample, length_batches, pad_batch,
 )
 
 MAGIC = b"OMPF1"
@@ -423,12 +424,13 @@ def _accuracy_per_label(probs, labels):
     return (pred == ref).mean(axis=0)
 
 
-def train(samples, arch=None, epochs=10, aug_mode="none", seed=0,
-          min_freq=2, max_code=256, max_dfg=32, batch_size=32, lr=1e-3, log=None):
+def train(samples, arch=None, epochs=10, aug_mode="none", seed=0, min_freq=DEFAULT_MIN_FREQ,
+          max_code=DEFAULT_MAX_CODE, max_dfg=DEFAULT_MAX_DFG, batch_size=32, lr=1e-3, log=None):
     """Train on the corpus train split with per-epoch renaming augmentation.
 
-    arch: ModelConfig keyword arguments other than vocab_size and seed,
-    which come from the vocabulary built here and from seed.
+    arch: ModelConfig keyword arguments other than vocab_size and seed, which
+    come from seed and the vocabulary built here; it carries min_freq and the
+    encoding limits max_code and max_dfg.
     aug_mode: none (original data), curriculum (the epoch schedule), or
     replaced (every variable renamed every epoch). Each optimizer step takes
     the next batch_size samples of a seeded permutation and runs them as
@@ -441,14 +443,14 @@ def train(samples, arch=None, epochs=10, aug_mode="none", seed=0,
     if not train_samples or not valid_samples:
         raise ValueError("train and valid splits must both be non-empty")
 
-    vocab = build_vocabulary(train_samples, min_freq)
+    vocab = build_vocabulary(train_samples, min_freq, max_code, max_dfg)
     config = ModelConfig(vocab_size=vocab.size, seed=seed, **(arch or {}))
     params = init_params(config)
     optimizer = Adam(params, lr=lr)
     rng = np.random.default_rng(seed)
 
-    base_encodings, encode_stats = encode_corpus(train_samples, vocab, max_code, max_dfg)
-    valid_encodings, valid_stats = encode_corpus(valid_samples, vocab, max_code, max_dfg)
+    base_encodings, encode_stats = encode_corpus(train_samples, vocab)
+    valid_encodings, valid_stats = encode_corpus(valid_samples, vocab)
     encode_stats["valid"] = {key: valid_stats[key]
                              for key in ("samples", "code_truncated", "dfg_truncated")}
     valid_labels = np.array([e.labels for e in valid_encodings], dtype=np.float32)
@@ -460,7 +462,7 @@ def train(samples, arch=None, epochs=10, aug_mode="none", seed=0,
             encodings = base_encodings
         else:
             renamed = [rename_variables(s, fraction, seed + epoch) for s in train_samples]
-            encodings, _ = encode_corpus(renamed, vocab, max_code, max_dfg)
+            encodings, _ = encode_corpus(renamed, vocab)
 
         order = rng.permutation(len(encodings))
         total_loss = 0.0
@@ -494,13 +496,11 @@ def train(samples, arch=None, epochs=10, aug_mode="none", seed=0,
     return TrainResult(params, config, vocab, history, encode_stats)
 
 
-def predict_source(params, config, vocab, source_text, gate=False,
-                   with_scope=False, max_code=256, max_dfg=32):
+def predict_source(params, config, vocab, source_text, gate=False, with_scope=False):
     """Per-loop predictions for one source file's text: every loop is
     encoded, and the file's loops run through one forward_pass."""
     loops = extract_for_prediction(source_text, with_scope)
-    probs = forward_pass(params, config, [encode_sample(info["sample"], vocab, max_code, max_dfg)
-                                          for info in loops])
+    probs = forward_pass(params, config, [encode_sample(info["sample"], vocab) for info in loops])
     return [{"loop_index": index, "line": info["line"], "loop_code": info["sample"].loop_code,
              "probs": dict(zip(LABELS, p)), "labels": dict(zip(LABELS, threshold_labels(p, gate))),
              "gated": gate}

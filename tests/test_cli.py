@@ -420,23 +420,49 @@ def test_evaluate_reports_scored_split(model_dir, tmp_path, capsys):
 
 def test_evaluate_writes_the_encodings_truncation_counts(model_dir, tmp_path):
     """eval_stats.json holds the split, its size and the truncation counts at
-    the limits the model directory was trained with; report.json is as before."""
+    the limits the model directory's vocab.json holds; report.json is as before."""
     corpus, out = model_dir
     limited = tmp_path / "model"
     shutil.copytree(out, limited)
-    run_config = json.loads((out / "run_config.json").read_text())
-    (limited / "run_config.json").write_text(json.dumps(dict(run_config, max_code=30, max_dfg=8)))
+    vocab = json.loads((out / "vocab.json").read_text())
+    (limited / "vocab.json").write_text(json.dumps(dict(vocab, max_code=30, max_dfg=8)))
     eval_dir = tmp_path / "eval"
     assert execute_command(["evaluate", str(limited), str(corpus / "corpus.jsonl"),
                             "--split", "valid", "-o", str(eval_dir)]) == 0
     valid = [s for s in read_samples(corpus / "corpus.jsonl") if s.split == "valid"]
-    _, stats = encode_corpus(valid, Vocabulary.load(out / "vocab.json"), 30, 8)
+    _, stats = encode_corpus(valid, Vocabulary.load(limited / "vocab.json"))
     assert 0 < stats["code_truncated"] < len(valid) and 0 < stats["dfg_truncated"] < len(valid)
     assert json.loads((eval_dir / "eval_stats.json").read_text()) == {
         "split": "valid", "n": len(valid), "code_truncated": stats["code_truncated"],
         "dfg_truncated": stats["dfg_truncated"], "max_code": 30, "max_dfg": 8}
     report = json.loads((eval_dir / "report.json").read_text())
     assert set(report) == {"n", "raw", "gated", "reference", "gate"}
+
+
+def test_model_directory_without_run_config_gives_the_same_outputs(model_dir, tmp_path, capsys):
+    """The encoding limits live in vocab.json: at non-default limits, evaluate
+    and predict give the same outputs once run_config.json is deleted."""
+    corpus, _ = model_dir
+    model = tmp_path / "model"
+    assert execute_command(["train", str(corpus), "--epochs", "1", "--seed", "1",
+                            "--d-model", "8", "--n-heads", "2", "--n-layers", "1",
+                            "--d-ff", "16", "--min-freq", "1", "--max-code", "20",
+                            "--max-dfg", "4", "-o", str(model)]) == 0
+    source = FIXTURES / "corpus_c" / "f01.c"
+    outputs = []
+    for name in ("with", "without"):
+        eval_dir = tmp_path / name
+        assert execute_command(["evaluate", str(model), str(corpus / "corpus.jsonl"),
+                                "--split", "all", "-o", str(eval_dir)]) == 0
+        capsys.readouterr()
+        assert execute_command(["predict", str(model), str(source), "--json"]) == 0
+        outputs.append([capsys.readouterr().out] + [
+            (eval_dir / file).read_text()
+            for file in ("report.json", "eval_stats.json", "per_sample.csv")])
+        (model / "run_config.json").unlink(missing_ok=True)
+    assert outputs[0] == outputs[1]
+    stats = json.loads(outputs[1][2])
+    assert (stats["max_code"], stats["max_dfg"]) == (20, 4) and stats["code_truncated"] > 0
 
 
 def test_evaluate_empty_split_is_a_data_error(model_dir, tmp_path, capsys):
@@ -452,6 +478,73 @@ def test_evaluate_empty_split_is_a_data_error(model_dir, tmp_path, capsys):
     assert not eval_dir.exists()
 
 
+def _edit_row(edit):
+    """A corpus.jsonl line made from a valid row's object by edit."""
+    def line(row):
+        edited = edit(row)
+        return json.dumps(row if edited is None else edited)
+    return line
+
+
+# how the second row of a corpus is changed
+MALFORMED_ROWS = {
+    "row_list": _edit_row(lambda row: [1]),
+    "row_number": _edit_row(lambda row: 5),
+    "dfg_number": _edit_row(lambda row: row.update(dfg=5)),
+    "loop_code_number": _edit_row(lambda row: row.update(loop_code=5)),
+    "label_string": _edit_row(lambda row: row.update(label_pragma="1")),
+    "dfg_slot_negative": _edit_row(lambda row: row["dfg"]["nodes"][0].__setitem__(1, -5)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_ROWS))
+def test_malformed_corpus_row_is_a_data_error(model_dir, tmp_path, capsys, case):
+    """A corpus.jsonl row that is no sample makes evaluate, augment and stats
+    exit 2 with its path and line, never a traceback."""
+    edit = MALFORMED_ROWS[case]
+    corpus, model = model_dir
+    lines = (corpus / "corpus.jsonl").read_text().splitlines()
+    lines[1] = edit(json.loads(lines[1]))
+    bad = tmp_path / "corpus.jsonl"
+    bad.write_text("\n".join(lines) + "\n")
+    argv = {"evaluate": ["evaluate", str(model), str(bad), "--split", "all",
+                         "-o", str(tmp_path / "eval")],
+            "augment": ["augment", str(bad), "--mode", "replaced", "-o", str(tmp_path / "a.jsonl")],
+            "stats": ["stats", str(bad)]}
+    for command, args in argv.items():
+        assert execute_command(args) == 2, command
+        assert capsys.readouterr().err.startswith(f"error: {bad}:2: ")
+
+
+def test_data_flow_edge_outside_the_nodes_is_a_data_error(model_dir, tmp_path, capsys):
+    """encode_sample, where edges to truncated-away nodes are dropped, rejects
+    an edge to no node at all."""
+    corpus, model = model_dir
+    rows = [json.loads(line) for line in (corpus / "corpus.jsonl").read_text().splitlines()]
+    rows[1]["dfg"]["edges"].append([0, len(rows[1]["dfg"]["nodes"])])
+    bad = tmp_path / "corpus.jsonl"
+    bad.write_text("".join(json.dumps(row) + "\n" for row in rows))
+    assert execute_command(["evaluate", str(model), str(bad), "--split", "all",
+                            "-o", str(tmp_path / "eval")]) == 2
+    assert capsys.readouterr().err == (f"error: sample {rows[1]['id']}: "
+                                       "a data-flow edge is no pair of node indices\n")
+
+
+def test_vocabulary_without_limits_asks_to_retrain(model_dir, tmp_path, capsys):
+    """A vocab.json from before the limits were stored in it is a data error,
+    whatever run_config.json says."""
+    corpus, trained = model_dir
+    copy = tmp_path / "model"
+    shutil.copytree(trained, copy)
+    vocab = json.loads((copy / "vocab.json").read_text())
+    (copy / "vocab.json").write_text(json.dumps(
+        {"min_freq": vocab["min_freq"], "tokens": vocab["tokens"]}))
+    assert execute_command(["evaluate", str(copy), str(corpus / "corpus.jsonl"),
+                            "-o", str(tmp_path / "eval")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "retrain" in err
+
+
 # ---------------------------------------------------------------------------
 # argument checks and model directory checks
 
@@ -460,6 +553,7 @@ def test_evaluate_empty_split_is_a_data_error(model_dir, tmp_path, capsys):
     ("--batch-size", "-1"), ("--batch-size", "0"), ("--epochs", "-1"), ("--epochs", "0"),
     ("--max-code", "-5"), ("--max-dfg", "-1"), ("--dropout", "-0.5"), ("--dropout", "1"),
     ("--dropout", "nan"), ("--epochs", "two"), ("--lr", "-1"), ("--lr", "inf"),
+    ("--min-freq", "-1"),
     ("--seed", "-1"), ("--seed", str(2**63)),
 ])
 def test_train_rejects_bad_numeric_option(model_dir, tmp_path, capsys, option, value):
@@ -500,6 +594,15 @@ def _edit_vocab(edit):
     return mutate
 
 
+def _set_vocab_fields(**fields):
+    """vocab.json with each named field set, or removed where it is None."""
+    def mutate(raw):
+        data = json.loads(raw)
+        data.update(fields)
+        return json.dumps({k: v for k, v in data.items() if v is not None}).encode()
+    return mutate
+
+
 def _set_header_field(offset, value, fmt="<I"):
     def mutate(raw):
         data = bytearray(raw)
@@ -514,12 +617,13 @@ SCALE_BYTE = len(b"OMPF1") + struct.calcsize("<6Iqf")  # 0 sqrt_d, 1 d
 # (file in the model directory, how it is changed, predict's exit code)
 MODEL_DIR_EDITS = {
     "unchanged": ("vocab.json", lambda raw: raw, 0),
-    "run_config_list": ("run_config.json", lambda raw: b"[]", 2),
-    "max_code_string": ("run_config.json", lambda raw: b'{"max_code": "abc"}', 2),
-    "max_code_past_positions": ("run_config.json", lambda raw: b'{"max_code": 2000}', 2),
-    "max_code_negative": ("run_config.json", lambda raw: b'{"max_dfg": -1}', 2),
-    "positions_filled": ("run_config.json",
-                         lambda raw: b'{"max_code": 478, "max_dfg": 32}', 0),
+    "run_config_list": ("run_config.json", lambda raw: b"[]", 0),  # a log, never read
+    "max_code_string": ("vocab.json", _set_vocab_fields(max_code="abc"), 2),
+    "max_code_past_positions": ("vocab.json", _set_vocab_fields(max_code=2000), 2),
+    "max_code_negative": ("vocab.json", _set_vocab_fields(max_code=-1), 2),
+    "max_code_missing": ("vocab.json", _set_vocab_fields(max_code=None), 2),
+    "min_freq_missing": ("vocab.json", _set_vocab_fields(min_freq=None), 2),
+    "positions_filled": ("vocab.json", _set_vocab_fields(max_code=478, max_dfg=32), 0),
     "vocab_tokens_int": ("vocab.json", lambda raw: b'{"min_freq": 1, "tokens": 5}', 2),
     "vocab_list": ("vocab.json", lambda raw: b'["x"]', 2),
     "vocab_id_past_size": ("vocab.json", _edit_vocab(lambda t: t.update({"[UNK]": len(t)})), 2),
@@ -636,6 +740,15 @@ def test_operator_chain_bound_is_set_by_the_input():
     assert _extraction_verdict(past) == ([], [(4, "parse_error")])
     col = len("x = ") + len("i + ") * (TERM_CHAIN_BOUND - 1) + len("i ") + 1
     assert _prediction_verdict(past) == (4, col, "less deeply nested code")
+
+
+def test_predict_on_a_file_that_is_not_utf8_is_a_data_error(model_dir, tmp_path, capsys):
+    _, out = model_dir
+    source = tmp_path / "latin1.c"
+    source.write_bytes("void f(void) {\n/* caf\xe9 */\n}\n".encode("latin-1"))
+    assert execute_command(["predict", str(out), str(source), "--json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "utf-8" in captured.err
 
 
 def test_predict_on_a_directory_is_a_data_error(model_dir, tmp_path, capsys):

@@ -1,4 +1,5 @@
 import json
+import shutil
 from collections import Counter
 from pathlib import Path
 
@@ -6,7 +7,7 @@ import pytest
 
 from ompadvisor.augment import rename_variables
 from ompadvisor.corpus import (
-    SAMPLE_KEYS, Sample, build_corpus, compute_stats, content_hash,
+    SAMPLE_KEYS, Reject, Sample, build_corpus, compute_stats, content_hash,
     deduplicate, extract_for_prediction, extract_from_source, extract_samples,
     split_corpus,
 )
@@ -98,6 +99,40 @@ def test_parse_error_rejects_whole_file(fixture_corpus_dir):
     samples, rejects = extract_samples(fixture_corpus_dir / "f10.c", rel_path="f10.c")
     assert samples == []
     assert [r.reason for r in rejects] == ["parse_error"]
+
+
+LATIN1_KERNEL = ("void f(int n, double *a) {\nint i;\n/* caf\xe9 */\n"
+                 "for (i = 0; i < n; i++) {\na[i] = 0.0;\n}\n}\n").encode("latin-1")
+
+
+def test_file_that_is_not_utf8_is_one_parse_error_reject(tmp_path, fixture_corpus_dir):
+    """A latin-1 byte rejects its file at the byte's line; the build goes on
+    and writes the same corpus as without that file."""
+    tree = tmp_path / "tree"
+    shutil.copytree(fixture_corpus_dir, tree)
+    (tree / "latin1.c").write_bytes(LATIN1_KERNEL)
+    assert extract_samples(tree / "latin1.c", rel_path="latin1.c") == (
+        [], [Reject("latin1.c", 3, "parse_error")])
+    samples, rejects, stats = build_corpus(tree, tmp_path / "out", seed=0)
+    assert Reject("latin1.c", 3, "parse_error") in rejects
+    assert stats["rejects"]["parse_error"] == 2
+    build_corpus(fixture_corpus_dir, tmp_path / "plain", seed=0)
+    assert (tmp_path / "out" / "corpus.jsonl").read_bytes() == \
+        (tmp_path / "plain" / "corpus.jsonl").read_bytes()
+
+
+@pytest.mark.parametrize("newline", [b"\r\n", b"\r"])
+def test_extract_samples_reads_every_newline_as_open_does(tmp_path, newline):
+    """Lines end at CR LF and at a lone CR as at LF, as in a file opened in
+    text mode: the same samples, at the same lines."""
+    text = (FIXTURES / "corpus_c" / "f01.c").read_text(encoding="utf-8")
+    path = tmp_path / "f01.c"
+    path.write_bytes(text.encode("utf-8").replace(b"\n", newline))
+    assert extract_samples(path, with_scope=True, rel_path="f01.c") == \
+        extract_from_source(text, "f01.c", with_scope=True)
+    path.write_bytes(path.read_bytes() + b"/* \xff */" + newline)
+    assert extract_samples(path, rel_path="f01.c")[1] == [
+        Reject("f01.c", text.count("\n") + 1, "parse_error")]
 
 
 def test_within_file_duplicate_rejected(fixture_corpus_dir):

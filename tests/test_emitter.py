@@ -4,6 +4,7 @@ lexemes tokenize would read, and match the string renderer and re-parsing
 sample builders they replaced (tests/oracles.py)."""
 
 import importlib.util
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -406,5 +407,5 @@ def test_encoding_is_the_same_with_and_without_carried_lexemes():
         stored = Sample.from_json_dict(sample.to_json_dict())
         assert sample.lexemes is not None and stored.lexemes is None
         for max_code in (8, 256):
-            assert encode_sample(sample, vocab, max_code, 4) == \
-                encode_sample(stored, vocab, max_code, 4)
+            limited = replace(vocab, max_code=max_code, max_dfg=4)
+            assert encode_sample(sample, limited) == encode_sample(stored, limited)

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -75,11 +77,25 @@ def test_vocabulary_requires_samples():
 
 
 def test_vocabulary_json_round_trip(tmp_path):
-    vocab = build_vocabulary([snippet_sample("x = 1;")], min_freq=1)
+    vocab = build_vocabulary([snippet_sample("x = 1;")], min_freq=1, max_code=40, max_dfg=6)
     vocab.save(tmp_path / "vocab.json")
     again = Vocabulary.load(tmp_path / "vocab.json")
-    assert again.token_to_id == vocab.token_to_id
-    assert again.min_freq == vocab.min_freq
+    assert again == vocab
+    assert (again.min_freq, again.max_code, again.max_dfg) == (1, 40, 6)
+
+
+@pytest.mark.parametrize("edit", [
+    {"min_freq": None}, {"max_code": None}, {"max_dfg": None}, {"max_code": "40"},
+    {"max_dfg": -1}, {"min_freq": 1.0}, {"max_code": True},
+])
+def test_vocabulary_needs_integer_limits(edit):
+    """A vocabulary without max_code or max_dfg was written before they were
+    stored: a ValueError that says to retrain, as for any other bad number."""
+    data = build_vocabulary([snippet_sample("x = 1;")], min_freq=1).to_json()
+    data.update(edit)
+    data = {key: value for key, value in data.items() if value is not None}
+    with pytest.raises(ValueError, match="min_freq, max_code and max_dfg.*retrain"):
+        Vocabulary.from_json(data)
 
 
 # ---------------------------------------------------------------------------
@@ -199,7 +215,8 @@ def test_padded_mask_equals_reference_on_shuffled_mixed_batches(dtype):
     vocab = build_vocabulary(samples, min_freq=2)
     encodings = []
     for max_code, max_dfg in ((256, 32), (16, 32), (256, 6), (16, 6)):
-        encodings += encode_corpus(samples[:50], vocab, max_code, max_dfg)[0]
+        encodings += encode_corpus(samples[:50], replace(vocab, max_code=max_code,
+                                                         max_dfg=max_dfg))[0]
         samples = samples[50:]
     assert any(e.code_truncated and not e.dfg_truncated for e in encodings)
     assert any(e.dfg_truncated and not e.code_truncated for e in encodings)
@@ -227,7 +244,8 @@ def test_truncation_head_keep():
     terms = " + ".join(f"v{i}" for i in range(150))  # 299 expression tokens
     sample = snippet_sample(f"x = {terms};")
     vocab = build_vocabulary([sample], min_freq=1)
-    enc = encode_sample(sample, vocab, max_code=256, max_dfg=32)
+    assert (vocab.max_code, vocab.max_dfg) == (256, 32)
+    enc = encode_sample(sample, vocab)
     assert enc.code_truncated
     assert enc.dfg_truncated
     n_dfg = len(enc.dfg_alignment)
@@ -239,8 +257,8 @@ def test_truncation_head_keep():
 def test_truncation_drops_edges_to_dropped_nodes():
     terms = " + ".join(f"v{i}" for i in range(40))
     sample = snippet_sample(f"x = {terms};\ny = x + v0;")
-    vocab = build_vocabulary([sample], min_freq=1)
-    enc = encode_sample(sample, vocab, max_code=256, max_dfg=8)
+    vocab = build_vocabulary([sample], min_freq=1, max_dfg=8)
+    enc = encode_sample(sample, vocab)
     base = enc.length - 8
     block = mask_of(enc)[base:, base:]
     assert block.shape == (8, 8)
@@ -284,8 +302,9 @@ def test_rename_robustness_hook():
 
 def test_encode_stats_counts():
     samples = [snippet_sample("x = y;"), snippet_sample("a = b + c;")]
-    vocab = build_vocabulary(samples, min_freq=1)
-    _, stats = encode_corpus(samples, vocab, max_code=4, max_dfg=2)
+    vocab = build_vocabulary(samples, min_freq=1, max_code=4, max_dfg=2)
+    _, stats = encode_corpus(samples, vocab)
     assert stats["samples"] == 2
     assert stats["code_truncated"] == 1  # "x = y;" fits exactly
     assert stats["dfg_truncated"] == 1
+    assert (stats["max_code"], stats["max_dfg"]) == (4, 2)

@@ -184,7 +184,8 @@ def mixed_eval_batch(n_layers, dtype, seed):
     params = {k: (v + rng.normal(0.0, 0.5, size=v.shape)).astype(dtype)
               for k, v in init_params(config).items()}
     encodings = _random_check_input(config, rng, (3, 5, 9, 17, 30))
-    truncated = [encode_sample(s, vocab, max_code=12, max_dfg=4) for s in samples[:6]]
+    limited = build_vocabulary(samples, min_freq=1, max_code=12, max_dfg=4)
+    truncated = [encode_sample(s, limited) for s in samples[:6]]
     assert any(e.code_truncated for e in truncated)
     encodings += truncated
     ids, positions, mask, _ = pad_batch([encodings[i] for i in rng.permutation(len(encodings))],
