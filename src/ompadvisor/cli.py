@@ -14,7 +14,7 @@ from pathlib import Path
 
 from . import __version__
 from .augment import fraction_for_mode, rename_variables
-from .corpus import build_corpus, compute_stats, read_samples, write_jsonl
+from .corpus import build_corpus, compute_stats, read_samples, read_source, write_jsonl
 from .encode import DEFAULT_MAX_CODE, DEFAULT_MAX_DFG, DEFAULT_MIN_FREQ, Vocabulary
 from .encode import build_vocabulary  # noqa: F401 -- a traced binding in perfbench/spans.py
 from .metrics import evaluate, format_report, rows_to_csv
@@ -204,8 +204,7 @@ def _load_model_dir(model_dir):
 
 def _cmd_predict(args):
     params, config, vocab = _load_model_dir(args.model_dir)
-    source = Path(args.file).read_text(encoding="utf-8")
-    results = predict_source(params, config, vocab, source, gate=args.gate,
+    results = predict_source(params, config, vocab, read_source(args.file), gate=args.gate,
                              with_scope=args.with_scope)
     if args.as_json:
         printable = [{k: v for k, v in r.items() if k != "loop_code"} for r in results]

@@ -302,16 +302,34 @@ def extract_from_source(source_text, path, with_scope=False):
     return samples, rejects
 
 
-def extract_samples(file_path, with_scope=False, rel_path=None):
-    """File wrapper around extract_from_source. A file that is not UTF-8 is
-    one parse_error reject, at the line of its first bad byte."""
-    path, data = rel_path or str(file_path), Path(file_path).read_bytes()
+class NotUtf8Error(ValueError):
+    """A source file that is not UTF-8, named with the line of its first bad byte."""
+
+    def __init__(self, path, line, byte):
+        super().__init__(f"{path}:{line}: byte 0x{byte:02x} is not UTF-8")
+        self.line = line
+
+
+def read_source(file_path):
+    """A C file's text, with the universal newlines of open() in text mode;
+    NotUtf8Error when the file is not UTF-8."""
+    data = Path(file_path).read_bytes()
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as err:
-        return [], [Reject(path, len((data[:err.start] + b".").splitlines()), "parse_error")]
-    # the universal newlines of open() in text mode
-    text = text.replace("\r\n", "\n").replace("\r", "\n")
+        line = len((data[:err.start] + b".").splitlines())
+        raise NotUtf8Error(file_path, line, data[err.start]) from None
+    return text.replace("\r\n", "\n").replace("\r", "\n")
+
+
+def extract_samples(file_path, with_scope=False, rel_path=None):
+    """File wrapper around extract_from_source. A file that is not UTF-8 is
+    one parse_error reject, at the line of its first bad byte."""
+    path = rel_path or str(file_path)
+    try:
+        text = read_source(file_path)
+    except NotUtf8Error as err:
+        return [], [Reject(path, err.line, "parse_error")]
     return extract_from_source(text, path, with_scope)
 
 
@@ -432,8 +450,7 @@ def write_jsonl(path, dicts):
 
 
 def _check_row(row):
-    """Raise ValueError unless a decoded corpus row has a sample's shape; each
-    edge's pair of node indices is checked where encode_sample reads it."""
+    """Raise ValueError unless a decoded corpus row has a sample's shape."""
     if not isinstance(row, dict) or not row.keys() >= set(SAMPLE_KEYS):
         raise ValueError("a row is an object with the keys " + ", ".join(SAMPLE_KEYS))
     if not (all(type(row[key]) is str for key in _TEXT_KEYS)
@@ -444,8 +461,12 @@ def _check_row(row):
     nodes, edges = dfg.get("nodes"), dfg.get("edges")
     if not (isinstance(nodes, list) and isinstance(edges, list) and all(
             type(n) is list and len(n) == 2 and type(n[0]) is str and type(n[1]) is int
-            and n[1] >= 0 for n in nodes) and set(map(type, edges)) <= {list}):
-        raise ValueError("its dfg holds nodes, [name, code slot >= 0] pairs, and edges, lists")
+            and n[1] >= 0 for n in nodes)):
+        raise ValueError("its dfg holds nodes, [name, code slot >= 0] pairs, and edges")
+    n_nodes = len(nodes)
+    if not all(type(e) is list and len(e) == 2 and type(e[0]) is int and type(e[1]) is int
+               and 0 <= e[0] < n_nodes and 0 <= e[1] < n_nodes for e in edges):
+        raise ValueError("each data-flow edge is a pair of node indices")
 
 
 def read_samples(path):

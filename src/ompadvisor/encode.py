@@ -203,9 +203,6 @@ def encode_sample(sample, vocab):
 
     nodes = sample.dfg.get("nodes", [])
     edges = sample.dfg.get("edges", [])
-    if not all(len(e) == 2 and type(e[0]) is int and type(e[1]) is int
-               and 0 <= e[0] < len(nodes) and 0 <= e[1] < len(nodes) for e in edges):
-        raise ValueError(f"sample {sample.id}: a data-flow edge is no pair of node indices")
     dfg_truncated = len(nodes) > vocab.max_dfg
     nodes = nodes[:vocab.max_dfg]
     edges = [(t, f) for t, f in edges if t < len(nodes) and f < len(nodes)]

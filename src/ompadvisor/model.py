@@ -7,8 +7,17 @@ literal division by the per-head dimension is available behind
 scale_mode="d". All gradients are hand-derived so they can be verified
 against finite differences. forward_pass is the one eval-mode path: the
 validation pass of train, metrics.predict_rows and predict_source all run
-their encodings through it, and threshold_labels is the one gating rule. The
-eval softmax and ReLU run in place, as every bias add does: the same floats.
+their encodings through it, and threshold_labels is the one gating rule.
+
+Every batch-sized array of a forward and a backward is written through out=
+into a Workspace: train owns one for the whole run and lends it to its
+validation pass, and any other forward_pass makes one for its own batches.
+The softmax, ReLU, bias adds, residual sums and layer norms run in place.
+Dropout keeps a bool keep-pattern per site and one scale 1/(1-rate) in the
+parameters' dtype; backward re-applies it with the forward's operations.
+None of this changes a float: a run is deterministic for a given seed per
+machine and per BLAS thread count, the BLAS matmuls being what may sum in
+another order elsewhere.
 """
 
 import math
@@ -122,6 +131,36 @@ def init_params(config, dtype=np.float32):
 # forward / backward
 
 
+class Workspace:
+    """Buffers reused from batch to batch, so that a run allocates its
+    batch-sized arrays once rather than once per sub-batch. take(name, shape,
+    dtype) returns a view of the named flat buffer, which grows to the largest
+    request it has seen; the view is valid until the next take of that name."""
+
+    def __init__(self):
+        self._buffers = {}
+
+    def take(self, name, shape, dtype):
+        size = math.prod(shape)
+        buffer = self._buffers.get(name)
+        if buffer is None or buffer.size < size or buffer.dtype != dtype:
+            buffer = self._buffers[name] = np.empty(size, dtype)
+        return buffer[:size].reshape(shape)
+
+    def matmul(self, name, a, b):
+        """a @ b, written into the named buffer."""
+        shape = a.shape[:-1] + b.shape[-1:]
+        return np.matmul(a, b, out=self.take(name, shape, np.result_type(a, b)))
+
+    def matmul_merged(self, name, a, b):
+        """The (B, H, T, ·) @ (B, H, ·, dh) product with its heads merged, as
+        (B, T, H·dh), written into the named buffer through a transposed view."""
+        batch, heads, rows, _ = a.shape
+        out = self.take(name, (batch, rows, heads * b.shape[-1]), np.result_type(a, b))
+        np.matmul(a, b, out=out.reshape(batch, rows, heads, -1).transpose(0, 2, 1, 3))
+        return out
+
+
 def masked_softmax(scores, out=None):
     """Softmax over the last axis; entries pushed down by MASK_NEG come out
     exactly zero as their shifted exponent underflows; out=scores overwrites."""
@@ -131,23 +170,32 @@ def masked_softmax(scores, out=None):
     return out
 
 
-def _layer_norm(x, g, b):
-    mu = x.mean(axis=-1, keepdims=True)
-    var = ((x - mu) ** 2).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + _LN_EPS)
-    xhat = (x - mu) * inv
-    return xhat * g + b, (xhat, inv)
+def _layer_norm(x, g, b, workspace, name):
+    """(y in the named buffer, (xhat, inv)); xhat is written over x."""
+    xhat = x
+    xhat -= x.mean(axis=-1, keepdims=True)
+    square = np.square(xhat, out=workspace.take("tmp", xhat.shape, xhat.dtype))
+    inv = 1.0 / np.sqrt(square.mean(axis=-1, keepdims=True) + _LN_EPS)
+    xhat *= inv
+    y = np.multiply(xhat, g, out=workspace.take(name, xhat.shape, np.result_type(xhat, g)))
+    y += b
+    return y, (xhat, inv)
 
 
-def _layer_norm_backward(dy, g, ln_cache):
+def _layer_norm_backward(dy, g, ln_cache, workspace):
+    """(dx, dg, db) of _layer_norm; dx is written over dy."""
     xhat, inv = ln_cache
-    dg = (dy * xhat).sum(axis=(0, 1))
+    tmp = workspace.take("tmp", dy.shape, np.result_type(dy, xhat))
+    dg = np.multiply(dy, xhat, out=tmp).sum(axis=(0, 1))
     db = dy.sum(axis=(0, 1))
-    dxhat = dy * g
+    dxhat = dy
+    dxhat *= g
     mean_dxhat = dxhat.mean(axis=-1, keepdims=True)
-    mean_dxhat_xhat = (dxhat * xhat).mean(axis=-1, keepdims=True)
-    dx = (dxhat - mean_dxhat - xhat * mean_dxhat_xhat) * inv
-    return dx, dg, db
+    mean_dxhat_xhat = np.multiply(dxhat, xhat, out=tmp).mean(axis=-1, keepdims=True)
+    dxhat -= mean_dxhat
+    dxhat -= np.multiply(xhat, mean_dxhat_xhat, out=tmp)
+    dxhat *= inv
+    return dxhat, dg, db
 
 
 def _weight_grad(a, b):
@@ -157,9 +205,9 @@ def _weight_grad(a, b):
     return a.reshape(-1, a.shape[-1]).T @ b.reshape(-1, b.shape[-1])
 
 
-def _affine(x, w, b):
-    """x @ w + b, the bias added in place."""
-    y = x @ w
+def _affine(workspace, name, x, w, b):
+    """x @ w + b in the named buffer, the bias added in place."""
+    y = workspace.matmul(name, x, w)
     y += b
     return y
 
@@ -169,24 +217,32 @@ def _split_heads(x, n_heads):
     return x.reshape(b, l, n_heads, d // n_heads).transpose(0, 2, 1, 3)
 
 
-def _merge_heads(x):
-    b, h, l, dh = x.shape
-    return x.transpose(0, 2, 1, 3).reshape(b, l, h * dh)
+def _drop_scale(rate, dtype):
+    """The factor dropout multiplies kept cells by."""
+    return dtype.type(1.0) / dtype.type(1.0 - rate)
 
 
-def _dropout_mask(rng, shape, rate, dtype):
+def _keep_pattern(rng, rate, shape, workspace, name):
+    """Dropout's keep-pattern: a bool array, True where a cell is kept (with
+    probability 1 - rate), in the named buffer; None when nothing drops, and
+    then nothing is drawn from rng."""
     if rng is None or rate <= 0.0:
         return None
-    keep = (rng.random(shape) >= rate).astype(dtype)
-    keep /= 1.0 - rate
-    return keep
+    return np.greater_equal(rng.random(shape), rate, out=workspace.take(name, shape, bool))
 
 
-def _apply_drop(x, mask):
-    return x if mask is None else x * mask
+def _dropped(x, keep, scale, out):
+    """x with dropout applied, written into out: x * keep, then * scale (x
+    itself when keep is None). Cell for cell these are the products of x with
+    a float mask of 0 and scale."""
+    if keep is None:
+        return x
+    np.multiply(x, keep, out=out)
+    out *= scale
+    return out
 
 
-def forward_batch(params, config, ids, positions, mask, train=False, rng=None):
+def forward_batch(params, config, ids, positions, mask, train=False, rng=None, workspace=None):
     """Run the encoder on a padded batch.
 
     ids, positions: (B, L) int arrays; mask: (B, L, L) additive mask.
@@ -195,49 +251,62 @@ def forward_batch(params, config, ids, positions, mask, train=False, rng=None):
     after its keys and values, the last layer runs at rows 0-1 only: the head
     reads row 0 (CLS), every later op is row-wise, and two rows keep numpy's
     products on BLAS gemm, which sums row 0 as the full product does (gemv,
-    which a one-row product gets, sums in another order). An eval forward
-    writes the softmax weights over the scores and the ReLU over its input.
+    which a one-row product gets, sums in another order).
+
+    Every batch-sized array is written into a buffer of workspace (a new
+    Workspace when none is given): the scores, softmaxed in place into the
+    attention weights, the FFN activations, the residual sums, each layer norm
+    over its input. So the cache lives in the workspace, valid until its next
+    forward, and probs is the only new batch-sized array.
     """
+    workspace = Workspace() if workspace is None else workspace
     drop_rng = rng if train else None
     dtype = params["tok_emb"].dtype
-    x = params["tok_emb"][ids] + params["pos_emb"][positions]
+    scale = _drop_scale(config.dropout_rate, dtype)
+    x = np.take(params["tok_emb"], ids, axis=0,
+                out=workspace.take("x0", ids.shape + (config.d_model,), dtype))
+    x += np.take(params["pos_emb"], positions, axis=0, out=workspace.take("tmp", x.shape, dtype))
     layers = []
     for layer in range(config.n_layers):
         p = {k: params[f"layer{layer}.{k}"] for k in LAYER_KEYS}
+        name = f"layer{layer}.".__add__
         x_in = x
         rows = x_in if train or layer < config.n_layers - 1 else x_in[:, :2]
-        q = _affine(rows, p["wq"], p["bq"])
-        k = _affine(x_in, p["wk"], p["bk"])
-        v = _affine(x_in, p["wv"], p["bv"])
+        q = _affine(workspace, name("q"), rows, p["wq"], p["bq"])
+        k = _affine(workspace, name("k"), x_in, p["wk"], p["bk"])
+        v = _affine(workspace, name("v"), x_in, p["wv"], p["bv"])
         qh, kh, vh = (_split_heads(t, config.n_heads) for t in (q, k, v))
-        scores = qh @ kh.transpose(0, 1, 3, 2)
+        scores = workspace.matmul(name("attn"), qh, kh.transpose(0, 1, 3, 2))
         scores /= config.attn_scale
         # A wider mask widens the scores, as an out-of-place sum would.
         scores = scores.astype(np.result_type(scores, mask), copy=False)
         scores += mask[:, None, :rows.shape[1]]
-        attn = masked_softmax(scores, out=None if train else scores)
-        attn_drop_mask = _dropout_mask(drop_rng, attn.shape, config.dropout_rate, dtype)
-        attn_dropped = _apply_drop(attn, attn_drop_mask)
-        context = _merge_heads(attn_dropped @ vh)
-        proj = _affine(context, p["wo"], p["bo"])
-        proj_drop_mask = _dropout_mask(drop_rng, proj.shape, config.dropout_rate, dtype)
-        res1 = rows + _apply_drop(proj, proj_drop_mask)
-        x1, ln1_cache = _layer_norm(res1, p["ln1_g"], p["ln1_b"])
-        ff_pre = _affine(x1, p["w1"], p["b1"])
-        ff_hidden = np.maximum(ff_pre, 0.0, out=None if train else ff_pre)
-        ff_out = _affine(ff_hidden, p["w2"], p["b2"])
-        ff_drop_mask = _dropout_mask(drop_rng, ff_out.shape, config.dropout_rate, dtype)
-        res2 = x1 + _apply_drop(ff_out, ff_drop_mask)
-        x2, ln2_cache = _layer_norm(res2, p["ln2_g"], p["ln2_b"])
+        attn = masked_softmax(scores, out=scores)
+        attn_keep = _keep_pattern(drop_rng, config.dropout_rate, attn.shape, workspace,
+                                  name("attn_keep"))
+        attn_dropped = _dropped(attn, attn_keep, scale,
+                                workspace.take("attn_dropped", attn.shape, attn.dtype))
+        context = workspace.matmul_merged(name("context"), attn_dropped, vh)
+        res1 = _affine(workspace, name("ln1"), context, p["wo"], p["bo"])
+        proj_keep = _keep_pattern(drop_rng, config.dropout_rate, res1.shape, workspace,
+                                  name("proj_keep"))
+        _dropped(res1, proj_keep, scale, res1)
+        res1 += rows
+        x1, ln1_cache = _layer_norm(res1, p["ln1_g"], p["ln1_b"], workspace, name("x1"))
+        ff_hidden = _affine(workspace, name("ff_hidden"), x1, p["w1"], p["b1"])
+        np.maximum(ff_hidden, 0.0, out=ff_hidden)
+        res2 = _affine(workspace, name("ln2"), ff_hidden, p["w2"], p["b2"])
+        ff_keep = _keep_pattern(drop_rng, config.dropout_rate, res2.shape, workspace,
+                                name("ff_keep"))
+        _dropped(res2, ff_keep, scale, res2)
+        res2 += x1
+        x2, ln2_cache = _layer_norm(res2, p["ln2_g"], p["ln2_b"], workspace, name("x2"))
         if train:
             layers.append({
                 "x_in": x_in, "qh": qh, "kh": kh, "vh": vh,
-                "attn": attn, "attn_drop_mask": attn_drop_mask,
-                "attn_dropped": attn_dropped,
-                "context": context, "proj_drop_mask": proj_drop_mask,
-                "x1": x1, "ln1": ln1_cache,
-                "ff_pre": ff_pre, "ff_hidden": ff_hidden,
-                "ff_drop_mask": ff_drop_mask, "ln2": ln2_cache,
+                "attn": attn, "attn_keep": attn_keep, "context": context,
+                "proj_keep": proj_keep, "x1": x1, "ln1": ln1_cache,
+                "ff_hidden": ff_hidden, "ff_keep": ff_keep, "ln2": ln2_cache,
             })
         x = x2
     cls = x[:, 0, :]
@@ -254,13 +323,17 @@ def compute_loss(probs, labels):
     return float(np.mean(-(y * np.log(p) + (1.0 - y) * np.log(1.0 - p))))
 
 
-def backward_batch(params, config, cache, probs, labels, n_total=None):
+def backward_batch(params, config, cache, probs, labels, n_total=None, workspace=None):
     """Gradients of compute_loss w.r.t. every parameter. Returns a dict with
     the same keys as params.
 
     n_total: the size of the whole batch when this is one sub-batch of it;
     the loss is then the mean over n_total samples, so the gradients of the
-    sub-batches sum to the whole batch's."""
+    sub-batches sum to the whole batch's. Dropout is re-applied from the
+    cache's keep-patterns with the forward's operations, and every
+    batch-sized gradient is written into a workspace buffer."""
+    workspace = Workspace() if workspace is None else workspace
+    scale = _drop_scale(config.dropout_rate, params["tok_emb"].dtype)
     # Only the embeddings accumulate (np.add.at); every other gradient is
     # assigned whole below.
     grads = {name: np.zeros_like(params[name]) for name in ("tok_emb", "pos_emb")}
@@ -270,49 +343,57 @@ def backward_batch(params, config, cache, probs, labels, n_total=None):
 
     grads["head_w"] = cache["cls"].T @ dlogits
     grads["head_b"] = dlogits.sum(axis=0)
-    dcls = dlogits @ params["head_w"].T
-    dx = np.zeros_like(cache["hidden"])
-    dx[:, 0, :] = dcls
+    dx = workspace.take("dx", cache["hidden"].shape, cache["hidden"].dtype)
+    dx.fill(0.0)
+    dx[:, 0, :] = dlogits @ params["head_w"].T
 
+    # dx is carried through each layer in place: dres2, dx1, dres1, then the
+    # next layer's dx.
     for layer in range(config.n_layers - 1, -1, -1):
         p = {k: params[f"layer{layer}.{k}"] for k in LAYER_KEYS}
         c = cache["layers"][layer]
-        dres2, dg2, db2 = _layer_norm_backward(dx, p["ln2_g"], c["ln2"])
+        dres2, dg2, db2 = _layer_norm_backward(dx, p["ln2_g"], c["ln2"], workspace)
         grads[f"layer{layer}.ln2_g"] = dg2
         grads[f"layer{layer}.ln2_b"] = db2
 
-        dff_out = _apply_drop(dres2, c["ff_drop_mask"])
-        grads[f"layer{layer}.w2"] = _weight_grad(c["ff_hidden"], dff_out)
+        dff_out = _dropped(dres2, c["ff_keep"], scale,
+                           workspace.take("ddrop", dres2.shape, dres2.dtype))
+        ff_hidden = c["ff_hidden"]
+        grads[f"layer{layer}.w2"] = _weight_grad(ff_hidden, dff_out)
         grads[f"layer{layer}.b2"] = dff_out.sum(axis=(0, 1))
-        dff_hidden = dff_out @ p["w2"].T
-        dff_pre = dff_hidden * (c["ff_pre"] > 0)
-        grads[f"layer{layer}.w1"] = _weight_grad(c["x1"], dff_pre)
-        grads[f"layer{layer}.b1"] = dff_pre.sum(axis=(0, 1))
-        dx1 = dres2 + dff_pre @ p["w1"].T
+        dff = workspace.matmul("dff", dff_out, p["w2"].T)
+        # ReLU passes the gradient where its input, so its output, is > 0
+        dff *= np.greater(ff_hidden, 0, out=workspace.take("ff_on", ff_hidden.shape, bool))
+        grads[f"layer{layer}.w1"] = _weight_grad(c["x1"], dff)
+        grads[f"layer{layer}.b1"] = dff.sum(axis=(0, 1))
+        dx1 = dres2
+        dx1 += workspace.matmul("tmp", dff, p["w1"].T)
 
-        dres1, dg1, db1 = _layer_norm_backward(dx1, p["ln1_g"], c["ln1"])
+        dres1, dg1, db1 = _layer_norm_backward(dx1, p["ln1_g"], c["ln1"], workspace)
         grads[f"layer{layer}.ln1_g"] = dg1
         grads[f"layer{layer}.ln1_b"] = db1
 
-        dproj = _apply_drop(dres1, c["proj_drop_mask"])
+        dproj = _dropped(dres1, c["proj_keep"], scale,
+                         workspace.take("ddrop", dres1.shape, dres1.dtype))
         grads[f"layer{layer}.wo"] = _weight_grad(c["context"], dproj)
         grads[f"layer{layer}.bo"] = dproj.sum(axis=(0, 1))
-        dcontext = dproj @ p["wo"].T
-        dcontext_h = _split_heads(dcontext, config.n_heads)
+        dcontext_h = _split_heads(workspace.matmul("dcontext", dproj, p["wo"].T), config.n_heads)
 
-        dattn_dropped = dcontext_h @ c["vh"].transpose(0, 1, 3, 2)
-        dvh = c["attn_dropped"].transpose(0, 1, 3, 2) @ dcontext_h
-        dattn = _apply_drop(dattn_dropped, c["attn_drop_mask"])
-        attn = c["attn"]
-        dscores = dattn - (dattn * attn).sum(axis=-1, keepdims=True)
-        dscores *= attn
-        dscores /= config.attn_scale
-        dqh = dscores @ c["kh"]
-        dkh = dscores.transpose(0, 1, 3, 2) @ c["qh"]
+        attn, keep, vh = c["attn"], c["attn_keep"], c["vh"]
+        dattn = workspace.matmul("dattn", dcontext_h, vh.transpose(0, 1, 3, 2))
+        attn_dropped = _dropped(attn, keep, scale,
+                                workspace.take("attn_dropped", attn.shape, attn.dtype))
+        dv = workspace.matmul_merged("dv", attn_dropped.transpose(0, 1, 3, 2), dcontext_h)
+        _dropped(dattn, keep, scale, dattn)
+        # softmax backward, in dattn: dscores = (dattn - Σ_j dattn·attn)·attn
+        product = np.multiply(dattn, attn, out=workspace.take(
+            "attn_dropped", attn.shape, np.result_type(dattn, attn)))
+        dattn -= product.sum(axis=-1, keepdims=True)
+        dattn *= attn
+        dattn /= config.attn_scale
+        dq = workspace.matmul_merged("dq", dattn, c["kh"])
+        dk = workspace.matmul_merged("dk", dattn.transpose(0, 1, 3, 2), c["qh"])
 
-        dq = _merge_heads(dqh)
-        dk = _merge_heads(dkh)
-        dv = _merge_heads(dvh)
         x_in = c["x_in"]
         grads[f"layer{layer}.wq"] = _weight_grad(x_in, dq)
         grads[f"layer{layer}.bq"] = dq.sum(axis=(0, 1))
@@ -321,7 +402,9 @@ def backward_batch(params, config, cache, probs, labels, n_total=None):
         grads[f"layer{layer}.wv"] = _weight_grad(x_in, dv)
         grads[f"layer{layer}.bv"] = dv.sum(axis=(0, 1))
 
-        dx = dres1 + dq @ p["wq"].T + dk @ p["wk"].T + dv @ p["wv"].T
+        dx = dres1
+        for grad, w in ((dq, p["wq"]), (dk, p["wk"]), (dv, p["wv"])):
+            dx += workspace.matmul("tmp", grad, w.T)
 
     np.add.at(grads["tok_emb"], cache["ids"], dx)
     np.add.at(grads["pos_emb"], cache["positions"], dx)
@@ -337,18 +420,22 @@ def threshold_labels(probs, gate):
     return tuple(labels)
 
 
-def batch_gradients(params, config, encodings, dtype=np.float32, rng=None):
+def batch_gradients(params, config, encodings, dtype=np.float32, rng=None, workspace=None):
     """Forward and backward of one batch as length_batches sub-batches, each
     padded to its own longest member: (probs and labels in input order, the
     gradients of compute_loss over the whole batch summed over sub-batches).
     Each sub-batch keeps its samples in input order, so a budget that fits the
-    whole batch pads it once, exactly as one pad_batch would."""
+    whole batch pads it once, exactly as one pad_batch would. Every sub-batch
+    reuses one workspace (a new one when none is given)."""
+    workspace = Workspace() if workspace is None else workspace
     parts, order, grads = [], [], None
     for batch in length_batches(encodings):
         batch = sorted(batch)
         ids, positions, mask, labels = pad_batch([encodings[i] for i in batch], dtype=dtype)
-        probs, cache = forward_batch(params, config, ids, positions, mask, train=True, rng=rng)
-        sub_grads = backward_batch(params, config, cache, probs, labels, n_total=len(encodings))
+        probs, cache = forward_batch(params, config, ids, positions, mask, train=True, rng=rng,
+                                     workspace=workspace)
+        sub_grads = backward_batch(params, config, cache, probs, labels, n_total=len(encodings),
+                                   workspace=workspace)
         if grads is None:
             grads = sub_grads
         else:
@@ -360,14 +447,15 @@ def batch_gradients(params, config, encodings, dtype=np.float32, rng=None):
     return probs, np.array([e.labels for e in encodings], dtype=dtype), grads
 
 
-def forward_pass(params, config, encodings):
+def forward_pass(params, config, encodings, workspace=None):
     """The one eval-mode forward: the (N, 3) probabilities of encodings in
     input order, run as length_batches, each padded to its own longest
-    member."""
+    member, through one workspace (a new one when none is given)."""
+    workspace = Workspace() if workspace is None else workspace
     probs = np.empty((len(encodings), len(LABELS)), dtype=params["tok_emb"].dtype)
     for batch in length_batches(encodings):
         ids, positions, mask, _ = pad_batch([encodings[i] for i in batch], dtype=probs.dtype)
-        probs[batch], _ = forward_batch(params, config, ids, positions, mask)
+        probs[batch], _ = forward_batch(params, config, ids, positions, mask, workspace=workspace)
     return probs
 
 
@@ -448,6 +536,7 @@ def train(samples, arch=None, epochs=10, aug_mode="none", seed=0, min_freq=DEFAU
     params = init_params(config)
     optimizer = Adam(params, lr=lr)
     rng = np.random.default_rng(seed)
+    workspace = Workspace()  # every training step and validation pass reuses it
 
     base_encodings, encode_stats = encode_corpus(train_samples, vocab)
     valid_encodings, valid_stats = encode_corpus(valid_samples, vocab)
@@ -469,7 +558,8 @@ def train(samples, arch=None, epochs=10, aug_mode="none", seed=0, min_freq=DEFAU
         n_batches = 0
         for start in range(0, len(order), batch_size):
             chunk = [encodings[i] for i in order[start : start + batch_size]]
-            probs, labels, grads = batch_gradients(params, config, chunk, rng=rng)
+            probs, labels, grads = batch_gradients(params, config, chunk, rng=rng,
+                                                   workspace=workspace)
             loss = compute_loss(probs, labels)
             if not np.isfinite(loss):
                 raise TrainingDiverged(
@@ -479,7 +569,7 @@ def train(samples, arch=None, epochs=10, aug_mode="none", seed=0, min_freq=DEFAU
             total_loss += loss
             n_batches += 1
 
-        valid_probs = forward_pass(params, config, valid_encodings)
+        valid_probs = forward_pass(params, config, valid_encodings, workspace)
         valid_loss = compute_loss(valid_probs, valid_labels)
         valid_acc = _accuracy_per_label(valid_probs, valid_labels)
         record = {
@@ -547,9 +637,11 @@ def check_gradients(config=None, n_coords=20, h=1e-5, seed=0, mask_mode="random"
     The input is a batch with one random sample per entry of lengths. The
     analytic gradient comes from batch_gradients, as in training: length
     sub-batches under encode.BATCH_CELLS, summed. The numeric one perturbs
-    the loss of the whole batch padded once to its longest. Samples n_coords
-    coordinates per parameter group; returns (max_relative_error, per-group
-    dict).
+    the train-mode loss of the whole batch padded once to its longest. Every
+    pass draws dropout from a fresh generator seeded with seed, so with
+    config.dropout_rate > 0 each replays the analytic pass's keep-patterns
+    as long as the batch is one sub-batch. Samples n_coords coordinates per
+    parameter group; returns (max_relative_error, per-group dict).
     """
     config = config or small_config()
     params = {k: v.astype(np.float64) for k, v in init_params(config).items()}
@@ -561,11 +653,13 @@ def check_gradients(config=None, n_coords=20, h=1e-5, seed=0, mask_mode="random"
         params[key] = params[key] + rng.normal(0.0, 0.5, size=params[key].shape)
 
     encodings = _random_check_input(config, rng, lengths, mask_mode)
-    _, _, grads = batch_gradients(params, config, encodings, dtype=np.float64)
+    _, _, grads = batch_gradients(params, config, encodings, dtype=np.float64,
+                                  rng=np.random.default_rng(seed))
     ids, positions, mask, labels = pad_batch(encodings, dtype=np.float64)
 
     def loss_at():
-        p, _ = forward_batch(params, config, ids, positions, mask)
+        p, _ = forward_batch(params, config, ids, positions, mask, train=True,
+                             rng=np.random.default_rng(seed))
         return compute_loss(p, labels)
 
     per_group = {}

@@ -32,8 +32,7 @@ from ompadvisor.corpus import (
 from ompadvisor.dfg import DataFlowGraph, DfgNode, _merge, build_dfg, dfg_to_json
 from ompadvisor.encode import MASK_NEG
 from ompadvisor.model import (
-    LAYER_KEYS, TrainingDiverged, _apply_drop, _dropout_mask, _layer_norm, _merge_heads,
-    _split_heads, backward_batch, compute_loss, forward_batch, masked_softmax, pad_batch,
+    _LN_EPS, LAYER_KEYS, TrainingDiverged, _split_heads, backward_batch, compute_loss, forward_batch, masked_softmax, pad_batch,
 )
 from ompadvisor.syntax import (
     _EXPRESSION_FRAMES, _PRECEDENCE, _STATEMENT_FRAMES, ASSIGN_OPS, KEYWORDS,
@@ -430,7 +429,33 @@ def reference_train_step(params, config, optimizer, chunk, rng):
 
 
 # ---------------------------------------------------------------------------
-# reference forward: every layer at every row, the cache always kept
+# reference forward: every layer at every row, the cache always kept, with
+# the float dropout masks and the layer norm it ran with
+
+
+def _dropout_mask(rng, shape, rate, dtype):
+    if rng is None or rate <= 0.0:
+        return None
+    keep = (rng.random(shape) >= rate).astype(dtype)
+    keep /= 1.0 - rate
+    return keep
+
+
+def _apply_drop(x, mask):
+    return x if mask is None else x * mask
+
+
+def _merge_heads(x):
+    b, h, l, dh = x.shape
+    return x.transpose(0, 2, 1, 3).reshape(b, l, h * dh)
+
+
+def _layer_norm(x, g, b):
+    mu = x.mean(axis=-1, keepdims=True)
+    var = ((x - mu) ** 2).mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + _LN_EPS)
+    xhat = (x - mu) * inv
+    return xhat * g + b, (xhat, inv)
 
 
 def reference_forward_batch(params, config, ids, positions, mask, train=False, rng=None):

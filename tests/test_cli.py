@@ -494,6 +494,11 @@ MALFORMED_ROWS = {
     "loop_code_number": _edit_row(lambda row: row.update(loop_code=5)),
     "label_string": _edit_row(lambda row: row.update(label_pragma="1")),
     "dfg_slot_negative": _edit_row(lambda row: row["dfg"]["nodes"][0].__setitem__(1, -5)),
+    "dfg_edge_past_the_nodes": _edit_row(
+        lambda row: row["dfg"]["edges"].append([0, len(row["dfg"]["nodes"])])),
+    "dfg_edge_negative": _edit_row(lambda row: row["dfg"]["edges"].append([-1, 0])),
+    "dfg_edge_triple": _edit_row(lambda row: row["dfg"]["edges"].append([0, 0, 0])),
+    "dfg_edge_bool": _edit_row(lambda row: row["dfg"]["edges"].append([True, 0])),
 }
 
 
@@ -517,17 +522,22 @@ def test_malformed_corpus_row_is_a_data_error(model_dir, tmp_path, capsys, case)
 
 
 def test_data_flow_edge_outside_the_nodes_is_a_data_error(model_dir, tmp_path, capsys):
-    """encode_sample, where edges to truncated-away nodes are dropped, rejects
-    an edge to no node at all."""
+    """A train row with an edge to no node is caught as the corpus is read,
+    so stats, augment and an evaluate of another split exit 2 naming its
+    path and line."""
     corpus, model = model_dir
     rows = [json.loads(line) for line in (corpus / "corpus.jsonl").read_text().splitlines()]
-    rows[1]["dfg"]["edges"].append([0, len(rows[1]["dfg"]["nodes"])])
+    line = next(n for n, row in enumerate(rows, 1) if row["split"] == "train")
+    rows[line - 1]["dfg"]["edges"].append([0, len(rows[line - 1]["dfg"]["nodes"])])
     bad = tmp_path / "corpus.jsonl"
     bad.write_text("".join(json.dumps(row) + "\n" for row in rows))
-    assert execute_command(["evaluate", str(model), str(bad), "--split", "all",
-                            "-o", str(tmp_path / "eval")]) == 2
-    assert capsys.readouterr().err == (f"error: sample {rows[1]['id']}: "
-                                       "a data-flow edge is no pair of node indices\n")
+    for argv in (["stats", str(bad)],
+                 ["augment", str(bad), "--mode", "replaced", "-o", str(tmp_path / "a.jsonl")],
+                 ["evaluate", str(model), str(bad), "--split", "test",
+                  "-o", str(tmp_path / "eval")]):
+        assert execute_command(argv) == 2, argv[0]
+        assert capsys.readouterr().err == (f"error: {bad}:{line}: "
+                                           "each data-flow edge is a pair of node indices\n")
 
 
 def test_vocabulary_without_limits_asks_to_retrain(model_dir, tmp_path, capsys):
@@ -748,7 +758,8 @@ def test_predict_on_a_file_that_is_not_utf8_is_a_data_error(model_dir, tmp_path,
     source.write_bytes("void f(void) {\n/* caf\xe9 */\n}\n".encode("latin-1"))
     assert execute_command(["predict", str(out), str(source), "--json"]) == 2
     captured = capsys.readouterr()
-    assert captured.out == "" and "utf-8" in captured.err
+    assert captured.out == ""
+    assert captured.err == f"error: {source}:2: byte 0xe9 is not UTF-8\n"
 
 
 def test_predict_on_a_directory_is_a_data_error(model_dir, tmp_path, capsys):
