@@ -217,18 +217,40 @@ def _split_heads(x, n_heads):
     return x.reshape(b, l, n_heads, d // n_heads).transpose(0, 2, 1, 3)
 
 
+# Raw draws per random_raw call (64 KiB). Drawing a whole keep-pattern at
+# once would make its draws a step's largest transient array, which the
+# allocator maps and unmaps, faulting it in afresh, on every call; chunks
+# do not change which draw decides which cell.
+_DRAW_CHUNK = 8192
+
+
 def _drop_scale(rate, dtype):
     """The factor dropout multiplies kept cells by."""
-    return dtype.type(1.0) / dtype.type(1.0 - rate)
+    return dtype.type(1.0 / (1.0 - rate))
 
 
 def _keep_pattern(rng, rate, shape, workspace, name):
-    """Dropout's keep-pattern: a bool array, True where a cell is kept (with
-    probability 1 - rate), in the named buffer; None when nothing drops, and
-    then nothing is drawn from rng."""
+    """Dropout's keep-pattern: a bool array in the named buffer, True where a
+    cell is kept; None when nothing drops, and then nothing is drawn.
+
+    Raw 64-bit draw i of rng's bit generator decides cells 2i and 2i + 1,
+    in C order, by its low and its high 32 bits (taken by mask and shift, so
+    byte order cannot change them); an odd count leaves the last high lane
+    unread. A cell is kept when its lane is >= round(rate · 2³²), so with
+    probability 1 - rate to within 2⁻³³. The threshold stays a Python int
+    compared with uint64 lanes: at rates that round it to 2³² no cell is
+    kept, where a uint32 would wrap to 0 and keep every one."""
     if rng is None or rate <= 0.0:
         return None
-    return np.greater_equal(rng.random(shape), rate, out=workspace.take(name, shape, bool))
+    keep = workspace.take(name, (math.prod(shape),), bool)
+    threshold = round(rate * 2**32)
+    for start in range(0, keep.size, 2 * _DRAW_CHUNK):
+        cells = keep[start:start + 2 * _DRAW_CHUNK]
+        draws = rng.bit_generator.random_raw(-(-cells.size // 2))
+        np.greater_equal(draws & 0xFFFFFFFF, threshold, out=cells[0::2])
+        draws >>= 32
+        np.greater_equal(draws[:cells.size // 2], threshold, out=cells[1::2])
+    return keep.reshape(shape)
 
 
 def _dropped(x, keep, scale, out):

@@ -19,11 +19,11 @@ from ompadvisor.encode import (
 )
 from ompadvisor.metrics import predict_rows
 from ompadvisor.model import (
-    LABELS, Adam, ModelConfig, TrainingDiverged, _random_check_input, _weight_grad,
-    backward_batch, batch_gradients, check_gradients, compute_loss, forward_batch, forward_pass,
-    init_params, load_model, masked_softmax, pad_batch, param_layout,
-    predict_source, relative_error, save_model, small_config, threshold_labels,
-    train,
+    LABELS, Adam, ModelConfig, TrainingDiverged, Workspace, _drop_scale, _dropped,
+    _keep_pattern, _random_check_input, _weight_grad, backward_batch, batch_gradients,
+    check_gradients, compute_loss, forward_batch, forward_pass, init_params, load_model,
+    masked_softmax, pad_batch, param_layout, predict_source, relative_error, save_model,
+    small_config, threshold_labels, train,
 )
 from ompadvisor.synthetic import generate_synthetic_corpus
 from oracles import reference_forward_batch
@@ -242,6 +242,60 @@ def test_eval_forward_runs_the_last_layer_at_the_cls_rows(monkeypatch):
     assert shapes == [(b, h, length, length), (b, h, 2, length)]
     assert in_place == [True, True]
     assert cache is None
+
+
+# ---------------------------------------------------------------------------
+# dropout keep-patterns
+
+LARGEST_BELOW_ONE = float(np.nextafter(1.0, 0.0))
+
+
+@pytest.mark.parametrize("rate", [0.1, 0.5, 0.9, LARGEST_BELOW_ONE])
+def test_keep_pattern_keeps_one_minus_rate(rate):
+    """The kept fraction lies within six binomial standard deviations (and
+    one cell) of 1 - rate. At the largest rate below 1 the threshold rounds
+    to 2³², which must not wrap to 0 and keep every cell."""
+    shape = (5, 7, 99, 101)  # an odd count: the last draw's high lane goes unused
+    keep = _keep_pattern(np.random.default_rng(5), rate, shape, Workspace(), "keep")
+    assert keep.dtype == bool and keep.shape == shape
+    n, p = keep.size, 1.0 - rate
+    assert abs(keep.mean() - p) <= 6 * math.sqrt(p * (1 - p) / n) + 1 / n
+
+
+def test_keep_pattern_reads_two_lanes_of_each_raw_draw():
+    """Draw i decides cells 2i and 2i + 1 by its low and its high 32 bits,
+    however the draws are chunked."""
+    n, rate = 4 * ompadvisor.model._DRAW_CHUNK + 3, 0.3
+    keep = _keep_pattern(np.random.default_rng(9), rate, (n,), Workspace(), "keep")
+    draws = [int(d) for d in np.random.default_rng(9).bit_generator.random_raw(-(-n // 2))]
+    lanes = [lane for d in draws for lane in (d & 0xFFFFFFFF, d >> 32)]
+    assert np.array_equal(keep, np.array(lanes[:n]) >= round(rate * 2**32))
+
+
+@pytest.mark.parametrize("rate", [0.1, 0.15, 0.5, 0.9, LARGEST_BELOW_ONE])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_dropout_scales_kept_cells_and_zeroes_the_rest(rate, dtype):
+    rng = np.random.default_rng(3)
+    x = rng.normal(size=(4, 6, 8)).astype(dtype)
+    keep = _keep_pattern(rng, rate, x.shape, Workspace(), "keep")
+    out = _dropped(x, keep, _drop_scale(rate, x.dtype), np.empty_like(x))
+    assert np.array_equal(out[keep], x[keep] * dtype(1 / (1 - rate)))
+    assert np.all(out[~keep] == 0.0)
+
+
+def test_dropout_rate_zero_draws_nothing():
+    """Rate 0 (or no generator) makes no keep-pattern and leaves the
+    generator's state alone, even through a train-mode forward, so a
+    training run at rate 0 draws only its permutations."""
+    rng = np.random.default_rng(4)
+    state = rng.bit_generator.state
+    assert _keep_pattern(rng, 0.0, (3, 4), Workspace(), "keep") is None
+    assert _keep_pattern(None, 0.5, (3, 4), Workspace(), "keep") is None
+    params, config, ids, positions, mask = mixed_eval_batch(2, np.float32, 0)
+    config = dataclasses.replace(config, dropout_rate=0.0)
+    _, cache = forward_batch(params, config, ids, positions, mask, train=True, rng=rng)
+    assert all(c["attn_keep"] is None and c["ff_keep"] is None for c in cache["layers"])
+    assert rng.bit_generator.state == state
 
 
 # ---------------------------------------------------------------------------
