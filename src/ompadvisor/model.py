@@ -291,7 +291,10 @@ def forward_batch(params, config, ids, positions, mask, train=False, rng=None, w
     layers = []
     for layer in range(config.n_layers):
         p = {k: params[f"layer{layer}.{k}"] for k in LAYER_KEYS}
-        name = f"layer{layer}.".__add__
+        # The cache keeps each layer's buffers; an eval forward keeps none, so
+        # its layers share layer 0's (a layer reads its input x_in only
+        # before it writes its output x2 over it).
+        name = f"layer{layer if train else 0}.".__add__
         x_in = x
         rows = x_in if train or layer < config.n_layers - 1 else x_in[:, :2]
         q = _affine(workspace, name("q"), rows, p["wq"], p["bq"])
