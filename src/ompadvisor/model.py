@@ -12,12 +12,13 @@ their encodings through it, and threshold_labels is the one gating rule.
 Every batch-sized array of a forward and a backward is written through out=
 into a Workspace: train owns one for the whole run and lends it to its
 validation pass, and any other forward_pass makes one for its own batches.
-The softmax, ReLU, bias adds, residual sums and layer norms run in place.
-Dropout keeps a bool keep-pattern per site and one scale 1/(1-rate) in the
-parameters' dtype; backward re-applies it with the forward's operations.
-None of this changes a float: a run is deterministic for a given seed per
-machine and per BLAS thread count, the BLAS matmuls being what may sum in
-another order elsewhere.
+The softmax, ReLU, bias adds, residual sums and layer norms run in place,
+with the float operations they would run out of place. Dropout keeps a bool
+keep-pattern per site, drawn from the raw bits of the seeded generator, and
+one scale 1/(1-rate) in the parameters' dtype; backward re-applies it with
+the forward's operations. A run is deterministic for a given seed per
+machine and per BLAS thread count: the BLAS matmuls may sum in another order
+on another machine or at another thread count.
 """
 
 import math
