@@ -207,8 +207,7 @@ def _cmd_predict(args):
     results = predict_source(params, config, vocab, read_source(args.file), gate=args.gate,
                              with_scope=args.with_scope)
     if args.as_json:
-        printable = [{k: v for k, v in r.items() if k != "loop_code"} for r in results]
-        print(json.dumps(printable, indent=2))
+        print(json.dumps(results, indent=2))
     else:
         for r in results:
             probs = r["probs"]

@@ -9,6 +9,7 @@ split 80/10/10 with optional benchmark holdout.
 import json
 import random
 from dataclasses import dataclass, field
+from itertools import chain
 from pathlib import Path
 
 from .dfg import build_dfg, dfg_to_json
@@ -103,40 +104,28 @@ def content_hash(code_text) -> str:
 # ---------------------------------------------------------------------------
 # extraction
 
-def _parent_map(root):
-    parents = {}
-    for node in iter_nodes(root):
-        for child in node.children:
-            parents[id(child)] = node
-    return parents
-
-
-def _attached_pragma(loop, parents):
-    parent = parents.get(id(loop))
-    if parent is None:
-        return None
-    siblings = parent.children
-    idx = next(i for i, c in enumerate(siblings) if c is loop)
-    if idx > 0 and siblings[idx - 1].kind == "PragmaDirective":
-        return siblings[idx - 1].attrs["raw"]
-    return None
-
-
 def _loop_is_empty(loop):
     body = loop.children[3]
     return all(c.kind == "Empty" for c in body.children)
 
 
-def _has_blocking_pragma(loop, attached_raw):
-    raws = [attached_raw] if attached_raw else []
-    raws += [n.attrs["raw"] for n in iter_nodes(loop) if n.kind == "PragmaDirective"]
-    for raw in raws:
-        try:
-            if parse_omp_pragma(raw).directive in BLOCKING_DIRECTIVES:
-                return True
-        except PragmaError:
-            continue
-    return False
+def _parsed_pragma(raw):
+    """The directive a pragma line gives; None for no line or one that does
+    not parse."""
+    if not raw:
+        return None
+    try:
+        return parse_omp_pragma(raw)
+    except PragmaError:
+        return None
+
+
+def _has_blocking_pragma(loop, pragma):
+    """Whether the loop's attached directive, or a pragma line inside it, is
+    a barrier, critical or atomic; inner lines are parsed until one is."""
+    inner = (_parsed_pragma(n.attrs["raw"]) for n in iter_nodes(loop)
+             if n.kind == "PragmaDirective")
+    return any(p is not None and p.directive in BLOCKING_DIRECTIVES for p in chain([pragma], inner))
 
 
 def _used_variables(loop):
@@ -192,43 +181,40 @@ def _collect_candidates(stmt, used, out):
 
 
 def _context_statements(container, loop, used, out):
-    """Walk statements before `loop` inside `container`, collecting context."""
+    """Collect context from the statements before `loop` inside `container`,
+    then from inside the statement that holds it: a for loop's init, and
+    the block that holds the loop."""
     for stmt in container.children:
         if stmt is loop:
-            return True
+            return
         if _span_contains(stmt, loop):
             if stmt.kind == "ForStmt":
-                init = stmt.children[0]
-                if init.kind == "Declaration" and _declared_name(init) in used:
-                    out.append(init)
-                elif _assign_target_name(init) in used:
-                    out.append(init)
-                return _context_statements(stmt.children[3], loop, used, out)
-            if stmt.kind == "WhileStmt":
-                return _context_statements(stmt.children[1], loop, used, out)
-            if stmt.kind == "IfStmt":
-                for branch in stmt.children[1:]:
-                    if _span_contains(branch, loop):
-                        return _context_statements(branch, loop, used, out)
-                return True
-            if stmt.kind == "CompoundStmt":
-                return _context_statements(stmt, loop, used, out)
-            return True
+                _collect_candidates(stmt.children[0], used, out)
+            if stmt.kind != "CompoundStmt":
+                stmt = next(c for c in stmt.children
+                            if c.kind == "CompoundStmt" and _span_contains(c, loop))
+            _context_statements(stmt, loop, used, out)
+            return
         _collect_candidates(stmt, used, out)
-    return False
 
 
 def _loops(unit, tokens):
-    """(function, loop, line) for every for-loop of every function, outermost
-    first, in program order."""
+    """(function, loop, line, attached) for every for-loop of every function,
+    outermost first, in program order, in one walk; attached is the raw
+    pragma line just before the loop among its siblings, or None."""
     for func in unit.children:
-        if func.kind == "FunctionDef":
-            for loop in iter_nodes(func.children[-1]):
-                if loop.kind == "ForStmt":
-                    yield func, loop, tokens[loop.token_span[0]].line
+        if func.kind != "FunctionDef":
+            continue
+        stack = [(None, func.children[-1])]
+        while stack:
+            prev, node = stack.pop()
+            if node.kind == "ForStmt":
+                attached = prev.attrs["raw"] if prev and prev.kind == "PragmaDirective" else None
+                yield func, node, tokens[node.token_span[0]].line, attached
+            stack.extend(reversed(list(zip([None] + node.children, node.children))))
 
 
-def _build_sample(func, loop, with_scope, path, attached, seen=None):
+def _build_sample(func, loop, with_scope, path, pragma, seen=None):
     """The sample for one loop: its scope context when asked for, and the
     data-flow graph of context plus loop over the file's AST at the slots
     of one emitted text. Given seen, its id is the loop's content hash, and
@@ -244,22 +230,17 @@ def _build_sample(func, loop, with_scope, path, attached, seen=None):
         return None
     snippet = AstNode("TranslationUnit", context + [loop])
     return Sample(id=sample_id, path=path, loop_code=texts[-1], context_code="\n".join(texts[:-1]),
-                  dfg=dfg_to_json(build_dfg(snippet, slots)), **_labels(attached),
+                  dfg=dfg_to_json(build_dfg(snippet, slots)), **_labels(pragma),
                   offset=loop.token_span[0], lexemes=lexemes)
 
 
-def _labels(attached):
-    """pragma_raw and the three labels a loop's attached pragma line gives."""
-    pragma = None
-    if attached:
-        try:
-            pragma = parse_omp_pragma(attached)
-        except PragmaError:
-            pass
+def _labels(pragma):
+    """pragma_raw and the three labels a loop's attached directive gives;
+    its raw is the pragma line, which the tokenizer has already stripped."""
     if pragma is None or pragma.directive not in POSITIVE_DIRECTIVES:
         return {"pragma_raw": None, "label_pragma": 0, "label_private": 0,
                 "label_reduction": 0}
-    return {"pragma_raw": attached, "label_pragma": 1,
+    return {"pragma_raw": pragma.raw, "label_pragma": 1,
             "label_private": int(pragma.has_clause("private")),
             "label_reduction": int(pragma.has_clause("reduction"))}
 
@@ -276,19 +257,18 @@ def extract_from_source(source_text, path, with_scope=False):
     except ParseError as err:
         return [], [Reject(path, err.line, "parse_error")]
 
-    parents = _parent_map(unit)
     samples, rejects = [], []
     seen_hashes = set()
-    for func, loop, line in _loops(unit, tokens):
-        attached = _attached_pragma(loop, parents)
+    for func, loop, line, attached in _loops(unit, tokens):
         if _loop_is_empty(loop):
             rejects.append(Reject(path, line, "empty_loop"))
             continue
-        if _has_blocking_pragma(loop, attached):
+        pragma = _parsed_pragma(attached)
+        if _has_blocking_pragma(loop, pragma):
             rejects.append(Reject(path, line, "barrier_critical_atomic"))
             continue
         try:
-            sample = _build_sample(func, loop, with_scope, path, attached, seen_hashes)
+            sample = _build_sample(func, loop, with_scope, path, pragma, seen_hashes)
         except (ParseError, RecursionError):
             # The loop parsed, but its canonical text nests too deeply to
             # read back (long prefix chains like !!!...x, written !(!(...))).
@@ -342,7 +322,7 @@ def extract_for_prediction(source_text, with_scope=False):
     """
     unit, tokens = parse_source(source_text)
     out = []
-    for func, loop, line in _loops(unit, tokens):
+    for func, loop, line, _ in _loops(unit, tokens):
         try:
             sample = _build_sample(func, loop, with_scope, "<input>", None)
         except (ParseError, RecursionError):
@@ -438,7 +418,6 @@ def _extract_tree(root, with_scope):
         s, r = extract_samples(path, with_scope, rel_path=str(path.relative_to(root)))
         samples.extend(s)
         rejects.extend(r)
-    samples.sort(key=lambda s: (s.path, s.offset))
     rejects.sort(key=lambda r: (r.path, r.line, r.reason))
     return samples, rejects
 

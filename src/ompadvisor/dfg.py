@@ -68,7 +68,7 @@ class _Builder:
         if kind == "UnaryOp":
             op = node.attrs["op"]
             if op in ("++", "--"):
-                return self.visit_incdec(node.children[0], env)
+                return self.visit_store(node.children[0], [], True, env)
             return self.visit_expr(node.children[0], env)
         if kind == "Call":
             sources = []
@@ -78,13 +78,15 @@ class _Builder:
         if kind == "ArrayIndex":
             return self.visit_expr(node.children[0], env) + self.visit_expr(node.children[1], env)
         if kind == "Assign":
-            return self.visit_assign(node, env)
+            target, value = node.children
+            value_sources = self.visit_expr(value, env)
+            return self.visit_store(target, value_sources, node.attrs["op"] != "=", env)
         raise ValueError(f"unexpected expression node: {kind}")
 
-    def visit_assign(self, node, env):
-        target, value = node.children
-        compound = node.attrs["op"] != "="
-        value_sources = self.visit_expr(value, env)
+    def visit_store(self, target, value_sources, compound, env):
+        """A store to target, whose value comes from value_sources and, when
+        compound (op=, ++, --), from target's old value. Each subscript is
+        read once."""
         base = target
         subscript_sources = []
         while base.kind == "ArrayIndex":
@@ -98,20 +100,6 @@ class _Builder:
         self.link(tok, value_sources)
         if compound:
             self.link(tok, env.get(name, ()))
-        env[name] = frozenset([tok])
-        return [tok]
-
-    def visit_incdec(self, target, env):
-        base = target
-        subscript_sources = []
-        while base.kind == "ArrayIndex":
-            subscript_sources.extend(self.visit_expr(base.children[1], env))
-            base = base.children[0]
-        if base.kind != "Identifier":
-            return self.visit_expr(target, env)
-        name = base.attrs["name"]
-        tok = self.occurrence(base, "def")
-        self.link(tok, env.get(name, ()))
         env[name] = frozenset([tok])
         return [tok]
 

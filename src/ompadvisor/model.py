@@ -617,9 +617,8 @@ def predict_source(params, config, vocab, source_text, gate=False, with_scope=Fa
     encoded, and the file's loops run through one forward_pass."""
     loops = extract_for_prediction(source_text, with_scope)
     probs = forward_pass(params, config, [encode_sample(info["sample"], vocab) for info in loops])
-    return [{"loop_index": index, "line": info["line"], "loop_code": info["sample"].loop_code,
-             "probs": dict(zip(LABELS, p)), "labels": dict(zip(LABELS, threshold_labels(p, gate))),
-             "gated": gate}
+    return [{"loop_index": index, "line": info["line"], "probs": dict(zip(LABELS, p)),
+             "labels": dict(zip(LABELS, threshold_labels(p, gate))), "gated": gate}
             for index, (info, p) in enumerate(zip(loops, probs.tolist()))]
 
 

@@ -15,7 +15,12 @@ precedence climbing replaced, the reference renderer and extraction are
 the string renderer and the re-parsing sample builders that the
 slot-emitting renderer replaced, and the reference renaming rebuilds a
 renamed sample from scratch (render, re-parse, data flow, hash), which
-the relabeling in augment.rename_variables replaced.
+the relabeling in augment.rename_variables replaced. The reference
+extraction walks loops as the package did before its one-walk `_loops`:
+this module keeps verbatim copies of that `_parent_map`,
+`_attached_pragma`, `_loops`, `_has_blocking_pragma`, `_labels` and
+`_context_statements`, so the differential tests check the one walk, the
+parse-once pragma rule and the context walk against the old rules.
 """
 
 import random
@@ -25,8 +30,8 @@ import numpy as np
 
 from ompadvisor.augment import _rename_pragma
 from ompadvisor.corpus import (
-    Reject, Sample, _attached_pragma, _context_statements, _declared_name,
-    _has_blocking_pragma, _labels, _loop_is_empty, _loops, _parent_map, _used_variables,
+    BLOCKING_DIRECTIVES, POSITIVE_DIRECTIVES, Reject, Sample, _assign_target_name,
+    _collect_candidates, _declared_name, _loop_is_empty, _span_contains, _used_variables,
     content_hash,
 )
 from ompadvisor.dfg import DataFlowGraph, DfgNode, _merge, build_dfg, dfg_to_json
@@ -34,6 +39,7 @@ from ompadvisor.encode import MASK_NEG
 from ompadvisor.model import (
     _LN_EPS, LAYER_KEYS, TrainingDiverged, _split_heads, backward_batch, compute_loss, forward_batch, masked_softmax, pad_batch,
 )
+from ompadvisor.pragmas import PragmaError, parse_omp_pragma
 from ompadvisor.syntax import (
     _EXPRESSION_FRAMES, _PRECEDENCE, _STATEMENT_FRAMES, ASSIGN_OPS, KEYWORDS,
     MAX_PARSE_FRAMES, TYPE_KEYWORDS, AstNode, ParseError, Token, emit, iter_nodes,
@@ -1277,6 +1283,95 @@ def _reference_strip_pragmas(node):
     """Copy of the subtree with all pragma directives removed (serial form)."""
     children = [_reference_strip_pragmas(c) for c in node.children if c.kind != "PragmaDirective"]
     return AstNode(node.kind, children, node.token_span, dict(node.attrs))
+
+
+# The extraction walk the one-walk _loops replaced: a parent map of every
+# node, each loop's pragma found by scanning its siblings and parsed once
+# for the blocking check and again for the labels, and the context walk
+# with its own for-init rule.
+
+def _parent_map(root):
+    parents = {}
+    for node in iter_nodes(root):
+        for child in node.children:
+            parents[id(child)] = node
+    return parents
+
+
+def _attached_pragma(loop, parents):
+    parent = parents.get(id(loop))
+    if parent is None:
+        return None
+    siblings = parent.children
+    idx = next(i for i, c in enumerate(siblings) if c is loop)
+    if idx > 0 and siblings[idx - 1].kind == "PragmaDirective":
+        return siblings[idx - 1].attrs["raw"]
+    return None
+
+
+def _has_blocking_pragma(loop, attached_raw):
+    raws = [attached_raw] if attached_raw else []
+    raws += [n.attrs["raw"] for n in iter_nodes(loop) if n.kind == "PragmaDirective"]
+    for raw in raws:
+        try:
+            if parse_omp_pragma(raw).directive in BLOCKING_DIRECTIVES:
+                return True
+        except PragmaError:
+            continue
+    return False
+
+
+def _context_statements(container, loop, used, out):
+    """Walk statements before `loop` inside `container`, collecting context."""
+    for stmt in container.children:
+        if stmt is loop:
+            return True
+        if _span_contains(stmt, loop):
+            if stmt.kind == "ForStmt":
+                init = stmt.children[0]
+                if init.kind == "Declaration" and _declared_name(init) in used:
+                    out.append(init)
+                elif _assign_target_name(init) in used:
+                    out.append(init)
+                return _context_statements(stmt.children[3], loop, used, out)
+            if stmt.kind == "WhileStmt":
+                return _context_statements(stmt.children[1], loop, used, out)
+            if stmt.kind == "IfStmt":
+                for branch in stmt.children[1:]:
+                    if _span_contains(branch, loop):
+                        return _context_statements(branch, loop, used, out)
+                return True
+            if stmt.kind == "CompoundStmt":
+                return _context_statements(stmt, loop, used, out)
+            return True
+        _collect_candidates(stmt, used, out)
+    return False
+
+
+def _loops(unit, tokens):
+    """(function, loop, line) for every for-loop of every function, outermost
+    first, in program order."""
+    for func in unit.children:
+        if func.kind == "FunctionDef":
+            for loop in iter_nodes(func.children[-1]):
+                if loop.kind == "ForStmt":
+                    yield func, loop, tokens[loop.token_span[0]].line
+
+
+def _labels(attached):
+    """pragma_raw and the three labels a loop's attached pragma line gives."""
+    pragma = None
+    if attached:
+        try:
+            pragma = parse_omp_pragma(attached)
+        except PragmaError:
+            pass
+    if pragma is None or pragma.directive not in POSITIVE_DIRECTIVES:
+        return {"pragma_raw": None, "label_pragma": 0, "label_private": 0,
+                "label_reduction": 0}
+    return {"pragma_raw": attached, "label_pragma": 1,
+            "label_private": int(pragma.has_clause("private")),
+            "label_reduction": int(pragma.has_clause("reduction"))}
 
 
 def _reference_render_context(statements):

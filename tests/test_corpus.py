@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from ompadvisor import corpus
 from ompadvisor.augment import rename_variables
 from ompadvisor.corpus import (
     SAMPLE_KEYS, Reject, Sample, build_corpus, compute_stats, content_hash,
@@ -93,6 +94,61 @@ def test_pragma_line_may_start_an_unbraced_body(shape):
     if shape == "for":
         outer = samples[0]
         assert outer.label_pragma == 0 and "#pragma" not in outer.loop_code
+
+
+# Attachment rules: a loop's pragma is the line just before it in its block.
+# Each case is a function body, the (pragma_raw, label_pragma) of each
+# extracted loop in program order, and the reject reasons.
+ATTACHMENT_CASES = {
+    "parallel for before an unbraced nest": (
+        "#pragma omp parallel for private(j)\nfor (i = 0; i < n; i++)\n"
+        "for (j = 0; j < n; j++) a[i * n + j] = 0.0;\n",
+        [("#pragma omp parallel for private(j)", 1), (None, 0)], []),
+    "parallel for on an unbraced nested loop": (
+        "for (j = 0; j < n; j++)\n#pragma omp parallel for\n"
+        "for (i = 0; i < n; i++) a[i] = a[i] + j;\n",
+        [(None, 0), ("#pragma omp parallel for", 1)], []),
+    "parallel without for": (
+        "#pragma omp parallel\nfor (i = 0; i < n; i++) a[i] = 1.0;\n",
+        [(None, 0)], []),
+    "unparsable clause": (
+        "#pragma omp for reduction(\nfor (i = 0; i < n; i++) a[i] = 2.0;\n",
+        [(None, 0)], []),
+    "pragma on another statement": (
+        "#pragma omp parallel for\nj = 0;\nfor (i = 0; i < n; i++) a[i] = 3.0;\n",
+        [(None, 0)], []),
+    "critical on the loop": (
+        "#pragma omp critical\nfor (i = 0; i < n; i++) a[i] = 4.0;\n",
+        [], ["barrier_critical_atomic"]),
+}
+
+
+@pytest.mark.parametrize("with_scope", [False, True], ids=["loop", "scoped"])
+@pytest.mark.parametrize("case", sorted(ATTACHMENT_CASES))
+def test_pragma_attachment_rules(case, with_scope):
+    body, labels, reasons = ATTACHMENT_CASES[case]
+    text = "void f(int n, double *a) {\nint i, j;\n" + body + "}\n"
+    samples, rejects = extract_from_source(text, "t.c", with_scope=with_scope)
+    assert [(s.pragma_raw, s.label_pragma) for s in samples] == labels
+    assert [r.reason for r in rejects] == reasons
+
+
+def test_each_attached_pragma_is_parsed_once(monkeypatch):
+    """A file of k loops, each with an attached parallel for and no pragma
+    inside, parses k pragma lines to extract and none to predict."""
+    k = 5
+    text = "void f(int n, double *a) {\nint i;\n" + "".join(
+        f"#pragma omp parallel for\nfor (i = 0; i < n; i++) a[i] = {v}.0;\n"
+        for v in range(k)) + "}\n"
+    raws = []
+    parse = corpus.parse_omp_pragma
+    monkeypatch.setattr(corpus, "parse_omp_pragma", lambda raw: raws.append(raw) or parse(raw))
+    samples, rejects = extract_from_source(text, "t.c")
+    assert [s.label_pragma for s in samples] == [1] * k and rejects == []
+    assert raws == ["#pragma omp parallel for"] * k
+    raws.clear()
+    assert len(extract_for_prediction(text)) == k
+    assert raws == []
 
 
 def test_parse_error_rejects_whole_file(fixture_corpus_dir):

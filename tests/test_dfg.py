@@ -79,6 +79,32 @@ def test_compound_assignment_draws_prior_def():
     assert set(g.edges) == {(1, 0), (1, 2)}
 
 
+def test_increment_through_a_pointer_reads_its_subscript_once():
+    """++ and += 1 on a store through *p read the subscript once, so the use
+    of i does not draw from the definition the subscript makes after it."""
+    graphs = [graph_of(f"int i;\nint *p;\n(*p)[i = i + 1]{store};")[0]
+              for store in ("++", " += 1")]
+    assert graphs[0] == graphs[1]
+    assert [(n.var_name, n.occurrence_kind) for n in graphs[0].nodes] == [
+        ("i", "def"), ("p", "def"), ("p", "use"), ("i", "def"), ("i", "use"),
+    ]
+    assert graphs[0].edges == [(2, 1), (3, 4), (4, 0)]
+
+
+def test_increments_of_named_stores_define_them():
+    g, _ = graph_of("int i;\nint j;\nint a[3];\na[i++]++;\nj++;\nj = a[i] + j;")
+    assert [(n.var_name, n.occurrence_kind) for n in g.nodes] == [
+        ("i", "def"), ("j", "def"), ("a", "def"), ("a", "def"), ("i", "def"),
+        ("j", "def"), ("j", "def"), ("a", "use"), ("i", "use"), ("j", "use"),
+    ]
+    assert g.edges == [(3, 2), (4, 0), (5, 1), (6, 7), (6, 8), (6, 9), (7, 3), (8, 4), (9, 5)]
+    g, _ = graph_of("a[i++]++;\nj++;")
+    assert [(n.var_name, n.occurrence_kind) for n in g.nodes] == [
+        ("a", "def"), ("i", "def"), ("j", "def"),
+    ]
+    assert g.edges == []
+
+
 def test_function_names_and_types_are_not_nodes():
     g, _ = graph_of("x = f(y) + g(1);")
     names = [n.var_name for n in g.nodes]
