@@ -14,7 +14,7 @@ from pathlib import Path
 
 from . import __version__
 from .augment import fraction_for_mode, rename_variables
-from .corpus import build_corpus, compute_stats, read_samples, read_source, write_jsonl
+from .corpus import LABELS, build_corpus, compute_stats, read_samples, read_source, write_jsonl
 from .encode import DEFAULT_MAX_CODE, DEFAULT_MAX_DFG, DEFAULT_MIN_FREQ, Vocabulary
 from .encode import build_vocabulary  # noqa: F401 -- a traced binding in perfbench/spans.py
 from .metrics import evaluate, format_report, rows_to_csv
@@ -210,12 +210,8 @@ def _cmd_predict(args):
         print(json.dumps(results, indent=2))
     else:
         for r in results:
-            probs = r["probs"]
-            labels = r["labels"]
-            print(f"line {r['line']:>4}  "
-                  f"pragma={labels['pragma']} ({probs['pragma']:.3f})  "
-                  f"private={labels['private']} ({probs['private']:.3f})  "
-                  f"reduction={labels['reduction']} ({probs['reduction']:.3f})")
+            print(f"line {r['line']:>4}  " + "  ".join(
+                f"{label}={r['labels'][label]} ({r['probs'][label]:.3f})" for label in LABELS))
         if not results:
             print("no loops found")
     return 0
@@ -255,8 +251,8 @@ def _cmd_stats(args):
     print("language  with_pragma  without_pragma")
     print(f"c         {lang['with_pragma']:>11}  {lang['without_pragma']:>14}")
     print("clause     amount")
-    print(f"private    {stats['clauses']['private']:>6}")
-    print(f"reduction  {stats['clauses']['reduction']:>6}")
+    for clause in LABELS[1:]:
+        print(f"{clause:<10} {stats['clauses'][clause]:>6}")
     print("lines    amount")
     for bucket in ("<=15", "16-50", ">50"):
         print(f"{bucket:<8} {stats['length_buckets'][bucket]:>6}")

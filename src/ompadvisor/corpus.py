@@ -17,12 +17,11 @@ from .pragmas import PragmaError, parse_omp_pragma
 from .syntax import AstNode, ParseError, emit, iter_nodes, parse_source, tokenize
 from .syntax import parse_snippet  # noqa: F401 -- a traced binding in perfbench/spans.py
 
-SAMPLE_KEYS = (
-    "id", "path", "loop_code", "context_code", "pragma_raw",
-    "label_pragma", "label_private", "label_reduction", "dfg", "split",
-)
+LABELS = ("pragma", "private", "reduction")  # the task: one 0/1 label each per loop
+_LABEL_KEYS = tuple(f"label_{label}" for label in LABELS)
+SAMPLE_KEYS = ("id", "path", "loop_code", "context_code", "pragma_raw", *_LABEL_KEYS,
+               "dfg", "split")
 _TEXT_KEYS = ("id", "path", "loop_code", "context_code", "split")
-_LABEL_KEYS = ("label_pragma", "label_private", "label_reduction")
 
 BLOCKING_DIRECTIVES = frozenset({"barrier", "critical", "atomic"})
 POSITIVE_DIRECTIVES = frozenset({"parallel_for", "for"})
@@ -42,6 +41,11 @@ class Sample:
     split: str = "none"
     offset: int = field(default=0, repr=False, compare=False)  # not serialized
     lexemes: list = field(default=None, repr=False, compare=False)  # source_text()'s, ditto
+
+    @property
+    def labels(self):
+        """The label values, in LABELS order."""
+        return tuple(getattr(self, key) for key in _LABEL_KEYS)
 
     def source_text(self):
         """The model-facing snippet: context (when present) then the loop."""
@@ -238,11 +242,9 @@ def _labels(pragma):
     """pragma_raw and the three labels a loop's attached directive gives;
     its raw is the pragma line, which the tokenizer has already stripped."""
     if pragma is None or pragma.directive not in POSITIVE_DIRECTIVES:
-        return {"pragma_raw": None, "label_pragma": 0, "label_private": 0,
-                "label_reduction": 0}
+        return {"pragma_raw": None, **dict.fromkeys(_LABEL_KEYS, 0)}
     return {"pragma_raw": pragma.raw, "label_pragma": 1,
-            "label_private": int(pragma.has_clause("private")),
-            "label_reduction": int(pragma.has_clause("reduction"))}
+            **{f"label_{clause}": int(pragma.has_clause(clause)) for clause in LABELS[1:]}}
 
 
 def extract_from_source(source_text, path, with_scope=False):
@@ -392,10 +394,8 @@ def compute_stats(samples):
                 "without_pragma": len(samples) - with_pragma,
             }
         },
-        "clauses": {
-            "private": sum(s.label_private for s in samples),
-            "reduction": sum(s.label_reduction for s in samples),
-        },
+        "clauses": {clause: sum(getattr(s, f"label_{clause}") for s in samples)
+                    for clause in LABELS[1:]},
         "length_buckets": {
             "<=15": short,
             "16-50": mid,

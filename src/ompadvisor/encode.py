@@ -213,7 +213,7 @@ def encode_sample(sample, vocab):
     positions = [0] + list(range(1, n_code + 1)) + [0] + [0] * len(nodes)
     return EncodedInput(
         ids=ids, positions=positions, dfg_alignment=alignment,
-        labels=(sample.label_pragma, sample.label_private, sample.label_reduction),
+        labels=sample.labels,
         edges=edges, code_truncated=code_truncated, dfg_truncated=dfg_truncated,
     )
 

@@ -6,22 +6,22 @@ model.threshold_labels, the paths predict uses too.
 
 import csv
 import io
+from collections import Counter
 from dataclasses import dataclass
 
+from .corpus import LABELS
 from .encode import encode_corpus
 from .encode import pad_batch  # noqa: F401 -- a traced binding in perfbench/spans.py
-from .model import LABELS, forward_pass, threshold_labels
+from .model import forward_pass, threshold_labels
 from .model import forward_batch  # noqa: F401 -- a traced binding in perfbench/spans.py
 
 # Full-scale reference point shown in report footers for context; never
 # asserted by any test.
 REFERENCE_POINT = {"pragma": {"precision": 0.849, "recall": 0.848, "accuracy": 0.872}}
 
-CSV_COLUMNS = (
-    "id", "p_pragma", "p_private", "p_reduction",
-    "label_pragma", "label_private", "label_reduction",
-    "pred_pragma", "pred_private", "pred_reduction",
-)
+# Each column's kind is its name's prefix; rows_from_csv reads the column as that type.
+_KIND_TYPES = {"id": str, "p": float, "label": int, "pred": int}
+CSV_COLUMNS = ("id", *(f"{kind}_{label}" for kind in ("p", "label", "pred") for label in LABELS))
 
 
 @dataclass
@@ -30,16 +30,6 @@ class Confusion:
     fp: int = 0
     fn: int = 0
     tn: int = 0
-
-    def add(self, pred, truth):
-        if pred and truth:
-            self.tp += 1
-        elif pred and not truth:
-            self.fp += 1
-        elif not pred and truth:
-            self.fn += 1
-        else:
-            self.tn += 1
 
     @property
     def total(self):
@@ -58,16 +48,21 @@ def compute_metrics(confusion):
     return precision, recall, accuracy
 
 
+def _kind_values(row, kind):
+    """A row's values of one column kind, in LABELS order."""
+    return [row[f"{kind}_{label}"] for label in LABELS]
+
+
 def confusions_from_rows(rows, gated):
     """Per-label confusion matrices from per-sample rows; gated applies
     threshold_labels' gate to the rows' 0.5-threshold predictions."""
-    out = {label: Confusion() for label in LABELS}
+    cells = {label: Counter() for label in LABELS}
     for row in rows:
-        preds = threshold_labels([row[f"pred_{label}"] for label in LABELS], gated)
-        truths = (row["label_pragma"], row["label_private"], row["label_reduction"])
-        for label, pred, truth in zip(LABELS, preds, truths):
-            out[label].add(pred, truth)
-    return out
+        preds = threshold_labels(_kind_values(row, "pred"), gated)
+        for label, pred, truth in zip(LABELS, preds, _kind_values(row, "label")):
+            cells[label][pred, truth] += 1
+    return {label: Confusion(tp=c[1, 1], fp=c[1, 0], fn=c[0, 1], tn=c[0, 0])
+            for label, c in cells.items()}
 
 
 def _metric_block(confusions):
@@ -106,12 +101,8 @@ def predict_rows(params, config, vocab, samples):
     probs = forward_pass(params, config, encodings)
     rows = []
     for sample, p in zip(samples, probs.tolist()):
-        row = {"id": sample.id}
-        for label, prob, pred in zip(LABELS, p, threshold_labels(p, gate=False)):
-            row[f"p_{label}"] = prob
-            row[f"label_{label}"] = getattr(sample, f"label_{label}")
-            row[f"pred_{label}"] = pred
-        rows.append(row)
+        values = (sample.id, *p, *sample.labels, *threshold_labels(p, gate=False))
+        rows.append(dict(zip(CSV_COLUMNS, values)))
     return rows, stats
 
 
@@ -119,8 +110,6 @@ def evaluate(params, config, vocab, samples):
     """Evaluate samples: (report dict, per-sample rows, encoding stats). The
     report carries both raw and gated metrics; per-benchmark blocks are added
     when the samples span several top-level directories."""
-    if not samples:
-        raise ValueError("cannot evaluate an empty sample list")
     rows, stats = predict_rows(params, config, vocab, samples)
     report = report_from_rows(rows)
 
@@ -148,22 +137,9 @@ def rows_to_csv(rows):
 
 
 def rows_from_csv(text):
-    reader = csv.DictReader(io.StringIO(text))
-    rows = []
-    for record in reader:
-        rows.append({
-            "id": record["id"],
-            "p_pragma": float(record["p_pragma"]),
-            "p_private": float(record["p_private"]),
-            "p_reduction": float(record["p_reduction"]),
-            "label_pragma": int(record["label_pragma"]),
-            "label_private": int(record["label_private"]),
-            "label_reduction": int(record["label_reduction"]),
-            "pred_pragma": int(record["pred_pragma"]),
-            "pred_private": int(record["pred_private"]),
-            "pred_reduction": int(record["pred_reduction"]),
-        })
-    return rows
+    return [{column: _KIND_TYPES[column.split("_", 1)[0]](record[column])
+             for column in CSV_COLUMNS}
+            for record in csv.DictReader(io.StringIO(text))]
 
 
 def _format_block(name, block, out):

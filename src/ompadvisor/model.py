@@ -29,14 +29,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .augment import fraction_for_mode, rename_variables
-from .corpus import extract_for_prediction
+from .corpus import LABELS, extract_for_prediction
 from .encode import (
     DEFAULT_MAX_CODE, DEFAULT_MAX_DFG, DEFAULT_MIN_FREQ, EncodedInput, build_vocabulary,
     encode_corpus, encode_sample, length_batches, pad_batch,
 )
 
 MAGIC = b"OMPF1"
-LABELS = ("pragma", "private", "reduction")
 HEADER = "<6IqfB"
 
 LAYER_KEYS = (

@@ -197,8 +197,7 @@ def generate_synthetic_corpus(n=2000, seed=0, split_seed=None):
         if rejects or len(extracted) != 1:
             continue
         sample = extracted[0]
-        want = EXPECTED_LABELS[combo]
-        got = (sample.label_pragma, sample.label_private, sample.label_reduction)
+        want, got = EXPECTED_LABELS[combo], sample.labels
         if got != want:
             raise AssertionError(f"synthetic {combo} produced labels {got}, wanted {want}")
         if sample.id in seen:

@@ -191,6 +191,24 @@ def test_predict_plain_output(model_dir, tmp_path, capsys):
     assert "no loops found" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("gate", [[], ["--gate"]])
+def test_predict_text_lines_format_the_json_payload(model_dir, capsys, gate):
+    """One text line per loop, formatted from what --json prints for the same
+    model and file."""
+    _, out = model_dir
+    source = str(FIXTURES / "corpus_c" / "f20.c")
+    assert execute_command(["predict", str(out), source, "--json", *gate]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert len(payload) > 1
+    assert execute_command(["predict", str(out), source, *gate]) == 0
+    want = [f"line {r['line']:>4}  "
+            f"pragma={r['labels']['pragma']} ({r['probs']['pragma']:.3f})  "
+            f"private={r['labels']['private']} ({r['probs']['private']:.3f})  "
+            f"reduction={r['labels']['reduction']} ({r['probs']['reduction']:.3f})"
+            for r in payload]
+    assert capsys.readouterr().out.splitlines() == want
+
+
 def test_evaluate_writes_reports_and_csv_recomputes(model_dir, tmp_path, capsys):
     corpus, out = model_dir
     eval_dir = tmp_path / "eval"
@@ -475,6 +493,17 @@ def test_evaluate_empty_split_is_a_data_error(model_dir, tmp_path, capsys):
     assert execute_command(["evaluate", str(out), str(no_test), "--split", "test",
                             "-o", str(eval_dir)]) == 2
     assert "split 'test'" in capsys.readouterr().err
+    assert not eval_dir.exists()
+
+
+def test_evaluate_on_an_empty_corpus_is_a_data_error(model_dir, tmp_path, capsys):
+    _, out = model_dir
+    empty = tmp_path / "corpus.jsonl"
+    empty.write_text("")
+    eval_dir = tmp_path / "eval"
+    assert execute_command(["evaluate", str(out), str(empty), "--split", "all",
+                            "-o", str(eval_dir)]) == 2
+    assert "cannot evaluate an empty sample list" in capsys.readouterr().err
     assert not eval_dir.exists()
 
 

@@ -8,7 +8,7 @@ import pytest
 from ompadvisor import corpus
 from ompadvisor.augment import rename_variables
 from ompadvisor.corpus import (
-    SAMPLE_KEYS, Reject, Sample, build_corpus, compute_stats, content_hash,
+    LABELS, SAMPLE_KEYS, Reject, Sample, build_corpus, compute_stats, content_hash,
     deduplicate, extract_for_prediction, extract_from_source, extract_samples,
     split_corpus,
 )
@@ -44,6 +44,15 @@ def test_label_rules_on_fixture_files(fixture_corpus_dir):
     assert len(samples) == 2
     assert (samples[0].label_pragma, samples[0].label_private) == (1, 1)
     assert (samples[1].label_pragma, samples[1].label_private) == (0, 0)
+
+
+def test_sample_labels_are_the_label_fields_in_label_order():
+    assert LABELS == ("pragma", "private", "reduction")
+    assert SAMPLE_KEYS == ("id", "path", "loop_code", "context_code", "pragma_raw", "label_pragma",
+                           "label_private", "label_reduction", "dfg", "split")
+    sample = make_sample(1, label_pragma=1, label_private=0, label_reduction=1)
+    assert sample.labels == (1, 0, 1)
+    assert sample.labels == tuple(getattr(sample, f"label_{label}") for label in LABELS)
 
 
 def test_firstprivate_does_not_set_private_label(fixture_corpus_dir):

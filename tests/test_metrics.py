@@ -3,7 +3,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from ompadvisor.metrics import (
-    Confusion, compute_metrics, confusions_from_rows, format_report,
+    CSV_COLUMNS, Confusion, compute_metrics, confusions_from_rows, format_report,
     report_from_rows, rows_from_csv, rows_to_csv,
 )
 
@@ -103,6 +103,25 @@ def test_csv_round_trip_exact(mixed_rows):
     back = rows_from_csv(text)
     assert back == mixed_rows
     assert report_from_rows(back) == report_from_rows(mixed_rows)
+
+
+def test_csv_columns_are_the_per_sample_header():
+    assert CSV_COLUMNS == (
+        "id", "p_pragma", "p_private", "p_reduction",
+        "label_pragma", "label_private", "label_reduction",
+        "pred_pragma", "pred_private", "pred_reduction",
+    )
+    assert rows_to_csv([]) == ",".join(CSV_COLUMNS) + "\n"
+
+
+def test_csv_round_trip_keeps_each_columns_type(mixed_rows):
+    """The id stays a string, probabilities read back as floats and 0/1
+    labels and predictions as ints (1 == 1.0, so equality cannot tell)."""
+    for row in rows_from_csv(rows_to_csv(mixed_rows)):
+        assert tuple(row) == CSV_COLUMNS
+        for column, value in row.items():
+            want = str if column == "id" else float if column.startswith("p_") else int
+            assert type(value) is want, column
 
 
 def test_csv_row_count(mixed_rows):
