@@ -7,6 +7,7 @@ byte-identical outputs. Exit codes: 0 success, 1 usage error, 2 data error.
 """
 
 import argparse
+import dataclasses
 import functools
 import json
 import sys
@@ -47,7 +48,7 @@ def _in_range(convert, low, high=float("inf")):
 
 def _write_json(path, data, **options):
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(data, fh, indent=2, **options)
+        json.dump(data, fh, indent=2, allow_nan=False, **options)
         fh.write("\n")
 
 
@@ -207,7 +208,7 @@ def _cmd_predict(args):
     results = predict_source(params, config, vocab, read_source(args.file), gate=args.gate,
                              with_scope=args.with_scope)
     if args.as_json:
-        print(json.dumps(results, indent=2))
+        print(json.dumps(results, indent=2, allow_nan=False))
     else:
         for r in results:
             print(f"line {r['line']:>4}  " + "  ".join(
@@ -260,18 +261,22 @@ def _cmd_stats(args):
 
 
 def _cmd_check_gradients(args):
+    # one sample, then a batch padded to its longest sample
+    runs = [(small_config(scale_mode=scale_mode), mask_mode, lengths)
+            for scale_mode in ("sqrt_d", "d") for mask_mode in ("open", "random")
+            for lengths in ((6,), (3, 6, 9))]
+    # two layers with dropout: a layer of every row under the last layer,
+    # which computes its rows up to CLS only
+    runs.append((dataclasses.replace(small_config(), n_layers=2, dropout_rate=0.3),
+                 "random", (3, 6, 9)))
     worst = 0.0
-    for scale_mode in ("sqrt_d", "d"):
-        for mask_mode in ("open", "random"):
-            # one sample, then a batch padded to its longest sample
-            for lengths in ((6,), (3, 6, 9)):
-                err, _ = check_gradients(
-                    config=small_config(scale_mode=scale_mode),
-                    mask_mode=mask_mode, seed=args.seed, lengths=lengths,
-                )
-                worst = max(worst, err)
-                print(f"scale={scale_mode:<7} mask={mask_mode:<7} batch={len(lengths)} "
-                      f"max_rel_err={err:.3e}")
+    for config, mask_mode, lengths in runs:
+        err, _ = check_gradients(config=config, mask_mode=mask_mode, seed=args.seed,
+                                 lengths=lengths)
+        worst = max(worst, err)
+        print(f"layers={config.n_layers} dropout={config.dropout_rate:<3} "
+              f"scale={config.scale_mode:<7} mask={mask_mode:<7} batch={len(lengths)} "
+              f"max_rel_err={err:.3e}")
     print(f"overall max relative error: {worst:.3e} "
           f"({'OK' if worst < 1e-3 else 'FAIL'})")
     return 0 if worst < 1e-3 else 2

@@ -425,7 +425,7 @@ def _extract_tree(root, with_scope):
 def write_jsonl(path, dicts):
     with open(path, "w", encoding="utf-8") as fh:
         for d in dicts:
-            fh.write(json.dumps(d, ensure_ascii=False) + "\n")
+            fh.write(json.dumps(d, ensure_ascii=False, allow_nan=False) + "\n")
 
 
 def _check_row(row):
@@ -490,6 +490,6 @@ def build_corpus(src_dir, out_dir, with_scope=False, benchmarks_dir=None, seed=0
     stats = compute_stats(samples)
     stats["rejects"] = {k: sum(r.reason == k for r in rejects) for k in REJECT_REASONS}
     with open(out / "stats.json", "w", encoding="utf-8") as fh:
-        json.dump(stats, fh, indent=2)
+        json.dump(stats, fh, indent=2, allow_nan=False)
         fh.write("\n")
     return samples, rejects, stats

@@ -71,7 +71,7 @@ class Vocabulary:
 
     def save(self, path):
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_json(), fh, ensure_ascii=False, indent=2)
+            json.dump(self.to_json(), fh, ensure_ascii=False, indent=2, allow_nan=False)
             fh.write("\n")
 
     @classmethod

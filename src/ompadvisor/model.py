@@ -5,20 +5,22 @@ Attention per head is softmax(Q·Kᵀ/scale + M)·V where M is the additive
 0/-1e9 mask from the encoder. The default scale is √(d_model/n_heads); the
 literal division by the per-head dimension is available behind
 scale_mode="d". All gradients are hand-derived so they can be verified
-against finite differences. forward_pass is the one eval-mode path: the
-validation pass of train, metrics.predict_rows and predict_source all run
-their encodings through it, and threshold_labels is the one gating rule.
+against finite differences. The head reads the last layer's CLS row only,
+so in training and inference alike that layer runs at rows 0-1 after its
+keys and values. forward_pass is the one eval-mode path: the validation
+pass of train, metrics.predict_rows and predict_source all run their
+encodings through it, and threshold_labels is the one gating rule.
 
 Every batch-sized array of a forward and a backward is written through out=
 into a Workspace: train owns one for the whole run and lends it to its
 validation pass, and any other forward_pass makes one for its own batches.
 The softmax, ReLU, bias adds, residual sums and layer norms run in place,
 with the float operations they would run out of place. Dropout keeps a bool
-keep-pattern per site, drawn from the raw bits of the seeded generator, and
-one scale 1/(1-rate) in the parameters' dtype; backward re-applies it with
-the forward's operations. A run is deterministic for a given seed per
-machine and per BLAS thread count: the BLAS matmuls may sum in another order
-on another machine or at another thread count.
+keep-pattern per site, drawn from the raw bits of the seeded generator at the
+site's every-row shape, and one scale 1/(1-rate) in the parameters' dtype;
+backward re-applies it with the forward's operations. A run is deterministic
+for a given seed per machine and per BLAS thread count: the BLAS matmuls may
+sum in another order on another machine or at another thread count.
 """
 
 import math
@@ -234,12 +236,14 @@ def _keep_pattern(rng, rate, shape, workspace, name):
     cell is kept; None when nothing drops, and then nothing is drawn.
 
     Raw 64-bit draw i of rng's bit generator decides cells 2i and 2i + 1,
-    in C order, by its low and its high 32 bits (taken by mask and shift, so
-    byte order cannot change them); an odd count leaves the last high lane
-    unread. A cell is kept when its lane is >= round(rate · 2³²), so with
-    probability 1 - rate to within 2⁻³³. The threshold stays a Python int
-    compared with uint64 lanes: at rates that round it to 2³² no cell is
-    kept, where a uint32 would wrap to 0 and keep every one."""
+    in C order, by its low and its high 32 bits: the draws are read as
+    little-endian uint64 and viewed as little-endian uint32 lanes, so lane
+    2i is the low half of draw i on any byte order, and one compare covers
+    both lanes. An odd count leaves the last high lane unread. A cell is
+    kept when its lane is >= round(rate · 2³²), so with probability 1 - rate
+    to within 2⁻³³. The threshold stays a Python int, which numpy compares
+    with the uint32 lanes exactly: at rates that round it to 2³² no cell is
+    kept, where a uint32 threshold would wrap to 0 and keep every one."""
     if rng is None or rate <= 0.0:
         return None
     keep = workspace.take(name, (math.prod(shape),), bool)
@@ -247,9 +251,8 @@ def _keep_pattern(rng, rate, shape, workspace, name):
     for start in range(0, keep.size, 2 * _DRAW_CHUNK):
         cells = keep[start:start + 2 * _DRAW_CHUNK]
         draws = rng.bit_generator.random_raw(-(-cells.size // 2))
-        np.greater_equal(draws & 0xFFFFFFFF, threshold, out=cells[0::2])
-        draws >>= 32
-        np.greater_equal(draws[:cells.size // 2], threshold, out=cells[1::2])
+        lanes = draws.astype("<u8", copy=False).view("<u4")[:cells.size]
+        np.greater_equal(lanes, threshold, out=cells)
     return keep.reshape(shape)
 
 
@@ -268,12 +271,16 @@ def forward_batch(params, config, ids, positions, mask, train=False, rng=None, w
     """Run the encoder on a padded batch.
 
     ids, positions: (B, L) int arrays; mask: (B, L, L) additive mask.
-    Returns (probs (B, 3), cache). train=True keeps the cache backward_batch
-    reads, with dropout when rng is given. Otherwise the cache is None and,
-    after its keys and values, the last layer runs at rows 0-1 only: the head
-    reads row 0 (CLS), every later op is row-wise, and two rows keep numpy's
-    products on BLAS gemm, which sums row 0 as the full product does (gemv,
-    which a one-row product gets, sums in another order).
+    Returns (probs (B, 3), cache). After its keys and values, which cover
+    every row, the last layer runs at rows 0-1 only: the head reads row 0
+    (CLS), every later op is row-wise, and two rows keep numpy's products on
+    BLAS gemm, which sums row 0 as the full product does (gemv, which a
+    one-row product gets, sums in another order). train=True keeps the cache
+    backward_batch reads, with dropout when rng is given; its "hidden" is
+    the last layer's (B, 2, d) output. Each of that layer's keep-patterns is
+    drawn at its every-row shape and cut to the computed rows, so every
+    computed cell gets the draw it would get with every row computed, and
+    rng ends in the same state. Otherwise the cache is None.
 
     Every batch-sized array is written into a buffer of workspace (a new
     Workspace when none is given): the scores, softmaxed in place into the
@@ -296,7 +303,15 @@ def forward_batch(params, config, ids, positions, mask, train=False, rng=None, w
         # before it writes its output x2 over it).
         name = f"layer{layer if train else 0}.".__add__
         x_in = x
-        rows = x_in if train or layer < config.n_layers - 1 else x_in[:, :2]
+        rows = x_in if layer < config.n_layers - 1 else x_in[:, :2]
+        n = rows.shape[1]
+
+        def keep_rows(shape, site):
+            # drawn at the every-row shape (B, H, L, L) or (B, L, d), then
+            # cut to the computed rows, along the second-last axis
+            keep = _keep_pattern(drop_rng, config.dropout_rate, shape, workspace, name(site))
+            return None if keep is None else keep[..., :n, :]
+
         q = _affine(workspace, name("q"), rows, p["wq"], p["bq"])
         k = _affine(workspace, name("k"), x_in, p["wk"], p["bk"])
         v = _affine(workspace, name("v"), x_in, p["wv"], p["bv"])
@@ -305,24 +320,21 @@ def forward_batch(params, config, ids, positions, mask, train=False, rng=None, w
         scores /= config.attn_scale
         # A wider mask widens the scores, as an out-of-place sum would.
         scores = scores.astype(np.result_type(scores, mask), copy=False)
-        scores += mask[:, None, :rows.shape[1]]
+        scores += mask[:, None, :n]
         attn = masked_softmax(scores, out=scores)
-        attn_keep = _keep_pattern(drop_rng, config.dropout_rate, attn.shape, workspace,
-                                  name("attn_keep"))
+        attn_keep = keep_rows(attn.shape[:2] + (x_in.shape[1],) * 2, "attn_keep")
         attn_dropped = _dropped(attn, attn_keep, scale,
                                 workspace.take("attn_dropped", attn.shape, attn.dtype))
         context = workspace.matmul_merged(name("context"), attn_dropped, vh)
         res1 = _affine(workspace, name("ln1"), context, p["wo"], p["bo"])
-        proj_keep = _keep_pattern(drop_rng, config.dropout_rate, res1.shape, workspace,
-                                  name("proj_keep"))
+        proj_keep = keep_rows(x_in.shape, "proj_keep")
         _dropped(res1, proj_keep, scale, res1)
         res1 += rows
         x1, ln1_cache = _layer_norm(res1, p["ln1_g"], p["ln1_b"], workspace, name("x1"))
         ff_hidden = _affine(workspace, name("ff_hidden"), x1, p["w1"], p["b1"])
         np.maximum(ff_hidden, 0.0, out=ff_hidden)
         res2 = _affine(workspace, name("ln2"), ff_hidden, p["w2"], p["b2"])
-        ff_keep = _keep_pattern(drop_rng, config.dropout_rate, res2.shape, workspace,
-                                name("ff_keep"))
+        ff_keep = keep_rows(x_in.shape, "ff_keep")
         _dropped(res2, ff_keep, scale, res2)
         res2 += x1
         x2, ln2_cache = _layer_norm(res2, p["ln2_g"], p["ln2_b"], workspace, name("x2"))
@@ -356,7 +368,11 @@ def backward_batch(params, config, cache, probs, labels, n_total=None, workspace
     the loss is then the mean over n_total samples, so the gradients of the
     sub-batches sum to the whole batch's. Dropout is re-applied from the
     cache's keep-patterns with the forward's operations, and every
-    batch-sized gradient is written into a workspace buffer."""
+    batch-sized gradient is written into a workspace buffer. A layer that
+    computed fewer rows than its input holds (the last) takes the query
+    weights' gradient from those rows, and gives the layer below a gradient
+    at every row, which past those rows holds only the key and value
+    terms."""
     workspace = Workspace() if workspace is None else workspace
     scale = _drop_scale(config.dropout_rate, params["tok_emb"].dtype)
     # Only the embeddings accumulate (np.add.at); every other gradient is
@@ -373,7 +389,7 @@ def backward_batch(params, config, cache, probs, labels, n_total=None, workspace
     dx[:, 0, :] = dlogits @ params["head_w"].T
 
     # dx is carried through each layer in place: dres2, dx1, dres1, then the
-    # next layer's dx.
+    # next layer's dx (from the last layer, a buffer of every row).
     for layer in range(config.n_layers - 1, -1, -1):
         p = {k: params[f"layer{layer}.{k}"] for k in LAYER_KEYS}
         c = cache["layers"][layer]
@@ -420,15 +436,25 @@ def backward_batch(params, config, cache, probs, labels, n_total=None, workspace
         dk = workspace.matmul_merged("dk", dattn.transpose(0, 1, 3, 2), c["qh"])
 
         x_in = c["x_in"]
-        grads[f"layer{layer}.wq"] = _weight_grad(x_in, dq)
+        n = dq.shape[1]  # the rows this layer computed
+        grads[f"layer{layer}.wq"] = _weight_grad(x_in[:, :n], dq)
         grads[f"layer{layer}.bq"] = dq.sum(axis=(0, 1))
         grads[f"layer{layer}.wk"] = _weight_grad(x_in, dk)
         grads[f"layer{layer}.bk"] = dk.sum(axis=(0, 1))
         grads[f"layer{layer}.wv"] = _weight_grad(x_in, dv)
         grads[f"layer{layer}.bv"] = dv.sum(axis=(0, 1))
 
-        dx = dres1
-        for grad, w in ((dq, p["wq"]), (dk, p["wk"]), (dv, p["wv"])):
+        if n == x_in.shape[1]:
+            dx = dres1
+        else:
+            # The rows past n get only the key and value terms; every cell
+            # sums its terms in the order of the every-row layer, whose
+            # dres1 and dq were 0 there.
+            dx = workspace.take("dx_in", x_in.shape, dres1.dtype)
+            dx.fill(0.0)
+            dx[:, :n] = dres1
+        dx[:, :n] += workspace.matmul("tmp", dq, p["wq"].T)
+        for grad, w in ((dk, p["wk"]), (dv, p["wv"])):
             dx += workspace.matmul("tmp", grad, w.T)
 
     np.add.at(grads["tok_emb"], cache["ids"], dx)
@@ -596,6 +622,9 @@ def train(samples, arch=None, epochs=10, aug_mode="none", seed=0, min_freq=DEFAU
 
         valid_probs = forward_pass(params, config, valid_encodings, workspace)
         valid_loss = compute_loss(valid_probs, valid_labels)
+        if not np.isfinite(valid_loss):
+            # the last step's update is checked by no batch loss
+            raise TrainingDiverged(f"non-finite validation loss {valid_loss} at epoch {epoch}")
         valid_acc = _accuracy_per_label(valid_probs, valid_labels)
         record = {
             "epoch": epoch,
@@ -744,6 +773,12 @@ def load_model(path):
         held = os.fstat(fh.fileno()).st_size - fh.tell()
         if held != needed:
             raise ValueError(f"model file holds {held} parameter bytes, its header needs {needed}")
-        params = {name: np.frombuffer(fh.read(4 * math.prod(shape)), dtype="<f4")
-                  .reshape(shape).copy() for name, shape in param_layout(config)}
+        values = np.fromfile(fh, dtype="<f4", count=needed // 4)
+    if not np.isfinite(values).all():
+        raise ValueError(f"{path}: a model parameter is not a finite number")
+    params, start = {}, 0
+    for name, shape in param_layout(config):
+        size = math.prod(shape)
+        params[name] = values[start:start + size].reshape(shape)
+        start += size
     return params, config

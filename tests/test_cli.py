@@ -248,6 +248,18 @@ def test_check_gradients_command(capsys):
     assert "OK" in out
 
 
+@pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
+def test_training_to_non_finite_parameters_exits_two(corpus_dir, tmp_path, capsys):
+    """A learning rate that overflows the parameters within the one epoch:
+    no batch loss sees the last step's update, but the validation loss does,
+    so train exits 2 and writes no model."""
+    out = tmp_path / "model"
+    assert execute_command(["train", str(corpus_dir), "--epochs", "1", "--lr", "1e300",
+                            "-o", str(out)]) == 2
+    assert not (out / "model.bin").exists()
+    assert "non-finite validation loss" in capsys.readouterr().err
+
+
 def test_usage_errors_exit_one(capsys):
     assert execute_command([]) == 1
     assert execute_command(["train"]) == 1
@@ -674,6 +686,8 @@ MODEL_DIR_EDITS = {
     "model_zero_heads": ("model.bin", _set_header_field(len(b"OMPF1") + 4, 0), 2),
     "model_scale_d": ("model.bin", _set_header_field(SCALE_BYTE, 1, "<B"), 0),
     "model_scale_byte_7": ("model.bin", _set_header_field(SCALE_BYTE, 7, "<B"), 2),
+    # the parameters follow the header's scale byte
+    "model_parameter_nan": ("model.bin", _set_header_field(SCALE_BYTE + 9, float("nan"), "<f"), 2),
 }
 
 

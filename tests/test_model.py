@@ -125,24 +125,35 @@ def test_forward_matches_independent_reimplementation():
         params, config, ids[0].tolist(), positions[0].tolist(), mask[0].tolist())
 
     np.testing.assert_allclose(probs[0], ref_probs, rtol=1e-10, atol=1e-12)
-    np.testing.assert_allclose(cache["hidden"][0], ref_hidden, rtol=1e-10, atol=1e-12)
+    # the last layer computes its rows up to CLS only
+    np.testing.assert_allclose(cache["hidden"][0], ref_hidden[:2], rtol=1e-10, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
 # forward properties
 
+def train_attention(n_layers, length, mask, seed):
+    """The attention weights of each layer of a train forward of small_config
+    at n_layers: every row of each layer but the last, the last layer's rows
+    up to CLS."""
+    config = dataclasses.replace(small_config(), n_layers=n_layers)
+    ids, positions, _, _ = tiny_inputs(config, length, seed=seed)
+    _, cache = forward_batch(init_params(config), config, ids, positions, mask, train=True)
+    attns = [c["attn"] for c in cache["layers"]]
+    assert [a.shape[2] for a in attns] == [length] * (n_layers - 1) + [2]
+    return attns
+
+
 def test_diagonal_mask_gives_identity_attention():
-    config = small_config()
-    params = init_params(config)
     length = 5
     mask = np.full((1, length, length), MASK_NEG)
     for i in range(length):
         mask[0, i, i] = 0.0
-    ids, positions, _, _ = tiny_inputs(config, length)
-    _, cache = forward_batch(params, config, ids, positions, mask, train=True)
-    attn = cache["layers"][0]["attn"]
-    for head in range(config.n_heads):
-        np.testing.assert_allclose(attn[0, head], np.eye(length), atol=1e-12)
+    for n_layers in (1, 2):
+        for attn in train_attention(n_layers, length, mask, seed=0):
+            for head in range(attn.shape[1]):
+                np.testing.assert_allclose(attn[0, head], np.eye(length)[:attn.shape[2]],
+                                           atol=1e-12)
 
 
 def test_probabilities_in_open_interval():
@@ -155,20 +166,16 @@ def test_probabilities_in_open_interval():
 
 
 def test_attention_rows_are_distributions():
-    config = small_config()
-    params = init_params(config)
     length = 6
     rng = np.random.default_rng(8)
     mask = np.zeros((1, length, length))
     closed = np.triu(rng.random((length, length)) < 0.4, 1)
     closed = closed | closed.T
     mask[0][closed] = MASK_NEG
-    ids, positions, _, _ = tiny_inputs(config, length, seed=4)
-    _, cache = forward_batch(params, config, ids, positions, mask, train=True)
-    attn = cache["layers"][0]["attn"]
-    assert np.all(attn >= 0.0)
-    np.testing.assert_allclose(attn.sum(axis=-1), 1.0, atol=1e-6)
-    assert np.all(attn[0, :, mask[0] != 0.0] == 0.0)
+    for attn in train_attention(1, length, mask, seed=4) + train_attention(2, length, mask, seed=4):
+        assert np.all(attn >= 0.0)
+        np.testing.assert_allclose(attn.sum(axis=-1), 1.0, atol=1e-6)
+        assert np.all(attn[0, :, mask[0, :attn.shape[2]] != 0.0] == 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -213,14 +220,56 @@ def test_eval_forward_matches_every_row_reference(n_layers, dtype, rtol, atol):
 
 
 def test_train_forward_without_rng_is_the_reference_forward():
-    """train=True keeps every row and the cache; without an rng it draws no
-    dropout, so its probabilities are the reference eval forward's."""
+    """train=True keeps the cache, with the last layer at its rows up to CLS
+    as in eval mode; without an rng it draws no dropout, so its
+    probabilities, each layer's input and the last layer's computed rows
+    are the reference every-row forward's."""
     params, config, ids, positions, mask = mixed_eval_batch(2, np.float64, 0)
     probs, cache = forward_batch(params, config, ids, positions, mask, train=True)
     ref, ref_cache = reference_forward_batch(params, config, ids, positions, mask)
     assert np.array_equal(probs, ref)
-    assert np.array_equal(cache["hidden"], ref_cache["hidden"])
+    assert np.array_equal(cache["hidden"], ref_cache["hidden"][:, :2])
+    for layer, ref_layer in zip(cache["layers"], ref_cache["layers"]):
+        assert np.array_equal(layer["x_in"], ref_layer["x_in"])
     assert all(c["attn_keep"] is None for c in cache["layers"])
+
+
+def test_train_forward_runs_the_last_layer_at_the_cls_rows(monkeypatch):
+    """A guard without timing: at n_layers = 2 a train forward takes one
+    (B, H, L, L) softmax, then one (B, H, 2, L), as an eval forward does."""
+    params, config, ids, positions, mask = mixed_eval_batch(2, np.float32, 0)
+    shapes = []
+
+    def recording_softmax(scores, out=None):
+        shapes.append(scores.shape)
+        return masked_softmax(scores, out=out)
+
+    monkeypatch.setattr(ompadvisor.model, "masked_softmax", recording_softmax)
+    _, cache = forward_batch(params, config, ids, positions, mask, train=True,
+                             rng=np.random.default_rng(1))
+    (b, length), h = ids.shape, config.n_heads
+    assert shapes == [(b, h, length, length), (b, h, 2, length)]
+    assert cache["hidden"].shape == (b, 2, config.d_model)
+
+
+@pytest.mark.parametrize("n_layers", [1, 2, 3])
+def test_train_forward_draws_every_row_keep_pattern(n_layers):
+    """Each site's keep-pattern is drawn at its every-row shape, in site
+    order: the generator ends the forward in the state those draws leave,
+    and each cached keep-pattern is its full pattern's computed rows, so
+    computing fewer rows changes no dropout decision of a computed cell."""
+    params, config, ids, positions, mask = mixed_eval_batch(n_layers, np.float32, 0)
+    (b, length), h, d = ids.shape, config.n_heads, config.d_model
+    rng = np.random.default_rng(21)
+    _, cache = forward_batch(params, config, ids, positions, mask, train=True, rng=rng)
+    replay, workspace = np.random.default_rng(21), Workspace()
+    for layer, c in enumerate(cache["layers"]):
+        rows = 2 if layer == n_layers - 1 else length
+        for site, shape in (("attn_keep", (b, h, length, length)),
+                            ("proj_keep", (b, length, d)), ("ff_keep", (b, length, d))):
+            full = _keep_pattern(replay, config.dropout_rate, shape, workspace, "keep")
+            assert np.array_equal(c[site], full[..., :rows, :]), (layer, site)
+    assert rng.bit_generator.state == replay.bit_generator.state
 
 
 def test_eval_forward_runs_the_last_layer_at_the_cls_rows(monkeypatch):
@@ -405,6 +454,19 @@ def test_gradient_check_with_dropout(mask_mode):
     assert err < 1e-3
 
 
+@pytest.mark.parametrize("n_layers", [2, 3])
+@pytest.mark.parametrize("dropout_rate", [0.0, 0.3])
+@pytest.mark.parametrize("mask_mode", ["open", "random"])
+def test_gradient_check_full_row_layers_under_the_cls_rows(n_layers, dropout_rate, mask_mode):
+    """The last layer computes its rows up to CLS over layers that compute
+    every row: its backward takes dx for the layer below at every row from
+    the key and value terms, and at the computed rows from the residual and
+    query terms too, over a padded batch of lengths (3, 6, 9)."""
+    config = dataclasses.replace(small_config(), n_layers=n_layers, dropout_rate=dropout_rate)
+    err, _ = check_gradients(config=config, mask_mode=mask_mode, seed=11, lengths=(3, 6, 9))
+    assert err < 1e-3
+
+
 def test_gradient_check_masks_come_from_the_graph():
     """"open" draws no data-flow nodes, so every real pair attends; "random"
     draws nodes, alignments and edges, which close some pairs."""
@@ -516,7 +578,7 @@ def test_forward_pass_returns_prediction():
     for enc, row in zip(encodings, probs):
         ids, positions, mask, _ = pad_batch([enc])
         alone, cache = forward_batch(params, config, ids, positions, mask, train=True)
-        assert cache["hidden"].shape == (1, enc.length, config.d_model)
+        assert cache["hidden"].shape == (1, 2, config.d_model)  # the rows up to CLS
         np.testing.assert_allclose(row, alone[0], rtol=0, atol=2e-7)
     assert forward_pass(params, config, []).shape == (0, 3)
 
@@ -796,6 +858,16 @@ def test_model_save_load_round_trip(tmp_path):
     assert loaded_config == config
     for name, _ in param_layout(config):
         np.testing.assert_array_equal(loaded[name], params[name])
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_load_model_rejects_a_non_finite_parameter(tmp_path, value):
+    config = small_config()
+    params = init_params(config)
+    params["head_b"][1] = value
+    save_model(tmp_path / "model.bin", params, config)
+    with pytest.raises(ValueError, match="model.bin: a model parameter is not a finite number"):
+        load_model(tmp_path / "model.bin")
 
 
 def test_model_file_magic_is_checked(tmp_path):
