@@ -3,16 +3,18 @@
 Epoch 1 trains on original data; each later epoch renames a growing fraction
 of each sample's distinct variables (10% more per epoch, capped at 40%).
 Renamed variables become `var<k>` with a fresh random index, applied
-consistently across the loop, its context, its data-flow nodes and any
-pragma clause arguments. A rename only relabels: the id and the data-flow
-edges stay as they are.
+consistently across the loop, its context, its data-flow nodes and the
+variables of its pragma line's clauses. A rename only relabels: new names
+are written over the old ones where they stand, in the code and in the
+pragma line alike, and the id and the data-flow edges stay as they are.
 """
 
 import random
 from dataclasses import replace
 
 from .dfg import build_dfg  # noqa: F401 -- a traced binding in perfbench/spans.py
-from .pragmas import VAR_LIST_CLAUSES, parse_omp_pragma, render_omp_pragma
+from .pragmas import parse_omp_pragma  # noqa: F401 -- a traced binding in perfbench/spans.py
+from .pragmas import relabel_clause_variables
 from .syntax import iter_nodes, parse_snippet
 
 CURRICULUM_CAP = 0.4
@@ -36,27 +38,16 @@ def fraction_for_mode(mode, epoch):
     raise ValueError(f"unknown augmentation mode: {mode!r}")
 
 
-def _rename_pragma(raw, mapping):
-    pragma = parse_omp_pragma(raw)
-    touched = False
-    for clause in pragma.clauses:
-        if clause.name in VAR_LIST_CLAUSES or clause.name == "reduction":
-            new_args = [mapping.get(a, a) for a in clause.args]
-            if new_args != clause.args:
-                clause.args = new_args
-                touched = True
-    return render_omp_pragma(pragma) if touched else raw
-
-
 def rename_variables(sample, fraction, seed):
     """Rename ⌊fraction·|V|⌋ of the sample's distinct variables to var<k>.
 
     Selection is a seeded shuffle of the sorted name list; indices are drawn
     in [0, 9999] and redrawn until no identifier of the sample, call names
     included, has the name. A rename is a relabeling: the new names are
-    written over the old ones' tokens in the text and the data-flow nodes,
-    and the id, the labels and the graph's edges are unchanged. fraction=0
-    returns the sample as-is. Either way the result carries this parse's lexemes.
+    written over the old ones' tokens in the text, the data-flow nodes and
+    the pragma line's clause variables, and the id, the labels and the
+    graph's edges are unchanged. fraction=0 returns the sample as-is. Either
+    way the result carries this parse's lexemes.
     """
     snippet, tokens = parse_snippet(sample.source_text())
     idents = [n for n in iter_nodes(snippet) if n.kind == "Identifier"]
@@ -92,15 +83,11 @@ def rename_variables(sample, fraction, seed):
             lines[tok.line - 1] = (text[:tok.col - 1] + mapping[tok.lexeme]
                                    + text[tok.col - 1 + len(tok.lexeme):])
     n_context = sample.context_code.count("\n") + 1 if sample.context_code else 0
-    pragma_raw = sample.pragma_raw
-    if pragma_raw is not None:
-        pragma_raw = _rename_pragma(pragma_raw, mapping)
-
     return replace(
         sample,
         loop_code="\n".join(lines[n_context:]),
         context_code="\n".join(lines[:n_context]),
-        pragma_raw=pragma_raw,
+        pragma_raw=sample.pragma_raw and relabel_clause_variables(sample.pragma_raw, mapping),
         lexemes=lexemes,
         dfg=dict(sample.dfg, nodes=[[mapping.get(name, name), slot]
                                     for name, slot in sample.dfg["nodes"]]),

@@ -195,7 +195,7 @@ def _load_model_dir(model_dir):
     params, config = load_model(model_path)
     vocab = Vocabulary.load(vocab_path)
     if vocab.size != config.vocab_size:
-        raise ValueError(f"{vocab_path} holds {vocab.size} tokens, "
+        raise ValueError(f"{vocab_path}: the vocabulary holds {vocab.size} tokens, "
                          f"the model {config.vocab_size}")
     if vocab.max_code + vocab.max_dfg + 2 > config.max_len:
         raise ValueError(f"{vocab_path}: max_code + max_dfg + 2 exceeds the model's "

@@ -450,16 +450,18 @@ def _check_row(row):
 
 def read_samples(path):
     samples = []
-    with open(path, encoding="utf-8") as fh:
-        for number, line in enumerate(fh, 1):
-            line = line.strip()
-            if line:
-                try:
-                    row = json.loads(line)
-                    _check_row(row)
-                except ValueError as err:  # a row that is no sample: name its line
-                    raise ValueError(f"{path}:{number}: {err}") from None
-                samples.append(Sample.from_json_dict(row))
+    # Lines end as in text mode; each is decoded in the try, so a row that is
+    # not UTF-8 is named by its line like any row that is no sample.
+    for number, line in enumerate(Path(path).read_bytes().splitlines(), 1):
+        try:
+            line = line.decode("utf-8").strip()
+            if not line:
+                continue
+            row = json.loads(line)
+            _check_row(row)
+        except ValueError as err:
+            raise ValueError(f"{path}:{number}: {err}") from None
+        samples.append(Sample.from_json_dict(row))
     return samples
 
 

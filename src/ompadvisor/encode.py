@@ -76,8 +76,11 @@ class Vocabulary:
 
     @classmethod
     def load(cls, path):
-        with open(path, encoding="utf-8") as fh:
-            return cls.from_json(json.load(fh))
+        try:
+            with open(path, encoding="utf-8") as fh:
+                return cls.from_json(json.load(fh))
+        except ValueError as err:  # not UTF-8, not JSON, or no vocabulary
+            raise ValueError(f"{path}: {err}") from None
 
 
 @dataclass

@@ -563,6 +563,7 @@ def _accuracy_per_label(probs, labels):
     return (pred == ref).mean(axis=0)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # TrainingDiverged reports a non-finite loss
 def train(samples, arch=None, epochs=10, aug_mode="none", seed=0, min_freq=DEFAULT_MIN_FREQ,
           max_code=DEFAULT_MAX_CODE, max_dfg=DEFAULT_MAX_DFG, batch_size=32, lr=1e-3, log=None):
     """Train on the corpus train split with per-epoch renaming augmentation.
@@ -753,29 +754,32 @@ def save_model(path, params, config):
 
 
 def load_model(path):
-    with open(path, "rb") as fh:
-        magic = fh.read(len(MAGIC))
-        if magic != MAGIC:
-            raise ValueError(f"not a model file (bad magic {magic!r})")
-        header = fh.read(struct.calcsize(HEADER))
-        if len(header) != struct.calcsize(HEADER):
-            raise ValueError("model file truncated in its header")
-        (d_model, n_heads, n_layers, d_ff, max_len, vocab_size,
-         seed, dropout, scale_flag) = struct.unpack(HEADER, header)
-        if scale_flag not in (0, 1):
-            raise ValueError(f"model file has scale-mode byte {scale_flag}, not 0 or 1")
-        config = ModelConfig(
-            vocab_size=vocab_size, d_model=d_model, n_heads=n_heads,
-            n_layers=n_layers, d_ff=d_ff, max_len=max_len,
-            dropout_rate=dropout, seed=seed, scale_mode=("sqrt_d", "d")[scale_flag],
-        )
-        needed = param_bytes(config)
-        held = os.fstat(fh.fileno()).st_size - fh.tell()
-        if held != needed:
-            raise ValueError(f"model file holds {held} parameter bytes, its header needs {needed}")
-        values = np.fromfile(fh, dtype="<f4", count=needed // 4)
-    if not np.isfinite(values).all():
-        raise ValueError(f"{path}: a model parameter is not a finite number")
+    try:
+        with open(path, "rb") as fh:
+            magic = fh.read(len(MAGIC))
+            if magic != MAGIC:
+                raise ValueError(f"not a model file (bad magic {magic!r})")
+            header = fh.read(struct.calcsize(HEADER))
+            if len(header) != struct.calcsize(HEADER):
+                raise ValueError("model file truncated in its header")
+            (d_model, n_heads, n_layers, d_ff, max_len, vocab_size,
+             seed, dropout, scale_flag) = struct.unpack(HEADER, header)
+            if scale_flag not in (0, 1):
+                raise ValueError(f"model file has scale-mode byte {scale_flag}, not 0 or 1")
+            config = ModelConfig(
+                vocab_size=vocab_size, d_model=d_model, n_heads=n_heads,
+                n_layers=n_layers, d_ff=d_ff, max_len=max_len,
+                dropout_rate=dropout, seed=seed, scale_mode=("sqrt_d", "d")[scale_flag],
+            )
+            needed = param_bytes(config)
+            held = os.fstat(fh.fileno()).st_size - fh.tell()
+            if held != needed:
+                raise ValueError(f"model file holds {held} parameter bytes, its header needs {needed}")
+            values = np.fromfile(fh, dtype="<f4", count=needed // 4)
+        if not np.isfinite(values).all():
+            raise ValueError("a model parameter is not a finite number")
+    except ValueError as err:
+        raise ValueError(f"{path}: {err}") from None
     params, start = {}, 0
     for name, shape in param_layout(config):
         size = math.prod(shape)

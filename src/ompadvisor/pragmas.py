@@ -1,4 +1,5 @@
-"""Parsing and rendering of `#pragma omp` directive lines."""
+"""Parsing of `#pragma omp` directive lines, and relabeling of their clause
+variables in place."""
 
 import re
 from dataclasses import dataclass, field
@@ -9,6 +10,10 @@ REDUCTION_OPS = frozenset({"+", "*", "-", "&", "|", "^", "&&", "||", "min", "max
 VAR_LIST_CLAUSES = frozenset({
     "private", "firstprivate", "lastprivate", "shared", "copyin", "copyprivate",
 })
+
+# Directives by their leading words; any other first word is "other".
+_DIRECTIVES = {("parallel", "for"): "parallel_for",
+               **{(word,): word for word in ("parallel", "for", "barrier", "critical", "atomic")}}
 
 
 class PragmaError(Exception):
@@ -52,24 +57,10 @@ def parse_omp_pragma(raw):
     words = _split_words(raw.strip())
     if len(words) < 2 or words[0] != "#pragma" or words[1] != "omp":
         raise PragmaError(f"not an omp pragma: {raw!r}")
-    pos = 2
-
-    directive = "other"
-    if pos < len(words):
-        head = words[pos]
-        if head == "parallel":
-            if pos + 1 < len(words) and words[pos + 1] == "for":
-                directive = "parallel_for"
-                pos += 2
-            else:
-                directive = "parallel"
-                pos += 1
-        elif head in ("for", "barrier", "critical", "atomic"):
-            directive = head
-            pos += 1
-        else:
-            directive = "other"
-            pos += 1
+    head = tuple(words[2:4])
+    if head not in _DIRECTIVES:
+        head = head[:1]
+    directive, pos = _DIRECTIVES.get(head, "other"), 2 + len(head)
 
     clauses = []
     while pos < len(words):
@@ -78,28 +69,18 @@ def parse_omp_pragma(raw):
         if name in "(),:":
             raise PragmaError(f"unexpected {name!r} in clause list: {raw!r}")
         if pos < len(words) and words[pos] == "(":
-            pos += 1
-            body = []
-            depth = 1
-            while pos < len(words):
-                w = words[pos]
-                if w == "(":
-                    depth += 1
-                elif w == ")":
-                    depth -= 1
-                    if depth == 0:
-                        break
-                body.append(w)
-                pos += 1
-            if pos >= len(words):
+            depth, end = 1, pos + 1
+            while end < len(words) and depth:  # end: just past the closing paren
+                depth += (words[end] == "(") - (words[end] == ")")
+                end += 1
+            if depth:
                 raise PragmaError(f"unbalanced parentheses in clause {name!r}: {raw!r}")
-            pos += 1  # closing paren
-            clauses.append(_build_clause(name, body, raw))
+            clauses.append(_build_clause(name, words[pos + 1:end - 1], raw))
+            pos = end
         else:
             clauses.append(Clause(name))
 
-    pragma = OmpPragma(directive, clauses, raw.strip())
-    return pragma
+    return OmpPragma(directive, clauses, raw.strip())
 
 
 def _build_clause(name, body, raw):
@@ -134,27 +115,24 @@ def _build_clause(name, body, raw):
     return Clause(name, args)
 
 
-def render_omp_pragma(pragma):
-    """Canonical single-space text for a parsed pragma."""
-    directive_words = {
-        "parallel_for": "parallel for",
-        "for": "for",
-        "parallel": "parallel",
-        "barrier": "barrier",
-        "critical": "critical",
-        "atomic": "atomic",
-    }
-    parts = ["#pragma omp"]
-    if pragma.directive in directive_words:
-        parts.append(directive_words[pragma.directive])
-    else:
-        head = pragma.raw.split()[2] if len(pragma.raw.split()) > 2 else "other"
-        parts.append(head)
-    for clause in pragma.clauses:
-        if not clause.args and clause.reduction_op is None:
-            parts.append(clause.name)
-        elif clause.reduction_op is not None:
-            parts.append(f"{clause.name}({clause.reduction_op}:{', '.join(clause.args)})")
-        else:
-            parts.append(f"{clause.name}({', '.join(clause.args)})")
-    return " ".join(parts)
+def relabel_clause_variables(raw, mapping):
+    """raw with mapping's new names written over the words at depth 1 of a
+    variable-list clause's parentheses and after a reduction's ':' (a clause
+    name counts at depth 0). Every other character stays; never raises."""
+    pieces, clause, depth, in_list = [], None, 0, False
+    for match in _WORD_RE.finditer(raw):
+        word = match.group(0)
+        if word == "(":
+            depth += 1
+            if depth == 1:
+                in_list = clause in VAR_LIST_CLAUSES
+        elif word == ")":
+            depth -= 1
+        elif depth == 0 and match.group(1):
+            clause = word
+        elif depth == 1 and word == ":" and clause == "reduction":
+            in_list = True
+        elif depth == 1 and in_list:
+            word = mapping.get(word, word)
+        pieces.append(word)
+    return "".join(pieces)

@@ -15,7 +15,11 @@ precedence climbing replaced, the reference renderer and extraction are
 the string renderer and the re-parsing sample builders that the
 slot-emitting renderer replaced, and the reference renaming rebuilds a
 renamed sample from scratch (render, re-parse, data flow, hash), which
-the relabeling in augment.rename_variables replaced. The reference
+the relabeling in augment.rename_variables replaced. The reference pragma
+parser is the one that read its directive with an if-ladder and each
+clause body word by word, and the reference clause renaming parses the
+pragma line, edits its clause arguments and renders the whole line again,
+which relabeling the clause variables in place replaced. The reference
 extraction walks loops as the package did before its one-walk `_loops`:
 this module keeps verbatim copies of that `_parent_map`,
 `_attached_pragma`, `_loops`, `_has_blocking_pragma`, `_labels` and
@@ -28,7 +32,6 @@ from dataclasses import replace
 
 import numpy as np
 
-from ompadvisor.augment import _rename_pragma
 from ompadvisor.corpus import (
     BLOCKING_DIRECTIVES, POSITIVE_DIRECTIVES, Reject, Sample, _assign_target_name,
     _collect_candidates, _declared_name, _loop_is_empty, _span_contains, _used_variables,
@@ -39,7 +42,10 @@ from ompadvisor.encode import MASK_NEG
 from ompadvisor.model import (
     _LN_EPS, LAYER_KEYS, TrainingDiverged, _split_heads, backward_batch, compute_loss, forward_batch, masked_softmax, pad_batch,
 )
-from ompadvisor.pragmas import PragmaError, parse_omp_pragma
+from ompadvisor.pragmas import (
+    VAR_LIST_CLAUSES, Clause, OmpPragma, PragmaError, _build_clause, _split_words,
+    parse_omp_pragma,
+)
 from ompadvisor.syntax import (
     _EXPRESSION_FRAMES, _PRECEDENCE, _STATEMENT_FRAMES, ASSIGN_OPS, KEYWORDS,
     MAX_PARSE_FRAMES, TYPE_KEYWORDS, AstNode, ParseError, Token, emit, iter_nodes,
@@ -1558,3 +1564,107 @@ def reference_split_words(raw):
             out.append(raw[i:j])
             i = j
     return out
+
+
+# ---------------------------------------------------------------------------
+# reference pragma parser, renderer and clause renaming: the parser with its
+# directive if-ladder and word-by-word clause bodies, and the parse-edit-render
+# path that pragmas.relabel_clause_variables replaced, kept verbatim (the
+# renaming calls the package's parser)
+
+
+def reference_parse_omp_pragma(raw):
+    """Parse a `#pragma omp ...` line into directive and clause structure.
+
+    Unknown clause names are preserved verbatim with their raw arguments.
+    Raises PragmaError on unbalanced parentheses or a bad reduction clause.
+    """
+    words = _split_words(raw.strip())
+    if len(words) < 2 or words[0] != "#pragma" or words[1] != "omp":
+        raise PragmaError(f"not an omp pragma: {raw!r}")
+    pos = 2
+
+    directive = "other"
+    if pos < len(words):
+        head = words[pos]
+        if head == "parallel":
+            if pos + 1 < len(words) and words[pos + 1] == "for":
+                directive = "parallel_for"
+                pos += 2
+            else:
+                directive = "parallel"
+                pos += 1
+        elif head in ("for", "barrier", "critical", "atomic"):
+            directive = head
+            pos += 1
+        else:
+            directive = "other"
+            pos += 1
+
+    clauses = []
+    while pos < len(words):
+        name = words[pos]
+        pos += 1
+        if name in "(),:":
+            raise PragmaError(f"unexpected {name!r} in clause list: {raw!r}")
+        if pos < len(words) and words[pos] == "(":
+            pos += 1
+            body = []
+            depth = 1
+            while pos < len(words):
+                w = words[pos]
+                if w == "(":
+                    depth += 1
+                elif w == ")":
+                    depth -= 1
+                    if depth == 0:
+                        break
+                body.append(w)
+                pos += 1
+            if pos >= len(words):
+                raise PragmaError(f"unbalanced parentheses in clause {name!r}: {raw!r}")
+            pos += 1  # closing paren
+            clauses.append(_build_clause(name, body, raw))
+        else:
+            clauses.append(Clause(name))
+
+    pragma = OmpPragma(directive, clauses, raw.strip())
+    return pragma
+
+
+def render_omp_pragma(pragma):
+    """Canonical single-space text for a parsed pragma."""
+    directive_words = {
+        "parallel_for": "parallel for",
+        "for": "for",
+        "parallel": "parallel",
+        "barrier": "barrier",
+        "critical": "critical",
+        "atomic": "atomic",
+    }
+    parts = ["#pragma omp"]
+    if pragma.directive in directive_words:
+        parts.append(directive_words[pragma.directive])
+    else:
+        head = pragma.raw.split()[2] if len(pragma.raw.split()) > 2 else "other"
+        parts.append(head)
+    for clause in pragma.clauses:
+        if not clause.args and clause.reduction_op is None:
+            parts.append(clause.name)
+        elif clause.reduction_op is not None:
+            parts.append(f"{clause.name}({clause.reduction_op}:{', '.join(clause.args)})")
+        else:
+            parts.append(f"{clause.name}({', '.join(clause.args)})")
+    return " ".join(parts)
+
+
+def _rename_pragma(raw, mapping):
+    pragma = parse_omp_pragma(raw)
+    touched = False
+    for clause in pragma.clauses:
+        if clause.name in VAR_LIST_CLAUSES or clause.name == "reduction":
+            new_args = [mapping.get(a, a) for a in clause.args]
+            if new_args != clause.args:
+                clause.args = new_args
+                touched = True
+    return render_omp_pragma(pragma) if touched else raw

@@ -248,16 +248,45 @@ def test_check_gradients_command(capsys):
     assert "OK" in out
 
 
-@pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_training_to_non_finite_parameters_exits_two(corpus_dir, tmp_path, capsys):
     """A learning rate that overflows the parameters within the one epoch:
     no batch loss sees the last step's update, but the validation loss does,
-    so train exits 2 and writes no model."""
+    so train exits 2, writes no model and prints its error line alone, with
+    no NumPy warning on the way."""
     out = tmp_path / "model"
     assert execute_command(["train", str(corpus_dir), "--epochs", "1", "--lr", "1e300",
                             "-o", str(out)]) == 2
     assert not (out / "model.bin").exists()
-    assert "non-finite validation loss" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1 and err.endswith("\n")
+    assert "non-finite validation loss" in err
+
+
+# pragma lines a corpus row may carry that do not parse
+UNPARSED_PRAGMAS = ("#pragma omp parallel for private(", "not a pragma")
+
+
+def test_renaming_keeps_a_pragma_line_that_does_not_parse(corpus_dir, tmp_path, capsys):
+    """augment and a renaming train relabel a pragma_raw that does not parse
+    word by word, as any other: they exit 0, and the line, which holds no
+    clause variable, is kept as it is."""
+    rows = [json.loads(line) for line in (corpus_dir / "corpus.jsonl").read_text().splitlines()]
+    lines = [n for n, row in enumerate(rows) if row["split"] == "train"][:len(UNPARSED_PRAGMAS)]
+    for n, raw in zip(lines, UNPARSED_PRAGMAS):
+        rows[n]["pragma_raw"] = raw
+    (tmp_path / "corpus.jsonl").write_text("".join(json.dumps(row) + "\n" for row in rows))
+    out_file = tmp_path / "augmented.jsonl"
+    assert execute_command(["augment", str(tmp_path / "corpus.jsonl"), "--mode", "replaced",
+                            "-o", str(out_file)]) == 0
+    augmented = [json.loads(line) for line in out_file.read_text().splitlines()]
+    assert [augmented[n]["pragma_raw"] for n in lines] == list(UNPARSED_PRAGMAS)
+    assert [row["id"] for row in augmented] == [row["id"] for row in rows]
+    assert all(augmented[n]["loop_code"] != rows[n]["loop_code"] for n in lines)
+    assert execute_command(["train", str(tmp_path), "--epochs", "1", "--aug", "replaced",
+                            "--d-model", "16", "--n-heads", "2", "--n-layers", "1",
+                            "--d-ff", "32", "-o", str(tmp_path / "model")]) == 0
+    assert (tmp_path / "model" / "model.bin").exists()
 
 
 def test_usage_errors_exit_one(capsys):
@@ -680,6 +709,9 @@ MODEL_DIR_EDITS = {
     "vocab_id_past_size": ("vocab.json", _edit_vocab(lambda t: t.update({"[UNK]": len(t)})), 2),
     "vocab_id_not_int": ("vocab.json", _edit_vocab(lambda t: t.update({"[UNK]": "3"})), 2),
     "vocab_one_short": ("vocab.json", _edit_vocab(lambda t: t.popitem()), 2),
+    "vocab_not_json": ("vocab.json", lambda raw: b"{x", 2),
+    "vocab_not_utf8": ("vocab.json", lambda raw: raw.replace(b"[UNK]", b"[\xe9]", 1), 2),
+    "model_bad_magic": ("model.bin", lambda raw: b"XXXXX" + raw[5:], 2),
     "model_trailing_bytes": ("model.bin", lambda raw: raw + b"\0\0\0\0", 2),
     "model_truncated": ("model.bin", lambda raw: raw[:-4], 2),
     "model_header_truncated": ("model.bin", lambda raw: raw[:12], 2),
@@ -703,8 +735,8 @@ def test_predict_checks_model_directory(model_dir, tmp_path, capsys, edit):
                       "a[i] = 0.0;\n}\n}\n")
     assert execute_command(["predict", str(copy), str(source), "--json"]) == want
     captured = capsys.readouterr()
-    if want == 2:
-        assert captured.out == "" and captured.err.startswith("error:")
+    if want == 2:  # the error names the file that was edited
+        assert captured.out == "" and captured.err.startswith(f"error: {copy / name}: ")
 
 
 @pytest.mark.parametrize("n_layers", [2000, 20000, 2**32 - 1])
@@ -803,6 +835,21 @@ def test_predict_on_a_file_that_is_not_utf8_is_a_data_error(model_dir, tmp_path,
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {source}:2: byte 0xe9 is not UTF-8\n"
+
+
+def test_corpus_that_is_not_utf8_is_a_data_error(corpus_dir, tmp_path, capsys):
+    """A corpus.jsonl row holding a byte that is not UTF-8 exits 2, naming
+    the file and the line, as any other row that is no sample."""
+    lines = (corpus_dir / "corpus.jsonl").read_bytes().splitlines(keepends=True)
+    lines[0] = lines[0].replace(b'.c"', b'\xe9.c"', 1)
+    assert b"\xe9" in lines[0]
+    bad = tmp_path / "corpus.jsonl"
+    bad.write_bytes(b"".join(lines))
+    for argv in (["stats", str(bad)],
+                 ["augment", str(bad), "--mode", "replaced", "-o", str(tmp_path / "a.jsonl")]):
+        assert execute_command(argv) == 2, argv[0]
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith(f"error: {bad}:1: ")
 
 
 def test_predict_on_a_directory_is_a_data_error(model_dir, tmp_path, capsys):
