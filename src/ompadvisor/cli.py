@@ -96,11 +96,6 @@ def build_parser():
     p.add_argument("--min-freq", type=non_negative, default=DEFAULT_MIN_FREQ)
     p.add_argument("--max-code", type=non_negative, default=DEFAULT_MAX_CODE)
     p.add_argument("--max-dfg", type=non_negative, default=DEFAULT_MAX_DFG)
-    scale = p.add_mutually_exclusive_group()
-    scale.add_argument("--scale-d", dest="scale_mode", action="store_const", const="d")
-    scale.add_argument("--scale-sqrt-d", dest="scale_mode", action="store_const",
-                       const="sqrt_d")
-    p.set_defaults(scale_mode="sqrt_d")
     p.add_argument("-o", "--out", required=True)
 
     p = sub.add_parser("predict", help="predict pragma needs for each loop in a file")
@@ -114,8 +109,9 @@ def build_parser():
     p.add_argument("model_dir")
     p.add_argument("corpus")
     p.add_argument("--gate", action="store_true")
-    p.add_argument("--split", default="test",
-                   help="which split to evaluate (test, valid, train, all)")
+    p.add_argument("--split", choices=("test", "valid", "train", "none", "all"), default="test",
+                   help="the split to score; none is every benchmarks.jsonl row and held-out "
+                        "twin, all is every row")
     p.add_argument("-o", "--out", required=True)
 
     p = sub.add_parser("stats", help="print corpus distribution tables")
@@ -167,7 +163,7 @@ def _cmd_train(args):
               f"valid_acc {record['valid_accuracy']:.3f}")
 
     arch = {"d_model": args.d_model, "n_heads": args.n_heads, "n_layers": args.n_layers,
-            "d_ff": args.d_ff, "dropout_rate": args.dropout, "scale_mode": args.scale_mode}
+            "d_ff": args.d_ff, "dropout_rate": args.dropout}
     result = train(
         samples, arch=arch, epochs=args.epochs, aug_mode=args.aug,
         seed=args.seed, min_freq=args.min_freq, max_code=args.max_code,
@@ -262,9 +258,8 @@ def _cmd_stats(args):
 
 def _cmd_check_gradients(args):
     # one sample, then a batch padded to its longest sample
-    runs = [(small_config(scale_mode=scale_mode), mask_mode, lengths)
-            for scale_mode in ("sqrt_d", "d") for mask_mode in ("open", "random")
-            for lengths in ((6,), (3, 6, 9))]
+    runs = [(small_config(), mask_mode, lengths)
+            for mask_mode in ("open", "random") for lengths in ((6,), (3, 6, 9))]
     # two layers with dropout: a layer of every row under the last layer,
     # which computes its rows up to CLS only
     runs.append((dataclasses.replace(small_config(), n_layers=2, dropout_rate=0.3),
@@ -274,9 +269,8 @@ def _cmd_check_gradients(args):
         err, _ = check_gradients(config=config, mask_mode=mask_mode, seed=args.seed,
                                  lengths=lengths)
         worst = max(worst, err)
-        print(f"layers={config.n_layers} dropout={config.dropout_rate:<3} "
-              f"scale={config.scale_mode:<7} mask={mask_mode:<7} batch={len(lengths)} "
-              f"max_rel_err={err:.3e}")
+        print(f"layers={config.n_layers} dropout={config.dropout_rate:<3} mask={mask_mode:<7} "
+              f"batch={len(lengths)} max_rel_err={err:.3e}")
     print(f"overall max relative error: {worst:.3e} "
           f"({'OK' if worst < 1e-3 else 'FAIL'})")
     return 0 if worst < 1e-3 else 2
@@ -301,6 +295,8 @@ def execute_command(argv):
         if args.command == "train" and args.max_code + args.max_dfg + 2 > ModelConfig.max_len:
             parser.error(f"--max-code + --max-dfg + 2 must not exceed the model's "
                          f"{ModelConfig.max_len} positions")
+        if args.command == "train" and args.d_model % args.n_heads:
+            parser.error(f"--d-model {args.d_model} is not divisible by --n-heads {args.n_heads}")
     except UsageError as err:
         print(f"usage error: {err}", file=sys.stderr)
         return 1

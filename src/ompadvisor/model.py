@@ -1,11 +1,10 @@
 """From-scratch transformer encoder with masked self-attention and a
 three-label sigmoid head.
 
-Attention per head is softmax(Q·Kᵀ/scale + M)·V where M is the additive
-0/-1e9 mask from the encoder. The default scale is √(d_model/n_heads); the
-literal division by the per-head dimension is available behind
-scale_mode="d". All gradients are hand-derived so they can be verified
-against finite differences. The head reads the last layer's CLS row only,
+Attention per head is softmax(Q·Kᵀ/√d_head + M)·V, with d_head =
+d_model/n_heads and M the additive 0/-1e9 mask from the encoder. All
+gradients are hand-derived so they can be verified against finite
+differences. The head reads the last layer's CLS row only,
 so in training and inference alike that layer runs at rows 0-1 after its
 keys and values. forward_pass is the one eval-mode path: the validation
 pass of train, metrics.predict_rows and predict_source all run their
@@ -46,6 +45,7 @@ LAYER_KEYS = (
 )
 
 _LN_EPS = 1e-5
+_ADAM_BETA1, _ADAM_BETA2, _ADAM_EPS = 0.9, 0.999, 1e-8
 _PROB_CLAMP = 1e-7
 _INIT_SCALE = 0.02
 
@@ -64,7 +64,6 @@ class ModelConfig:
     max_len: int = 512
     dropout_rate: float = 0.1
     seed: int = 0
-    scale_mode: str = "sqrt_d"  # "sqrt_d" | "d"
 
     def __post_init__(self):
         for name in ("vocab_size", "d_model", "n_heads", "n_layers", "d_ff", "max_len"):
@@ -72,8 +71,6 @@ class ModelConfig:
                 raise ValueError(f"{name} must be >= 1")
         if self.d_model % self.n_heads != 0:
             raise ValueError("d_model must be divisible by n_heads")
-        if self.scale_mode not in ("sqrt_d", "d"):
-            raise ValueError(f"bad scale_mode: {self.scale_mode!r}")
 
     @property
     def d_head(self):
@@ -81,7 +78,7 @@ class ModelConfig:
 
     @property
     def attn_scale(self):
-        return float(np.sqrt(self.d_head)) if self.scale_mode == "sqrt_d" else float(self.d_head)
+        return float(np.sqrt(self.d_head))
 
 
 def _param_groups(config):
@@ -115,17 +112,17 @@ def param_bytes(config):
     return 4 * (embeddings + config.n_layers * layer + head)
 
 
-def init_params(config, dtype=np.float32):
+def init_params(config):
     rng = np.random.default_rng(config.seed)
     params = {}
     for name, shape in param_layout(config):
         key = name.rsplit(".", 1)[-1]
         if key.startswith("ln") and key.endswith("_g"):
-            params[name] = np.ones(shape, dtype=dtype)
+            params[name] = np.ones(shape, dtype=np.float32)
         elif key.startswith(("b", "ln")):
-            params[name] = np.zeros(shape, dtype=dtype)
+            params[name] = np.zeros(shape, dtype=np.float32)
         else:
-            params[name] = rng.normal(0.0, _INIT_SCALE, size=shape).astype(dtype)
+            params[name] = rng.normal(0.0, _INIT_SCALE, size=shape).astype(np.float32)
     return params
 
 
@@ -514,35 +511,32 @@ def forward_pass(params, config, encodings, workspace=None):
 # optimizer
 
 class Adam:
-    def __init__(self, params, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8):
+    def __init__(self, params, lr=1e-3):
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self.m = {k: np.zeros_like(v) for k, v in params.items()}
         self.v = {k: np.zeros_like(v) for k, v in params.items()}
 
     def step(self, params, grads):
         self.t += 1
-        b1c = 1.0 - self.beta1 ** self.t
-        b2c = 1.0 - self.beta2 ** self.t
+        b1c = 1.0 - _ADAM_BETA1 ** self.t
+        b2c = 1.0 - _ADAM_BETA2 ** self.t
         for key in params:
             g = grads[key]
             m, v = self.m[key], self.v[key]
-            m *= self.beta1
-            v *= self.beta2
+            m *= _ADAM_BETA1
+            v *= _ADAM_BETA2
             wide = np.result_type(m, g)
             if wide != m.dtype:
                 # A wider gradient widens the moments, as an out-of-place
                 # update would.
                 self.m[key] = m = m.astype(wide)
                 self.v[key] = v = v.astype(wide)
-            m += (1.0 - self.beta1) * g
-            v += (1.0 - self.beta2) * g * g
+            m += (1.0 - _ADAM_BETA1) * g
+            v += (1.0 - _ADAM_BETA2) * g * g
             m_hat = m / b1c
             v_hat = v / b2c
-            params[key] -= (self.lr * m_hat / (np.sqrt(v_hat) + self.eps)).astype(params[key].dtype)
+            params[key] -= (self.lr * m_hat / (np.sqrt(v_hat) + _ADAM_EPS)).astype(params[key].dtype)
 
 
 # ---------------------------------------------------------------------------
@@ -568,9 +562,11 @@ def train(samples, arch=None, epochs=10, aug_mode="none", seed=0, min_freq=DEFAU
           max_code=DEFAULT_MAX_CODE, max_dfg=DEFAULT_MAX_DFG, batch_size=32, lr=1e-3, log=None):
     """Train on the corpus train split with per-epoch renaming augmentation.
 
-    arch: ModelConfig keyword arguments other than vocab_size and seed, which
-    come from seed and the vocabulary built here; it carries min_freq and the
-    encoding limits max_code and max_dfg.
+    arch: ModelConfig keyword arguments other than vocab_size and seed. The
+    vocabulary built here sets vocab_size and carries min_freq and the
+    encoding limits max_code and max_dfg; seed seeds the parameters, the
+    batch order and dropout. Attention divides by √d_head, as GraphCodeBERT's
+    does; no argument changes that.
     aug_mode: none (original data), curriculum (the epoch schedule), or
     replaced (every variable renamed every epoch). Each optimizer step takes
     the next batch_size samples of a seeded permutation and runs them as
@@ -654,9 +650,9 @@ def predict_source(params, config, vocab, source_text, gate=False, with_scope=Fa
 # ---------------------------------------------------------------------------
 # gradient verification
 
-def small_config(vocab_size=16, scale_mode="sqrt_d"):
-    return ModelConfig(vocab_size=vocab_size, d_model=8, n_heads=2, n_layers=1,
-                       d_ff=16, max_len=32, dropout_rate=0.0, seed=3, scale_mode=scale_mode)
+def small_config():
+    return ModelConfig(vocab_size=16, d_model=8, n_heads=2, n_layers=1,
+                       d_ff=16, max_len=32, dropout_rate=0.0, seed=3)
 
 
 def _random_check_input(config, rng, lengths, mask_mode="random"):
@@ -744,7 +740,7 @@ def save_model(path, params, config):
         HEADER,
         config.d_model, config.n_heads, config.n_layers, config.d_ff,
         config.max_len, config.vocab_size, config.seed,
-        config.dropout_rate, 0 if config.scale_mode == "sqrt_d" else 1,
+        config.dropout_rate, 0,  # the attention-scale byte: 0, division by sqrt(d_head)
     )
     with open(path, "wb") as fh:
         fh.write(MAGIC)
@@ -764,13 +760,12 @@ def load_model(path):
                 raise ValueError("model file truncated in its header")
             (d_model, n_heads, n_layers, d_ff, max_len, vocab_size,
              seed, dropout, scale_flag) = struct.unpack(HEADER, header)
-            if scale_flag not in (0, 1):
-                raise ValueError(f"model file has scale-mode byte {scale_flag}, not 0 or 1")
-            config = ModelConfig(
-                vocab_size=vocab_size, d_model=d_model, n_heads=n_heads,
-                n_layers=n_layers, d_ff=d_ff, max_len=max_len,
-                dropout_rate=dropout, seed=seed, scale_mode=("sqrt_d", "d")[scale_flag],
-            )
+            if scale_flag != 0:
+                raise ValueError(f"model file has attention-scale byte {scale_flag}, not 0 "
+                                 "(division by sqrt(d_head)): retrain the model")
+            config = ModelConfig(vocab_size=vocab_size, d_model=d_model, n_heads=n_heads,
+                                 n_layers=n_layers, d_ff=d_ff, max_len=max_len,
+                                 dropout_rate=dropout, seed=seed)
             needed = param_bytes(config)
             held = os.fstat(fh.fileno()).st_size - fh.tell()
             if held != needed:

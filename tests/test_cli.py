@@ -242,10 +242,13 @@ def test_augment_command_round_trip(corpus_dir, tmp_path, capsys):
 
 
 def test_check_gradients_command(capsys):
+    """Five runs: one layer on one sample and on a padded batch of three,
+    each with an open and a random mask, then two layers with dropout."""
     code = execute_command(["check-gradients"])
     assert code == 0
-    out = capsys.readouterr().out
-    assert "OK" in out
+    *runs, overall = capsys.readouterr().out.splitlines()
+    assert len(runs) == 5 and overall.endswith("(OK)")
+    assert all(float(line.rsplit("max_rel_err=", 1)[1]) < 1e-3 for line in runs)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -336,6 +339,11 @@ def test_build_corpus_benchmarks_must_be_a_directory(tmp_path, capsys, benchmark
     ["augment", "c.jsonl", "--mode", "replaced", "--epoch", "-1", "-o", "o.jsonl"],
     ["check-gradients", "--seed", "-1"],
     ["check-gradients", "--config", "small"],
+    # attention always divides by sqrt(d_head): neither scale flag exists
+    ["train", "c", "--scale-d", "-o", "m"],
+    ["train", "c", "--scale-sqrt-d", "-o", "m"],
+    # a split that no row can have
+    ["evaluate", "m", "c.jsonl", "--split", "tset", "-o", "e"],
 ])
 def test_bad_options_are_usage_errors(capsys, argv):
     assert execute_command(argv) == 1
@@ -475,6 +483,26 @@ def test_evaluate_reports_scored_split(model_dir, tmp_path, capsys):
                             "--split", "valid", "-o", str(eval_dir)]) == 0
     assert f"scored split valid: n={n_valid}\n" in capsys.readouterr().out
     assert json.loads((eval_dir / "report.json").read_text())["n"] == n_valid
+
+
+def test_evaluate_scores_benchmarks_per_suite(model_dir, tmp_path, capsys):
+    """Every benchmarks.jsonl row has split none, so the default --split test
+    finds none of them; --split all scores all five, one group per suite."""
+    _, out = model_dir
+    corpus = tmp_path / "corpus_scoped"
+    assert execute_command(["build-corpus", str(FIXTURES / "corpus_c"), "--seed", "0",
+                            "--with-scope", "--benchmarks", str(FIXTURES / "benchmarks"),
+                            "-o", str(corpus)]) == 0
+    benchmarks = corpus / "benchmarks.jsonl"
+    assert len(benchmarks.read_text().splitlines()) == 5
+    assert execute_command(["evaluate", str(out), str(benchmarks),
+                            "-o", str(tmp_path / "eval_test")]) == 2
+    assert "holds no samples" in capsys.readouterr().err
+    assert execute_command(["evaluate", str(out), str(benchmarks), "--split", "all",
+                            "-o", str(tmp_path / "eval")]) == 0
+    report = json.loads((tmp_path / "eval" / "report.json").read_text())
+    assert report["n"] == 5
+    assert sorted(report["groups"]) == ["nas", "polybench", "spec"]
 
 
 def test_evaluate_writes_the_encodings_truncation_counts(model_dir, tmp_path):
@@ -635,6 +663,8 @@ def test_vocabulary_without_limits_asks_to_retrain(model_dir, tmp_path, capsys):
     ("--dropout", "nan"), ("--epochs", "two"), ("--lr", "-1"), ("--lr", "inf"),
     ("--min-freq", "-1"),
     ("--seed", "-1"), ("--seed", str(2**63)),
+    # --d-model (64 by default) must be divisible by --n-heads (4 by default)
+    ("--n-heads", "3"), ("--d-model", "6"),
 ])
 def test_train_rejects_bad_numeric_option(model_dir, tmp_path, capsys, option, value):
     corpus, _ = model_dir
@@ -691,7 +721,7 @@ def _set_header_field(offset, value, fmt="<I"):
     return mutate
 
 
-SCALE_BYTE = len(b"OMPF1") + struct.calcsize("<6Iqf")  # 0 sqrt_d, 1 d
+SCALE_BYTE = len(b"OMPF1") + struct.calcsize("<6Iqf")  # must be 0: division by sqrt(d_head)
 
 
 # (file in the model directory, how it is changed, predict's exit code)
@@ -716,7 +746,7 @@ MODEL_DIR_EDITS = {
     "model_truncated": ("model.bin", lambda raw: raw[:-4], 2),
     "model_header_truncated": ("model.bin", lambda raw: raw[:12], 2),
     "model_zero_heads": ("model.bin", _set_header_field(len(b"OMPF1") + 4, 0), 2),
-    "model_scale_d": ("model.bin", _set_header_field(SCALE_BYTE, 1, "<B"), 0),
+    "model_scale_d": ("model.bin", _set_header_field(SCALE_BYTE, 1, "<B"), 2),
     "model_scale_byte_7": ("model.bin", _set_header_field(SCALE_BYTE, 7, "<B"), 2),
     # the parameters follow the header's scale byte
     "model_parameter_nan": ("model.bin", _set_header_field(SCALE_BYTE + 9, float("nan"), "<f"), 2),

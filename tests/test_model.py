@@ -4,6 +4,7 @@ import math
 import os
 import resource
 import statistics
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -19,7 +20,7 @@ from ompadvisor.encode import (
 )
 from ompadvisor.metrics import predict_rows
 from ompadvisor.model import (
-    LABELS, Adam, ModelConfig, TrainingDiverged, Workspace, _drop_scale, _dropped,
+    HEADER, LABELS, MAGIC, Adam, ModelConfig, TrainingDiverged, Workspace, _drop_scale, _dropped,
     _keep_pattern, _random_check_input, _weight_grad, backward_batch, batch_gradients,
     check_gradients, compute_loss, forward_batch, forward_pass, init_params, load_model,
     masked_softmax, pad_batch, param_layout, predict_source, relative_error, save_model,
@@ -77,7 +78,7 @@ def reference_forward(params, config, ids, positions, mask):
     k = [[matvec(wk, x[t])[j] + bk[j] for j in range(d)] for t in range(length)]
     v = [[matvec(wv, x[t])[j] + bv[j] for j in range(d)] for t in range(length)]
 
-    scale = config.attn_scale
+    scale = math.sqrt(d)  # one head: d_head is d_model
     context = []
     for t in range(length):
         scores = [sum(q[t][j] * k[u][j] for j in range(d)) / scale + mask[t][u]
@@ -399,12 +400,6 @@ def test_gradient_check_random_mask():
     assert err < 1e-3
 
 
-def test_gradient_check_division_by_d_path():
-    err, _ = check_gradients(config=small_config(scale_mode="d"),
-                             mask_mode="random", seed=5)
-    assert err < 1e-3
-
-
 def test_gradient_check_padded_batch():
     """Three samples of different lengths padded to the longest: the weight
     gradients sum over every (sample, slot) row, pad rows included."""
@@ -421,13 +416,12 @@ def test_gradient_check_padded_batch():
         assert err < 1e-3
 
 
-@pytest.mark.parametrize("scale_mode", ["sqrt_d", "d"])
 @pytest.mark.parametrize("mask_mode", ["open", "random"])
-def test_gradient_check_length_sub_batches(monkeypatch, mask_mode, scale_mode):
+def test_gradient_check_length_sub_batches(monkeypatch, mask_mode):
     """With a cell budget that splits lengths (3, 6, 9) into separate
     sub-batches, the summed analytic gradient still matches finite
     differences of the loss of the batch padded once."""
-    config, lengths = small_config(scale_mode=scale_mode), (3, 6, 9)
+    config, lengths = small_config(), (3, 6, 9)
     monkeypatch.setattr(ompadvisor.encode, "BATCH_CELLS", 40)
     encodings = _random_check_input(config, np.random.default_rng(0), lengths)
     assert len(length_batches(encodings)) >= 2
@@ -850,14 +844,27 @@ def test_training_divergence_aborts(mini_corpus):
 
 def test_model_save_load_round_trip(tmp_path):
     config = ModelConfig(vocab_size=23, d_model=16, n_heads=2, n_layers=2,
-                         d_ff=24, max_len=64, dropout_rate=0.25, seed=9,
-                         scale_mode="d")
+                         d_ff=24, max_len=64, dropout_rate=0.25, seed=9)
     params = init_params(config)
     save_model(tmp_path / "model.bin", params, config)
     loaded, loaded_config = load_model(tmp_path / "model.bin")
     assert loaded_config == config
     for name, _ in param_layout(config):
         np.testing.assert_array_equal(loaded[name], params[name])
+
+
+def test_load_model_rejects_an_attention_scale_byte_other_than_zero(tmp_path):
+    """save_model writes the header's scale byte as 0, division by
+    sqrt(d_head); a model with another value must be retrained."""
+    config = small_config()
+    save_model(tmp_path / "model.bin", init_params(config), config)
+    raw = bytearray((tmp_path / "model.bin").read_bytes())
+    scale_byte = len(MAGIC) + struct.calcsize(HEADER) - 1
+    assert raw[scale_byte] == 0
+    raw[scale_byte] = 1
+    (tmp_path / "model.bin").write_bytes(bytes(raw))
+    with pytest.raises(ValueError, match=r"model\.bin: .*attention-scale byte 1.*retrain"):
+        load_model(tmp_path / "model.bin")
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
@@ -881,5 +888,3 @@ def test_config_validation():
         ModelConfig(vocab_size=10, d_model=10, n_heads=3)
     with pytest.raises(ValueError):
         ModelConfig(vocab_size=0)
-    with pytest.raises(ValueError):
-        ModelConfig(vocab_size=10, scale_mode="cube")
