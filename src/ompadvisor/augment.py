@@ -7,15 +7,22 @@ consistently across the loop, its context, its data-flow nodes and the
 variables of its pragma line's clauses. A rename only relabels: new names
 are written over the old ones where they stand, in the code and in the
 pragma line alike, and the id and the data-flow edges stay as they are.
+
+Renaming is two steps. find_names parses a sample's text once and keeps
+what a rename reads of it as names and integers (NameSites); rename_variables
+then draws a seeded mapping and writes it at those sites. train parses each
+train loop once per run and relabels it per renaming epoch, and augment
+parses each row once; a sample whose text does not parse stops either
+before any renaming, with an error that names its id (find_corpus_names).
 """
 
 import random
-from dataclasses import replace
+from dataclasses import dataclass, replace
 
 from .dfg import build_dfg  # noqa: F401 -- a traced binding in perfbench/spans.py
 from .pragmas import parse_omp_pragma  # noqa: F401 -- a traced binding in perfbench/spans.py
 from .pragmas import relabel_clause_variables
-from .syntax import iter_nodes, parse_snippet
+from .syntax import ParseError, iter_nodes, parse_snippet
 
 CURRICULUM_CAP = 0.4
 
@@ -38,31 +45,78 @@ def fraction_for_mode(mode, epoch):
     raise ValueError(f"unknown augmentation mode: {mode!r}")
 
 
-def rename_variables(sample, fraction, seed):
+@dataclass(frozen=True)
+class NameSites:
+    """What renaming reads of one parse of a sample's text, as names and
+    integers: its lexemes, its sorted distinct variable names, the names of
+    every identifier token (call names included), and each variable's
+    occurrences as (token index, line, column, name), right to left."""
+    lexemes: list
+    names: tuple
+    taken: frozenset
+    sites: tuple
+
+
+def find_names(sample):
+    """The NameSites of sample's text: its one parse. Raises ParseError when
+    the text does not parse, ValueError when it does not end with a
+    for-loop."""
+    snippet, tokens = parse_snippet(sample.source_text())
+    if not snippet.children or snippet.children[-1].kind != "ForStmt":
+        raise ValueError("sample snippet does not end with a for-loop")
+    sites = []
+    for node in iter_nodes(snippet):
+        if node.kind == "Identifier":
+            tok = tokens[node.token_span[0]]
+            sites.append((node.token_span[0], tok.line, tok.col, node.attrs["name"]))
+    sites.sort(key=lambda site: site[0], reverse=True)
+    return NameSites(
+        lexemes=[t.lexeme for t in tokens],
+        names=tuple(sorted({site[3] for site in sites})),
+        taken=frozenset(t.lexeme for t in tokens if t.kind == "identifier"),
+        sites=tuple(sites),
+    )
+
+
+def find_corpus_names(samples):
+    """find_names of each sample; a sample whose text does not parse, or
+    does not end with a for-loop, raises ValueError naming its id and
+    source path."""
+    found = []
+    for sample in samples:
+        try:
+            found.append(find_names(sample))
+        except ParseError as err:
+            raise ValueError(f"sample {sample.id} from {sample.path}: its code does not "
+                             f"parse at {err}") from None
+        except ValueError as err:
+            raise ValueError(f"sample {sample.id} from {sample.path}: {err}") from None
+    return found
+
+
+def rename_variables(sample, fraction, seed, names=None):
     """Rename ⌊fraction·|V|⌋ of the sample's distinct variables to var<k>.
 
-    Selection is a seeded shuffle of the sorted name list; indices are drawn
-    in [0, 9999] and redrawn until no identifier of the sample, call names
-    included, has the name. A rename is a relabeling: the new names are
-    written over the old ones' tokens in the text, the data-flow nodes and
-    the pragma line's clause variables, and the id, the labels and the
-    graph's edges are unchanged. fraction=0 returns the sample as-is. Either
-    way the result carries this parse's lexemes.
+    names: the sample's NameSites (find_names, which runs here when none is
+    given). Selection is a seeded shuffle of the sorted name list; indices
+    are drawn in [0, 9999] and redrawn until no identifier of the sample,
+    call names included, has the name. A rename is a relabeling: the new
+    names are written over the old ones where they stand, in the text, the
+    lexemes, the data-flow nodes and the pragma line's clause variables,
+    and the id, the labels and the graph's edges are unchanged. fraction=0
+    returns the sample as-is. Either way the result carries the lexemes.
     """
-    snippet, tokens = parse_snippet(sample.source_text())
-    idents = [n for n in iter_nodes(snippet) if n.kind == "Identifier"]
-    names = sorted({n.attrs["name"] for n in idents})
-    count = int(fraction * len(names))
-    lexemes = [t.lexeme for t in tokens]
+    names = find_names(sample) if names is None else names
+    count = int(fraction * len(names.names))
     if count == 0:
-        return replace(sample, lexemes=lexemes)
+        return replace(sample, lexemes=names.lexemes)
 
     rng = random.Random(seed)
-    order = list(names)
+    order = list(names.names)
     rng.shuffle(order)
     chosen = order[:count]
 
-    taken = {t.lexeme for t in tokens if t.kind == "identifier"}
+    taken = set(names.taken)
     mapping = {}
     for name in chosen:
         while True:
@@ -72,16 +126,13 @@ def rename_variables(sample, fraction, seed):
         taken.add(candidate)
         mapping[name] = candidate
 
-    if snippet.children[-1].kind != "ForStmt":
-        raise ValueError("sample snippet does not end with a for-loop")
+    lexemes = list(names.lexemes)
     lines = sample.source_text().split("\n")
-    for node in sorted(idents, key=lambda n: n.token_span[0], reverse=True):
-        if node.attrs["name"] in mapping:  # right to left, so columns hold
-            tok = tokens[node.token_span[0]]
-            lexemes[node.token_span[0]] = mapping[tok.lexeme]
-            text = lines[tok.line - 1]
-            lines[tok.line - 1] = (text[:tok.col - 1] + mapping[tok.lexeme]
-                                   + text[tok.col - 1 + len(tok.lexeme):])
+    for index, line, col, name in names.sites:  # right to left, so columns hold
+        if name in mapping:
+            lexemes[index] = mapping[name]
+            text = lines[line - 1]
+            lines[line - 1] = text[:col - 1] + mapping[name] + text[col - 1 + len(name):]
     n_context = sample.context_code.count("\n") + 1 if sample.context_code else 0
     return replace(
         sample,

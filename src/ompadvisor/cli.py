@@ -14,7 +14,7 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .augment import fraction_for_mode, rename_variables
+from .augment import find_corpus_names, fraction_for_mode, rename_variables
 from .corpus import LABELS, build_corpus, compute_stats, read_samples, read_source, write_jsonl
 from .encode import DEFAULT_MAX_CODE, DEFAULT_MAX_DFG, DEFAULT_MIN_FREQ, Vocabulary
 from .encode import build_vocabulary  # noqa: F401 -- a traced binding in perfbench/spans.py
@@ -143,7 +143,8 @@ def _cmd_build_corpus(args):
 def _cmd_augment(args):
     samples = read_samples(args.corpus)
     fraction = fraction_for_mode(args.mode, args.epoch)
-    out = [rename_variables(s, fraction, args.seed + args.epoch) for s in samples]
+    out = [rename_variables(s, fraction, args.seed + args.epoch, names)
+           for s, names in zip(samples, find_corpus_names(samples))]
     write_jsonl(args.out, [s.to_json_dict() for s in out])
     _write_run_config(f"{args.out}.run_config.json", args, fraction=fraction)
     print(f"augmented {len(out)} samples at fraction {fraction} -> {args.out}")

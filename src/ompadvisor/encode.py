@@ -9,8 +9,10 @@ attends only to itself. Masked pairs carry a large negative value that
 underflows to an exact zero attention weight after softmax. A sample is cut
 to the vocabulary's max_code code tokens and max_dfg nodes, so a model's
 vocab.json carries its limits with its token ids. The code tokens' lexemes
-are those a sample carries from extraction (syntax.emit) or renaming; only a
-sample read from corpus.jsonl has its text tokenized again.
+are those a sample carries: from extraction (syntax.emit), from renaming, or
+from train's one pass over each train loop, which parses it for its names
+(augment.find_names) or, when no epoch renames, tokenizes it. A sample that
+carries none, as one read from corpus.jsonl, has its text tokenized here.
 """
 
 import json

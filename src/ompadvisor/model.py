@@ -25,15 +25,15 @@ sum in another order on another machine or at another thread count.
 import math
 import os
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .augment import fraction_for_mode, rename_variables
+from .augment import find_corpus_names, fraction_for_mode, rename_variables
 from .corpus import LABELS, extract_for_prediction
 from .encode import (
     DEFAULT_MAX_CODE, DEFAULT_MAX_DFG, DEFAULT_MIN_FREQ, EncodedInput, build_vocabulary,
-    encode_corpus, encode_sample, length_batches, pad_batch,
+    encode_corpus, encode_sample, length_batches, pad_batch, sample_lexemes,
 )
 
 MAGIC = b"OMPF1"
@@ -579,6 +579,16 @@ def train(samples, arch=None, epochs=10, aug_mode="none", seed=0, min_freq=DEFAU
     if not train_samples or not valid_samples:
         raise ValueError("train and valid splits must both be non-empty")
 
+    # Each train loop's front end runs once: parsed for its names when some
+    # epoch renames, else tokenized; the vocabulary and the base encodings
+    # read the lexemes this gives.
+    if any(fraction_for_mode(aug_mode, epoch) for epoch in range(1, epochs + 1)):
+        names = find_corpus_names(train_samples)
+        lexemes = [n.lexemes for n in names]
+    else:
+        names = None
+        lexemes = [sample_lexemes(s) for s in train_samples]
+    train_samples = [replace(s, lexemes=lex) for s, lex in zip(train_samples, lexemes)]
     vocab = build_vocabulary(train_samples, min_freq, max_code, max_dfg)
     config = ModelConfig(vocab_size=vocab.size, seed=seed, **(arch or {}))
     params = init_params(config)
@@ -598,7 +608,8 @@ def train(samples, arch=None, epochs=10, aug_mode="none", seed=0, min_freq=DEFAU
         if fraction == 0.0:
             encodings = base_encodings
         else:
-            renamed = [rename_variables(s, fraction, seed + epoch) for s in train_samples]
+            renamed = [rename_variables(s, fraction, seed + epoch, n)
+                       for s, n in zip(train_samples, names)]
             encodings, _ = encode_corpus(renamed, vocab)
 
         order = rng.permutation(len(encodings))

@@ -292,6 +292,30 @@ def test_renaming_keeps_a_pragma_line_that_does_not_parse(corpus_dir, tmp_path, 
     assert (tmp_path / "model" / "model.bin").exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["augment", "{corpus}", "--mode", "replaced", "-o", "{out}"],
+    ["train", "{dir}", "--aug", "curriculum", "--epochs", "3", "--d-model", "16",
+     "--n-heads", "2", "--n-layers", "1", "--d-ff", "32", "-o", "{out}"],
+])
+def test_a_train_loop_that_does_not_parse_is_named_before_any_work(corpus_dir, tmp_path,
+                                                                   capsys, argv):
+    """A row whose loop code does not parse stops augment, and a renaming
+    train before epoch 1: exit 2, one error line that names the row's id
+    and source path, and nothing written."""
+    rows = [json.loads(line) for line in (corpus_dir / "corpus.jsonl").read_text().splitlines()]
+    bad = [row for row in rows if row["split"] == "train"][1]
+    bad["loop_code"] = "for (i = 0; i < n; i++) {"
+    (tmp_path / "corpus.jsonl").write_text("".join(json.dumps(row) + "\n" for row in rows))
+    out = tmp_path / "out"
+    argv = [arg.format(corpus=tmp_path / "corpus.jsonl", dir=tmp_path, out=out) for arg in argv]
+    assert execute_command(argv) == 2
+    captured = capsys.readouterr()
+    assert "epoch" not in captured.out
+    assert captured.err.startswith(f"error: sample {bad['id']} from {bad['path']}: ")
+    assert captured.err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_usage_errors_exit_one(capsys):
     assert execute_command([]) == 1
     assert execute_command(["train"]) == 1

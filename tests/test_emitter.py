@@ -11,7 +11,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from ompadvisor import augment, corpus, dfg, encode, syntax
+from ompadvisor import augment, corpus, dfg, encode, model, syntax
 from ompadvisor.augment import rename_variables
 from ompadvisor.corpus import Sample, extract_for_prediction, extract_from_source
 from ompadvisor.encode import build_vocabulary, encode_sample
@@ -335,6 +335,33 @@ def test_encoding_a_renamed_sample_tokenizes_only_in_the_rename(counted, fractio
     assert (renamed.loop_code != stored.loop_code) == (fraction > 0)
     encode_sample(renamed, vocab)
     assert counted["tokenize"] == 1
+
+
+@pytest.mark.parametrize("aug_mode,epochs,renaming_epochs", [
+    ("curriculum", 4, 3), ("none", 4, 0), ("curriculum", 1, 0),
+])
+def test_training_runs_each_loops_front_end_once(counted, monkeypatch, aug_mode, epochs,
+                                                 renaming_epochs):
+    """A training whose epochs rename parses each train loop once, before
+    epoch 1; the vocabulary, the base encodings and every renamed epoch
+    tokenize nothing more, and each epoch relabels each train loop once. A
+    training that never renames parses nothing and tokenizes each train
+    loop once. Either way each valid loop is tokenized once, for its
+    encoding, and no sample is rendered, given data flow or hashed."""
+    samples = [Sample.from_json_dict(s.to_json_dict())
+               for s in generate_synthetic_corpus(60, seed=4)]
+    n_train = sum(s.split == "train" for s in samples)
+    n_valid = sum(s.split == "valid" for s in samples)
+    renames = []
+    monkeypatch.setattr(model, "rename_variables",
+                        lambda *args: renames.append(args[0]) or rename_variables(*args))
+    counted.update(dict.fromkeys(counted, 0))
+    model.train(samples, arch={"d_model": 8, "n_heads": 2, "n_layers": 1, "d_ff": 16},
+                epochs=epochs, aug_mode=aug_mode, min_freq=1)
+    assert counted == {"parse": n_train if renaming_epochs else 0,
+                       "tokenize": n_train + n_valid, "emit": 0, "build_dfg": 0,
+                       "content_hash": 0}
+    assert len(renames) == renaming_epochs * n_train
 
 
 def test_nested_duplicates_are_rejected_before_their_data_flow(counted):
