@@ -204,6 +204,25 @@ def _weight_grad(a, b):
     return a.reshape(-1, a.shape[-1]).T @ b.reshape(-1, b.shape[-1])
 
 
+def _embedding_grad(table, index, dx, workspace):
+    """The gradient of table from rows gathered at index and their gradient
+    dx: each row sums the dx rows that gathered it. The index is sorted
+    stably, the dx rows are gathered in that order, and each run of one
+    index is summed by np.add.reduceat (about half the cost of np.add.at's
+    scatter; the sums may round in another order)."""
+    flat = index.reshape(-1)
+    order = np.argsort(flat, kind="stable")
+    sorted_index = flat[order]
+    starts = np.flatnonzero(np.diff(sorted_index, prepend=-1))
+    rows = np.take(dx.reshape(-1, dx.shape[-1]), order, axis=0,
+                   out=workspace.take("emb_rows", (flat.size, dx.shape[-1]), dx.dtype))
+    grad = np.zeros_like(table)
+    grad[sorted_index[starts]] = np.add.reduceat(
+        rows, starts, axis=0,
+        out=workspace.take("emb_sums", (starts.size, dx.shape[-1]), dx.dtype))
+    return grad
+
+
 def _affine(workspace, name, x, w, b):
     """x @ w + b in the named buffer, the bias added in place."""
     y = workspace.matmul(name, x, w)
@@ -369,17 +388,15 @@ def backward_batch(params, config, cache, probs, labels, n_total=None, workspace
     computed fewer rows than its input holds (the last) takes the query
     weights' gradient from those rows, and gives the layer below a gradient
     at every row, which past those rows holds only the key and value
-    terms."""
+    terms. The embeddings' gradients are sums over the sorted runs of each
+    id and each position (_embedding_grad)."""
     workspace = Workspace() if workspace is None else workspace
     scale = _drop_scale(config.dropout_rate, params["tok_emb"].dtype)
-    # Only the embeddings accumulate (np.add.at); every other gradient is
-    # assigned whole below.
-    grads = {name: np.zeros_like(params[name]) for name in ("tok_emb", "pos_emb")}
     y = np.asarray(labels, dtype=probs.dtype)
     batch = probs.shape[0] if n_total is None else n_total
     dlogits = (probs - y) / (3.0 * batch)
 
-    grads["head_w"] = cache["cls"].T @ dlogits
+    grads = {"head_w": cache["cls"].T @ dlogits}
     grads["head_b"] = dlogits.sum(axis=0)
     dx = workspace.take("dx", cache["hidden"].shape, cache["hidden"].dtype)
     dx.fill(0.0)
@@ -454,8 +471,8 @@ def backward_batch(params, config, cache, probs, labels, n_total=None, workspace
         for grad, w in ((dk, p["wk"]), (dv, p["wv"])):
             dx += workspace.matmul("tmp", grad, w.T)
 
-    np.add.at(grads["tok_emb"], cache["ids"], dx)
-    np.add.at(grads["pos_emb"], cache["positions"], dx)
+    grads["tok_emb"] = _embedding_grad(params["tok_emb"], cache["ids"], dx, workspace)
+    grads["pos_emb"] = _embedding_grad(params["pos_emb"], cache["positions"], dx, workspace)
     return grads
 
 

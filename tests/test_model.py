@@ -487,6 +487,43 @@ def test_weight_grad_equals_einsum(dtype, rtol):
                                    rtol=rtol, atol=rtol * 10)
 
 
+def test_embedding_gradients_match_add_at(monkeypatch):
+    """tok_emb's gradient at the ids and pos_emb's at the positions, sums
+    over the sorted runs of one index, match np.add.at's scatter to float32
+    rounding in every sub-batch of a training step: ids repeat, pad slots
+    take id and position 0, and some code is cut at max_code. A row that no
+    slot gathered stays exactly 0."""
+    samples = generate_synthetic_corpus(n=40, seed=3)
+    vocab = build_vocabulary(samples, min_freq=1)
+    limited = dataclasses.replace(vocab, max_code=12)
+    encodings = ([encode_sample(s, vocab) for s in samples[:24]]
+                 + [encode_sample(s, limited) for s in samples[24:]])
+    assert any(e.code_truncated for e in encodings)
+    config = ModelConfig(vocab_size=vocab.size, d_model=8, n_heads=2, n_layers=2, d_ff=16,
+                         max_len=64)
+    params = init_params(config)
+    embedding_grad, calls = ompadvisor.model._embedding_grad, []
+
+    def recording(table, index, dx, workspace):
+        grad = embedding_grad(table, index, dx, workspace)
+        ref = np.zeros_like(table)
+        np.add.at(ref, index, dx)
+        calls.append((index.copy(), grad.copy(), ref))  # the first sums the rest in place
+        return grad
+
+    monkeypatch.setattr(ompadvisor.model, "_embedding_grad", recording)
+    batch_gradients(params, config, encodings, rng=np.random.default_rng(0))
+    assert len(calls) >= 4 and len(calls) % 2 == 0  # tok_emb, pos_emb per sub-batch
+    ids = [index for index, _, _ in calls[0::2]]
+    assert any((index == PAD_ID).any() for index in ids)
+    assert all(np.unique(index).size < index.size for index in ids)
+    for index, grad, ref in calls:
+        assert grad.dtype == ref.dtype == np.float32
+        np.testing.assert_allclose(grad, ref, rtol=1e-5, atol=1e-6 * np.abs(ref).max())
+        untouched = np.setdiff1d(np.arange(len(grad)), index)
+        assert untouched.size and not grad[untouched].any()
+
+
 def test_masked_softmax_leaves_scores_untouched():
     scores = np.random.default_rng(1).normal(size=(2, 3, 4))
     scores[0, 1, 2] = MASK_NEG
