@@ -15,9 +15,11 @@ into a Workspace: train owns one for the whole run and lends it to its
 validation pass, and any other forward_pass makes one for its own batches.
 The softmax, ReLU, bias adds, residual sums and layer norms run in place,
 with the float operations they would run out of place. Dropout keeps a bool
-keep-pattern per site, drawn from the raw bits of the seeded generator at the
-site's every-row shape, and one scale 1/(1-rate) in the parameters' dtype;
-backward re-applies it with the forward's operations. A run is deterministic
+keep-pattern per site, drawn from the raw bits of the seeded generator for
+the rows the site computes (so the last layer's for rows 0-1 only), and one
+scale 1/(1-rate) in the parameters' dtype; backward re-applies it with the
+forward's operations. Backward sums the embeddings' gradients over the
+sorted runs of each id and position, not by a scatter. A run is deterministic
 for a given seed per machine and per BLAS thread count: the BLAS matmuls may
 sum in another order on another machine or at another thread count.
 """
@@ -293,10 +295,11 @@ def forward_batch(params, config, ids, positions, mask, train=False, rng=None, w
     BLAS gemm, which sums row 0 as the full product does (gemv, which a
     one-row product gets, sums in another order). train=True keeps the cache
     backward_batch reads, with dropout when rng is given; its "hidden" is
-    the last layer's (B, 2, d) output. Each of that layer's keep-patterns is
-    drawn at its every-row shape and cut to the computed rows, so every
-    computed cell gets the draw it would get with every row computed, and
-    rng ends in the same state. Otherwise the cache is None.
+    the last layer's (B, 2, d) output. Each site draws its keep-pattern at
+    the shape of the rows it computes, in site order (attention, projection,
+    FFN) layer by layer: (B, H, L, L) and (B, L, d) below the last layer,
+    (B, H, 2, L) and (B, 2, d) in it, so no draw decides a cell that is not
+    computed. Otherwise the cache is None.
 
     Every batch-sized array is written into a buffer of workspace (a new
     Workspace when none is given): the scores, softmaxed in place into the
@@ -320,13 +323,6 @@ def forward_batch(params, config, ids, positions, mask, train=False, rng=None, w
         name = f"layer{layer if train else 0}.".__add__
         x_in = x
         rows = x_in if layer < config.n_layers - 1 else x_in[:, :2]
-        n = rows.shape[1]
-
-        def keep_rows(shape, site):
-            # drawn at the every-row shape (B, H, L, L) or (B, L, d), then
-            # cut to the computed rows, along the second-last axis
-            keep = _keep_pattern(drop_rng, config.dropout_rate, shape, workspace, name(site))
-            return None if keep is None else keep[..., :n, :]
 
         q = _affine(workspace, name("q"), rows, p["wq"], p["bq"])
         k = _affine(workspace, name("k"), x_in, p["wk"], p["bk"])
@@ -336,21 +332,24 @@ def forward_batch(params, config, ids, positions, mask, train=False, rng=None, w
         scores /= config.attn_scale
         # A wider mask widens the scores, as an out-of-place sum would.
         scores = scores.astype(np.result_type(scores, mask), copy=False)
-        scores += mask[:, None, :n]
+        scores += mask[:, None, :rows.shape[1]]
         attn = masked_softmax(scores, out=scores)
-        attn_keep = keep_rows(attn.shape[:2] + (x_in.shape[1],) * 2, "attn_keep")
+        attn_keep = _keep_pattern(drop_rng, config.dropout_rate, attn.shape, workspace,
+                                  name("attn_keep"))
         attn_dropped = _dropped(attn, attn_keep, scale,
                                 workspace.take("attn_dropped", attn.shape, attn.dtype))
         context = workspace.matmul_merged(name("context"), attn_dropped, vh)
         res1 = _affine(workspace, name("ln1"), context, p["wo"], p["bo"])
-        proj_keep = keep_rows(x_in.shape, "proj_keep")
+        proj_keep = _keep_pattern(drop_rng, config.dropout_rate, rows.shape, workspace,
+                                  name("proj_keep"))
         _dropped(res1, proj_keep, scale, res1)
         res1 += rows
         x1, ln1_cache = _layer_norm(res1, p["ln1_g"], p["ln1_b"], workspace, name("x1"))
         ff_hidden = _affine(workspace, name("ff_hidden"), x1, p["w1"], p["b1"])
         np.maximum(ff_hidden, 0.0, out=ff_hidden)
         res2 = _affine(workspace, name("ln2"), ff_hidden, p["w2"], p["b2"])
-        ff_keep = keep_rows(x_in.shape, "ff_keep")
+        ff_keep = _keep_pattern(drop_rng, config.dropout_rate, rows.shape, workspace,
+                                name("ff_keep"))
         _dropped(res2, ff_keep, scale, res2)
         res2 += x1
         x2, ln2_cache = _layer_norm(res2, p["ln2_g"], p["ln2_b"], workspace, name("x2"))

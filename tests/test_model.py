@@ -254,11 +254,12 @@ def test_train_forward_runs_the_last_layer_at_the_cls_rows(monkeypatch):
 
 
 @pytest.mark.parametrize("n_layers", [1, 2, 3])
-def test_train_forward_draws_every_row_keep_pattern(n_layers):
-    """Each site's keep-pattern is drawn at its every-row shape, in site
-    order: the generator ends the forward in the state those draws leave,
-    and each cached keep-pattern is its full pattern's computed rows, so
-    computing fewer rows changes no dropout decision of a computed cell."""
+def test_train_forward_draws_keep_patterns_at_the_computed_rows(n_layers):
+    """Each site's keep-pattern is drawn at the shape of the rows its layer
+    computes, in site order: (B, H, L, L) and (B, L, d) below the last
+    layer, (B, H, 2, L) and (B, 2, d) in it. Each cached keep-pattern is a
+    replay of those draws, and the generator ends the forward in the
+    replay's state, so no draw is made for a row that is not computed."""
     params, config, ids, positions, mask = mixed_eval_batch(n_layers, np.float32, 0)
     (b, length), h, d = ids.shape, config.n_heads, config.d_model
     rng = np.random.default_rng(21)
@@ -266,10 +267,10 @@ def test_train_forward_draws_every_row_keep_pattern(n_layers):
     replay, workspace = np.random.default_rng(21), Workspace()
     for layer, c in enumerate(cache["layers"]):
         rows = 2 if layer == n_layers - 1 else length
-        for site, shape in (("attn_keep", (b, h, length, length)),
-                            ("proj_keep", (b, length, d)), ("ff_keep", (b, length, d))):
-            full = _keep_pattern(replay, config.dropout_rate, shape, workspace, "keep")
-            assert np.array_equal(c[site], full[..., :rows, :]), (layer, site)
+        for site, shape in (("attn_keep", (b, h, rows, length)),
+                            ("proj_keep", (b, rows, d)), ("ff_keep", (b, rows, d))):
+            drawn = _keep_pattern(replay, config.dropout_rate, shape, workspace, "keep")
+            assert c[site].shape == shape and np.array_equal(c[site], drawn), (layer, site)
     assert rng.bit_generator.state == replay.bit_generator.state
 
 
