@@ -17,6 +17,7 @@ before any renaming, with an error that names its id (find_corpus_names).
 """
 
 import random
+from array import array
 from dataclasses import dataclass, replace
 
 from .dfg import build_dfg  # noqa: F401 -- a traced binding in perfbench/spans.py
@@ -47,14 +48,13 @@ def fraction_for_mode(mode, epoch):
 
 @dataclass(frozen=True)
 class NameSites:
-    """What renaming reads of one parse of a sample's text, as names and
-    integers: its lexemes, its sorted distinct variable names, the names of
-    every identifier token (call names included), and each variable's
-    occurrences as (token index, line, column, name), right to left."""
+    """What renaming reads of one parse of a sample's text: its lexemes, and
+    each variable occurrence's token index, line and column as a flat array
+    of triples, right to left; a variable's name is its token's lexeme.
+    train keeps one per train loop for the whole run, so it holds integers
+    and names, not tokens or syntax nodes."""
     lexemes: list
-    names: tuple
-    taken: frozenset
-    sites: tuple
+    sites: array
 
 
 def find_names(sample):
@@ -64,18 +64,11 @@ def find_names(sample):
     snippet, tokens = parse_snippet(sample.source_text())
     if not snippet.children or snippet.children[-1].kind != "ForStmt":
         raise ValueError("sample snippet does not end with a for-loop")
-    sites = []
-    for node in iter_nodes(snippet):
-        if node.kind == "Identifier":
-            tok = tokens[node.token_span[0]]
-            sites.append((node.token_span[0], tok.line, tok.col, node.attrs["name"]))
-    sites.sort(key=lambda site: site[0], reverse=True)
-    return NameSites(
-        lexemes=[t.lexeme for t in tokens],
-        names=tuple(sorted({site[3] for site in sites})),
-        taken=frozenset(t.lexeme for t in tokens if t.kind == "identifier"),
-        sites=tuple(sites),
-    )
+    sites = array("i")
+    for index in sorted((n.token_span[0] for n in iter_nodes(snippet)
+                         if n.kind == "Identifier"), reverse=True):
+        sites.extend((index, tokens[index].line, tokens[index].col))
+    return NameSites([t.lexeme for t in tokens], sites)
 
 
 def find_corpus_names(samples):
@@ -107,16 +100,20 @@ def rename_variables(sample, fraction, seed, names=None):
     returns the sample as-is. Either way the result carries the lexemes.
     """
     names = find_names(sample) if names is None else names
-    count = int(fraction * len(names.names))
+    lexemes = names.lexemes
+    sites = list(zip(*[iter(names.sites)] * 3))  # (token index, line, column)
+    variables = sorted({lexemes[index] for index, _, _ in sites})
+    count = int(fraction * len(variables))
     if count == 0:
-        return replace(sample, lexemes=names.lexemes)
+        return replace(sample, lexemes=lexemes)
 
     rng = random.Random(seed)
-    order = list(names.names)
-    rng.shuffle(order)
-    chosen = order[:count]
+    rng.shuffle(variables)
+    chosen = variables[:count]
 
-    taken = set(names.taken)
+    # Of all tokens only an identifier can read var<k>, so the lexemes hold
+    # every name a new one must avoid.
+    taken = set(lexemes)
     mapping = {}
     for name in chosen:
         while True:
@@ -126,9 +123,10 @@ def rename_variables(sample, fraction, seed, names=None):
         taken.add(candidate)
         mapping[name] = candidate
 
-    lexemes = list(names.lexemes)
+    lexemes = list(lexemes)
     lines = sample.source_text().split("\n")
-    for index, line, col, name in names.sites:  # right to left, so columns hold
+    for index, line, col in sites:  # right to left, so columns hold
+        name = lexemes[index]
         if name in mapping:
             lexemes[index] = mapping[name]
             text = lines[line - 1]

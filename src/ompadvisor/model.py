@@ -596,23 +596,23 @@ def train(samples, arch=None, epochs=10, aug_mode="none", seed=0, min_freq=DEFAU
         raise ValueError("train and valid splits must both be non-empty")
 
     # Each train loop's front end runs once: parsed for its names when some
-    # epoch renames, else tokenized; the vocabulary and the base encodings
+    # epoch renames, else tokenized. The vocabulary and the base encodings
     # read the lexemes this gives.
     if any(fraction_for_mode(aug_mode, epoch) for epoch in range(1, epochs + 1)):
         names = find_corpus_names(train_samples)
-        lexemes = [n.lexemes for n in names]
+        lexed = [replace(s, lexemes=n.lexemes) for s, n in zip(train_samples, names)]
     else:
         names = None
-        lexemes = [sample_lexemes(s) for s in train_samples]
-    train_samples = [replace(s, lexemes=lex) for s, lex in zip(train_samples, lexemes)]
-    vocab = build_vocabulary(train_samples, min_freq, max_code, max_dfg)
+        lexed = [replace(s, lexemes=sample_lexemes(s)) for s in train_samples]
+    vocab = build_vocabulary(lexed, min_freq, max_code, max_dfg)
     config = ModelConfig(vocab_size=vocab.size, seed=seed, **(arch or {}))
     params = init_params(config)
     optimizer = Adam(params, lr=lr)
     rng = np.random.default_rng(seed)
     workspace = Workspace()  # every training step and validation pass reuses it
 
-    base_encodings, encode_stats = encode_corpus(train_samples, vocab)
+    base_encodings, encode_stats = encode_corpus(lexed, vocab)
+    del lexed  # only the names, if any, are kept past the base encodings
     valid_encodings, valid_stats = encode_corpus(valid_samples, vocab)
     encode_stats["valid"] = {key: valid_stats[key]
                              for key in ("samples", "code_truncated", "dfg_truncated")}
