@@ -624,9 +624,11 @@ def train(samples, arch=None, epochs=10, aug_mode="none", seed=0, min_freq=DEFAU
         if fraction == 0.0:
             encodings = base_encodings
         else:
-            renamed = [rename_variables(s, fraction, seed + epoch, n)
-                       for s, n in zip(train_samples, names)]
-            encodings, _ = encode_corpus(renamed, vocab)
+            # each renamed sample is encoded as it is made, and the last
+            # epoch's encodings go before this epoch's are built
+            encodings = None
+            encodings = [encode_sample(rename_variables(s, fraction, seed + epoch, n), vocab)
+                         for s, n in zip(train_samples, names)]
 
         order = rng.permutation(len(encodings))
         total_loss = 0.0
