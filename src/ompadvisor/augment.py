@@ -17,6 +17,7 @@ before any renaming, with an error that names its id (find_corpus_names).
 """
 
 import random
+import sys
 from array import array
 from dataclasses import dataclass, replace
 
@@ -48,7 +49,8 @@ def fraction_for_mode(mode, epoch):
 
 @dataclass(frozen=True)
 class NameSites:
-    """What renaming reads of one parse of a sample's text: its lexemes, and
+    """What renaming reads of one parse of a sample's text: its lexemes
+    (interned, so that a run holds one string per distinct lexeme), and
     each variable occurrence's token index, line and column as a flat array
     of triples, right to left; a variable's name is its token's lexeme.
     train keeps one per train loop for the whole run, so it holds integers
@@ -68,7 +70,7 @@ def find_names(sample):
     for index in sorted((n.token_span[0] for n in iter_nodes(snippet)
                          if n.kind == "Identifier"), reverse=True):
         sites.extend((index, tokens[index].line, tokens[index].col))
-    return NameSites([t.lexeme for t in tokens], sites)
+    return NameSites([sys.intern(t.lexeme) for t in tokens], sites)
 
 
 def find_corpus_names(samples):

@@ -16,6 +16,7 @@ carries none, as one read from corpus.jsonl, has its text tokenized here.
 """
 
 import json
+import sys
 from collections import Counter
 from dataclasses import dataclass, field
 
@@ -102,7 +103,9 @@ class EncodedInput:
 
 
 def sample_lexemes(sample):
-    return sample.lexemes or [t.lexeme for t in tokenize(sample.source_text())]
+    """The lexemes the sample carries, else its text's, interned as train
+    holds those of every train loop at once."""
+    return sample.lexemes or [sys.intern(t.lexeme) for t in tokenize(sample.source_text())]
 
 
 def build_vocabulary(train_samples, min_freq=DEFAULT_MIN_FREQ, max_code=DEFAULT_MAX_CODE,

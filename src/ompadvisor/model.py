@@ -209,15 +209,16 @@ def _weight_grad(a, b):
 def _embedding_grad(table, index, dx, workspace):
     """The gradient of table from rows gathered at index and their gradient
     dx: each row sums the dx rows that gathered it. The index is sorted
-    stably, the dx rows are gathered in that order, and each run of one
-    index is summed by np.add.reduceat (about half the cost of np.add.at's
-    scatter; the sums may round in another order)."""
+    stably, the dx rows are gathered in that order into the workspace's
+    "tmp" buffer (dx is not in it), and each run of one index is summed by
+    np.add.reduceat (about half the cost of np.add.at's scatter; the sums
+    may round in another order)."""
     flat = index.reshape(-1)
     order = np.argsort(flat, kind="stable")
     sorted_index = flat[order]
     starts = np.flatnonzero(np.diff(sorted_index, prepend=-1))
     rows = np.take(dx.reshape(-1, dx.shape[-1]), order, axis=0,
-                   out=workspace.take("emb_rows", (flat.size, dx.shape[-1]), dx.dtype))
+                   out=workspace.take("tmp", (flat.size, dx.shape[-1]), dx.dtype))
     grad = np.zeros_like(table)
     grad[sorted_index[starts]] = np.add.reduceat(
         rows, starts, axis=0,
