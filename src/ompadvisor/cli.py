@@ -143,11 +143,12 @@ def _cmd_build_corpus(args):
 def _cmd_augment(args):
     samples = read_samples(args.corpus)
     fraction = fraction_for_mode(args.mode, args.epoch)
-    out = [rename_variables(s, fraction, args.seed + args.epoch, names)
-           for s, names in zip(samples, find_corpus_names(samples))]
-    write_jsonl(args.out, [s.to_json_dict() for s in out])
+    if fraction:  # else the rows are written as read, none parsed
+        samples = [rename_variables(s, fraction, args.seed + args.epoch, tokens)
+                   for s, tokens in zip(samples, find_corpus_names(samples))]
+    write_jsonl(args.out, [s.to_json_dict() for s in samples])
     _write_run_config(f"{args.out}.run_config.json", args, fraction=fraction)
-    print(f"augmented {len(out)} samples at fraction {fraction} -> {args.out}")
+    print(f"augmented {len(samples)} samples at fraction {fraction} -> {args.out}")
     return 0
 
 

@@ -13,12 +13,14 @@ are those a sample carries: from extraction (syntax.emit), from renaming, or
 from train's one pass over each train loop, which parses it for its names
 (augment.find_names) or, when no epoch renames, tokenizes it. A sample that
 carries none, as one read from corpus.jsonl, has its text tokenized here.
+A renaming epoch of train encodes no renamed sample: relabel_encoding writes
+the new names' ids at the data-flow nodes' code slots and node positions.
 """
 
 import json
 import sys
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -224,6 +226,22 @@ def encode_sample(sample, vocab):
         labels=sample.labels,
         edges=edges, code_truncated=code_truncated, dfg_truncated=dfg_truncated,
     )
+
+
+def relabel_encoding(encoding, nodes, mapping, vocab):
+    """encode_sample of the sample that mapping renames, from encoding, its
+    own: each renamed node's new id at its code slot below the code cut and
+    at its node position below max_dfg."""
+    ids = list(encoding.ids)
+    first_node = len(ids) - len(encoding.dfg_alignment)  # after [SEP]
+    for k, (name, slot) in enumerate(nodes):
+        if name in mapping:
+            new = vocab.lookup(mapping[name])
+            if slot < first_node - 2:  # the code tokens kept
+                ids[1 + slot] = new
+            if first_node + k < len(ids):
+                ids[first_node + k] = new
+    return replace(encoding, ids=ids)
 
 
 def encode_corpus(samples, vocab):

@@ -8,7 +8,8 @@ differences. The head reads the last layer's CLS row only,
 so in training and inference alike that layer runs at rows 0-1 after its
 keys and values. forward_pass is the one eval-mode path: the validation
 pass of train, metrics.predict_rows and predict_source all run their
-encodings through it, and threshold_labels is the one gating rule.
+encodings through it, and threshold_labels is the one gating rule. A
+renaming epoch of train relabels the base encodings (encode.relabel_encoding).
 
 Every batch-sized array of a forward and a backward is written through out=
 into a Workspace: train owns one for the whole run and lends it to its
@@ -27,15 +28,17 @@ sum in another order on another machine or at another thread count.
 import math
 import os
 import struct
+import sys
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .augment import find_corpus_names, fraction_for_mode, rename_variables
+from .augment import draw_mapping, find_corpus_names, fraction_for_mode
+from .augment import rename_variables  # noqa: F401 -- a traced binding in perfbench/spans.py
 from .corpus import LABELS, extract_for_prediction
 from .encode import (
     DEFAULT_MAX_CODE, DEFAULT_MAX_DFG, DEFAULT_MIN_FREQ, EncodedInput, build_vocabulary,
-    encode_corpus, encode_sample, length_batches, pad_batch, sample_lexemes,
+    encode_corpus, encode_sample, length_batches, pad_batch, relabel_encoding, sample_lexemes,
 )
 
 MAGIC = b"OMPF1"
@@ -596,14 +599,15 @@ def train(samples, arch=None, epochs=10, aug_mode="none", seed=0, min_freq=DEFAU
     if not train_samples or not valid_samples:
         raise ValueError("train and valid splits must both be non-empty")
 
-    # Each train loop's front end runs once: parsed for its names when some
-    # epoch renames, else tokenized. The vocabulary and the base encodings
-    # read the lexemes this gives.
+    # Each train loop's front end runs once: parsed, which checks what a
+    # rename trusts, when some epoch renames, else tokenized. The vocabulary
+    # and the base encodings read the lexemes this gives.
     if any(fraction_for_mode(aug_mode, epoch) for epoch in range(1, epochs + 1)):
-        names = find_corpus_names(train_samples)
-        lexed = [replace(s, lexemes=n.lexemes) for s, n in zip(train_samples, names)]
+        lexemes = [[sys.intern(t.lexeme) for t in tokens]
+                   for tokens in find_corpus_names(train_samples)]
+        lexed = [replace(s, lexemes=lex) for s, lex in zip(train_samples, lexemes)]
     else:
-        names = None
+        lexemes = None
         lexed = [replace(s, lexemes=sample_lexemes(s)) for s in train_samples]
     vocab = build_vocabulary(lexed, min_freq, max_code, max_dfg)
     config = ModelConfig(vocab_size=vocab.size, seed=seed, **(arch or {}))
@@ -613,7 +617,7 @@ def train(samples, arch=None, epochs=10, aug_mode="none", seed=0, min_freq=DEFAU
     workspace = Workspace()  # every training step and validation pass reuses it
 
     base_encodings, encode_stats = encode_corpus(lexed, vocab)
-    del lexed  # only the names, if any, are kept past the base encodings
+    del lexed  # only a renaming run's lexemes, read by its draws, are kept
     valid_encodings, valid_stats = encode_corpus(valid_samples, vocab)
     encode_stats["valid"] = {key: valid_stats[key]
                              for key in ("samples", "code_truncated", "dfg_truncated")}
@@ -625,11 +629,10 @@ def train(samples, arch=None, epochs=10, aug_mode="none", seed=0, min_freq=DEFAU
         if fraction == 0.0:
             encodings = base_encodings
         else:
-            # each renamed sample is encoded as it is made, and the last
-            # epoch's encodings go before this epoch's are built
-            encodings = None
-            encodings = [encode_sample(rename_variables(s, fraction, seed + epoch, n), vocab)
-                         for s, n in zip(train_samples, names)]
+            encodings = []  # each base encoding relabeled at its data-flow nodes' slots
+            for base, sample, lex in zip(base_encodings, train_samples, lexemes):
+                mapping = draw_mapping(sample.dfg["nodes"], lex, fraction, seed + epoch)
+                encodings.append(relabel_encoding(base, sample.dfg["nodes"], mapping, vocab))
 
         order = rng.permutation(len(encodings))
         total_loss = 0.0

@@ -230,21 +230,17 @@ class _Parser:
 
     def expect(self, kind, lexeme=None):
         t = self.peek()
-        if t is None:
-            last = self.tokens[-1] if self.tokens else None
-            line = last.line if last else 1
-            col = last.col + len(last.lexeme) if last else 1
-            raise ParseError(line, col, lexeme or kind, "end of input")
-        if t.kind != kind or (lexeme is not None and t.lexeme != lexeme):
-            raise ParseError(t.line, t.col, lexeme or kind, t.lexeme)
+        if t is None or t.kind != kind or (lexeme is not None and t.lexeme != lexeme):
+            self.fail(lexeme or kind)
         return self.advance()
 
     def fail(self, expected):
+        """Raise at the next token, or at end of input just past the last."""
         t = self.peek()
-        if t is None:
-            last = self.tokens[-1] if self.tokens else None
-            raise ParseError(last.line if last else 1, 1, expected, "end of input")
-        raise ParseError(t.line, t.col, expected, t.lexeme)
+        if t is not None:
+            raise ParseError(t.line, t.col, expected, t.lexeme)
+        last = self.tokens[-1] if self.tokens else Token("", "", 1, 1)
+        raise ParseError(last.line, last.col + len(last.lexeme), expected, "end of input")
 
     def descend(self, frames):
         self.frames += frames

@@ -753,7 +753,8 @@ class ReferenceParser:
         t = self.peek()
         if t is None:
             last = self.tokens[-1] if self.tokens else None
-            raise ParseError(last.line if last else 1, 1, expected, "end of input")
+            raise ParseError(last.line if last else 1, last.col + len(last.lexeme) if last else 1,
+                             expected, "end of input")
         raise ParseError(t.line, t.col, expected, t.lexeme)
 
     def descend(self, frames):

@@ -1,12 +1,16 @@
 import re
+from dataclasses import replace
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ompadvisor.augment import curriculum_ratio, fraction_for_mode, rename_variables
+from ompadvisor.augment import (
+    curriculum_ratio, draw_mapping, find_names, fraction_for_mode, rename_variables,
+)
 from ompadvisor.corpus import content_hash, extract_from_source
 from ompadvisor.dfg import build_dfg, dfg_to_json
+from ompadvisor.encode import build_vocabulary, encode_sample, relabel_encoding
 from ompadvisor.pragmas import parse_omp_pragma
 from ompadvisor.synthetic import generate_synthetic_corpus
 from ompadvisor.syntax import iter_nodes, parse_snippet, tokenize
@@ -147,8 +151,6 @@ def test_new_names_unique_within_sample(reduction_sample):
 
 
 def test_unparseable_sample_raises(reduction_sample):
-    from dataclasses import replace
-
     from ompadvisor.syntax import ParseError
 
     broken = replace(reduction_sample, loop_code="for (i = 0; i < n; i++ {")
@@ -197,3 +199,27 @@ def test_no_variable_takes_a_call_name():
         assert "var6468" not in variable_names(renamed)
         assert renamed.id == sample.id
         assert "n" not in variable_names(renamed)
+
+
+def test_relabeled_encodings_are_those_of_renamed_samples(synthetic_samples):
+    """A renaming epoch of train relabels each base encoding at the
+    data-flow nodes' slots: that gives the renamed sample's encoding, at
+    three fractions, whole and cut to 8 code tokens and 4 nodes. The new
+    names are in the vocabulary, so each has its own id."""
+    tokens = [find_names(sample) for sample in synthetic_samples]
+    renamed = {fraction: [rename_variables(sample, fraction, k, tokens[k])
+                          for k, sample in enumerate(synthetic_samples)]
+               for fraction in (0.1, 0.4, 1.0)}
+    vocab = build_vocabulary(synthetic_samples + sum(renamed.values(), []), min_freq=1)
+    for max_code, max_dfg in ((256, 32), (8, 4)):
+        limited = replace(vocab, max_code=max_code, max_dfg=max_dfg)
+        base = [encode_sample(sample, limited) for sample in synthetic_samples]
+        changed = 0
+        for fraction, samples in renamed.items():
+            for k, (sample, out) in enumerate(zip(synthetic_samples, samples)):
+                nodes = sample.dfg["nodes"]
+                mapping = draw_mapping(nodes, [t.lexeme for t in tokens[k]], fraction, k)
+                relabeled = relabel_encoding(base[k], nodes, mapping, limited)
+                assert relabeled == encode_sample(out, limited)
+                changed += relabeled.ids != base[k].ids
+        assert changed > len(synthetic_samples)

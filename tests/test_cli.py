@@ -241,6 +241,18 @@ def test_augment_command_round_trip(corpus_dir, tmp_path, capsys):
     assert any(a["loop_code"] != b["loop_code"] for a, b in zip(lines, original))
 
 
+def test_augment_at_fraction_zero_writes_the_rows_as_read(corpus_dir, tmp_path):
+    """augment --mode none renames nothing and parses nothing: every row is
+    written as read, one whose code does not parse included."""
+    rows = [json.loads(line) for line in (corpus_dir / "corpus.jsonl").read_text().splitlines()]
+    rows[1]["loop_code"] = "for (i = 0; i < n; i++) {"
+    (tmp_path / "corpus.jsonl").write_text("".join(json.dumps(row) + "\n" for row in rows))
+    out_file = tmp_path / "augmented.jsonl"
+    assert execute_command(["augment", str(tmp_path / "corpus.jsonl"), "--mode", "none",
+                            "-o", str(out_file)]) == 0
+    assert [json.loads(line) for line in out_file.read_text().splitlines()] == rows
+
+
 def test_check_gradients_command(capsys):
     """Five runs: one layer on one sample and on a padded batch of three,
     each with an open and a random mask, then two layers with dropout."""
@@ -292,19 +304,21 @@ def test_renaming_keeps_a_pragma_line_that_does_not_parse(corpus_dir, tmp_path, 
     assert (tmp_path / "model" / "model.bin").exists()
 
 
-@pytest.mark.parametrize("argv", [
+# the commands that parse each train row before they rename any
+RENAMING_COMMANDS = [
     ["augment", "{corpus}", "--mode", "replaced", "-o", "{out}"],
     ["train", "{dir}", "--aug", "curriculum", "--epochs", "3", "--d-model", "16",
      "--n-heads", "2", "--n-layers", "1", "--d-ff", "32", "-o", "{out}"],
-])
-def test_a_train_loop_that_does_not_parse_is_named_before_any_work(corpus_dir, tmp_path,
-                                                                   capsys, argv):
-    """A row whose loop code does not parse stops augment, and a renaming
-    train before epoch 1: exit 2, one error line that names the row's id
-    and source path, and nothing written."""
+]
+
+
+def named_before_any_work(corpus_dir, tmp_path, capsys, argv, edit):
+    """The error line that argv prints when edit spoils a train row of the
+    corpus, after checking that argv exits 2 before epoch 1 with that one
+    line, which names the row's id and source path, and writes nothing."""
     rows = [json.loads(line) for line in (corpus_dir / "corpus.jsonl").read_text().splitlines()]
     bad = [row for row in rows if row["split"] == "train"][1]
-    bad["loop_code"] = "for (i = 0; i < n; i++) {"
+    edit(bad)
     (tmp_path / "corpus.jsonl").write_text("".join(json.dumps(row) + "\n" for row in rows))
     out = tmp_path / "out"
     argv = [arg.format(corpus=tmp_path / "corpus.jsonl", dir=tmp_path, out=out) for arg in argv]
@@ -314,6 +328,18 @@ def test_a_train_loop_that_does_not_parse_is_named_before_any_work(corpus_dir, t
     assert captured.err.startswith(f"error: sample {bad['id']} from {bad['path']}: ")
     assert captured.err.count("\n") == 1
     assert not out.exists()
+    return captured.err
+
+
+@pytest.mark.parametrize("argv", RENAMING_COMMANDS)
+def test_a_train_loop_that_does_not_parse_is_named_before_any_work(corpus_dir, tmp_path,
+                                                                   capsys, argv):
+    """A row whose loop code does not parse stops augment, and a renaming
+    train, before epoch 1. The position is that of the end of the row's
+    code, just past its last token."""
+    err = named_before_any_work(corpus_dir, tmp_path, capsys, argv,
+                                lambda row: row.update(loop_code="for (i = 0; i < n; i++) {"))
+    assert err.endswith(":26: expected }, got 'end of input'\n")
 
 
 def test_usage_errors_exit_one(capsys):
@@ -623,6 +649,13 @@ MALFORMED_ROWS = {
     "dfg_edge_bool": _edit_row(lambda row: row["dfg"]["edges"].append([True, 0])),
 }
 
+# how a train row's first data-flow node is moved off its variable: a row of
+# a sample's shape that only a parse of its code can tell apart
+NODES_OFF_THEIR_NAMES = {
+    "dfg_slot_past_the_code": lambda row: row["dfg"]["nodes"][0].__setitem__(1, 10_000),
+    "dfg_name_not_at_its_slot": lambda row: row["dfg"]["nodes"][0].__setitem__(0, "zz"),
+}
+
 
 @pytest.mark.parametrize("case", sorted(MALFORMED_ROWS))
 def test_malformed_corpus_row_is_a_data_error(model_dir, tmp_path, capsys, case):
@@ -641,6 +674,16 @@ def test_malformed_corpus_row_is_a_data_error(model_dir, tmp_path, capsys, case)
     for command, args in argv.items():
         assert execute_command(args) == 2, command
         assert capsys.readouterr().err.startswith(f"error: {bad}:2: ")
+
+
+@pytest.mark.parametrize("argv", RENAMING_COMMANDS)
+@pytest.mark.parametrize("case", sorted(NODES_OFF_THEIR_NAMES))
+def test_a_data_flow_node_off_its_variable_is_named_before_any_work(corpus_dir, tmp_path,
+                                                                    capsys, case, argv):
+    """Renaming trusts each data-flow node to be the lexeme at its code
+    slot, so augment, and a renaming train, stop at a row whose node is not."""
+    err = named_before_any_work(corpus_dir, tmp_path, capsys, argv, NODES_OFF_THEIR_NAMES[case])
+    assert ": its data-flow node 0 is not " in err
 
 
 def test_data_flow_edge_outside_the_nodes_is_a_data_error(model_dir, tmp_path, capsys):

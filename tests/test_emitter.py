@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from ompadvisor import augment, corpus, dfg, encode, model, syntax
 from ompadvisor.augment import rename_variables
 from ompadvisor.corpus import Sample, extract_for_prediction, extract_from_source
-from ompadvisor.encode import build_vocabulary, encode_sample
+from ompadvisor.encode import build_vocabulary, encode_sample, relabel_encoding
 from ompadvisor.model import ModelConfig, init_params, predict_source
 from ompadvisor.synthetic import generate_synthetic_corpus
 from ompadvisor.syntax import (
@@ -344,17 +344,18 @@ def test_training_runs_each_loops_front_end_once(counted, monkeypatch, aug_mode,
                                                  renaming_epochs):
     """A training whose epochs rename parses each train loop once, before
     epoch 1; the vocabulary, the base encodings and every renamed epoch
-    tokenize nothing more, and each epoch relabels each train loop once. A
-    training that never renames parses nothing and tokenizes each train
-    loop once. Either way each valid loop is tokenized once, for its
-    encoding, and no sample is rendered, given data flow or hashed."""
+    tokenize nothing more, and each epoch relabels each train loop's
+    encoding once. A training that never renames parses nothing and
+    tokenizes each train loop once. Either way each valid loop is tokenized
+    once, for its encoding, and no sample is rendered, given data flow or
+    hashed."""
     samples = [Sample.from_json_dict(s.to_json_dict())
                for s in generate_synthetic_corpus(60, seed=4)]
     n_train = sum(s.split == "train" for s in samples)
     n_valid = sum(s.split == "valid" for s in samples)
     renames = []
-    monkeypatch.setattr(model, "rename_variables",
-                        lambda *args: renames.append(args[0]) or rename_variables(*args))
+    monkeypatch.setattr(model, "relabel_encoding",
+                        lambda *args: renames.append(args[0]) or relabel_encoding(*args))
     counted.update(dict.fromkeys(counted, 0))
     model.train(samples, arch={"d_model": 8, "n_heads": 2, "n_layers": 1, "d_ff": 16},
                 epochs=epochs, aug_mode=aug_mode, min_freq=1)
@@ -392,13 +393,19 @@ def benchmark_trees(out):
     return sorted(out.glob("**/*.c"))
 
 
-def test_extracted_and_predicted_samples_carry_their_lexemes(tmp_path):
-    """Over the fixtures and both benchmark trees, with and without scope."""
+@pytest.fixture(scope="module")
+def tree_texts(tmp_path_factory):
+    """(path, text) of each .c file of the fixtures and of both benchmark
+    workloads' trees at seed 1."""
     paths = sorted((Path(__file__).parent / "fixtures").glob("**/*.c"))
-    paths += benchmark_trees(tmp_path)
+    paths += benchmark_trees(tmp_path_factory.mktemp("trees"))
+    return [(path, path.read_text(encoding="utf-8")) for path in paths]
+
+
+def test_extracted_and_predicted_samples_carry_their_lexemes(tree_texts):
+    """Over the fixtures and both benchmark trees, with and without scope."""
     n_samples = 0
-    for path in paths:
-        text = path.read_text(encoding="utf-8")
+    for path, text in tree_texts:
         for scope in (False, True):
             samples, _ = extract_from_source(text, str(path), scope)
             try:
@@ -424,6 +431,46 @@ def test_renamed_samples_carry_their_lexemes():
     renamed = rename_variables(sample, 1.0, 5)
     assert_carries_its_lexemes(renamed)
     assert "+ x(" in renamed.loop_code and renamed.lexemes.count("x") == 1
+
+
+# ---------------------------------------------------------------------------
+# a sample's data-flow nodes are its variable sites
+
+# (n, seed) of every synthetic corpus the tests build
+SYNTHETIC_CORPORA = [(10, 2), (12, 0), (12, 1), (20, 2), (20, 3), (30, 5), (30, 9), (40, 3),
+                     (40, 31), (60, 4), (60, 17), (80, 5), (100, 123), (150, 21), (200, 0),
+                     (200, 8), (400, 0), (2000, 0), (2000, 42)]
+
+
+def assert_nodes_are_the_variable_sites(sample):
+    """Renaming writes at the data-flow nodes' code slots: they are the
+    first tokens of the sample's Identifier nodes, and each node's name is
+    the lexeme at its slot."""
+    snippet, tokens = parse_snippet(sample.source_text())
+    nodes = sample.dfg["nodes"]
+    assert {slot for _, slot in nodes} == {
+        node.token_span[0] for node in iter_nodes(snippet) if node.kind == "Identifier"}
+    assert [name for name, _ in nodes] == [tokens[slot].lexeme for _, slot in nodes]
+
+
+@settings(max_examples=100, deadline=None)
+@given(extraction_inputs)
+def test_data_flow_nodes_are_the_variable_sites_of_extracted_samples(text):
+    for scope in (False, True):
+        for sample in extract_from_source(text, "t.c", scope)[0]:
+            assert_nodes_are_the_variable_sites(sample)
+
+
+def test_data_flow_nodes_are_the_variable_sites_of_every_corpus(tree_texts):
+    """Every synthetic corpus the tests build, and the fixtures and both
+    benchmark trees with and without scope."""
+    samples = [s for n, seed in SYNTHETIC_CORPORA for s in generate_synthetic_corpus(n, seed)]
+    for path, text in tree_texts:
+        for scope in (False, True):
+            samples += extract_from_source(text, str(path), scope)[0]
+    for sample in samples:
+        assert_nodes_are_the_variable_sites(sample)
+    assert len(samples) > 8000
 
 
 def test_encoding_is_the_same_with_and_without_carried_lexemes():

@@ -190,6 +190,19 @@ def test_parse_errors_carry_position_and_expectation(src, expected_fragment):
     assert expected_fragment in str(err.value.expected)
 
 
+@pytest.mark.parametrize("src,position,expected", [
+    ("for (i = 0; i < n; i++) {", (1, 26), "}"),
+    ("x = 1;\nfor (i = 0; i < n; i++) {\na[i] = x;", (3, 10), "}"),
+    ("for (i = 0; i < n", (1, 18), ";"),
+    ("x = -", (1, 6), "an expression"),
+])
+def test_end_of_input_is_reported_just_past_the_last_token(src, position, expected):
+    with pytest.raises(ParseError) as err:
+        parse_snippet(src)
+    assert (err.value.line, err.value.col, err.value.expected, err.value.got) == (
+        *position, expected, "end of input")
+
+
 def test_render_for_statement_canonical_form():
     snippet, _ = parse_snippet("for(i=0;i<10;i++) a[i]=0;")
     assert render(snippet.children[0]) == "for (i = 0; i < 10; i++) {\na[i] = 0;\n}"
