@@ -15,7 +15,8 @@ from pathlib import Path
 
 from . import __version__
 from .augment import find_corpus_names, fraction_for_mode, rename_variables
-from .corpus import LABELS, build_corpus, compute_stats, read_samples, read_source, write_jsonl
+from .corpus import LABELS, build_corpus, compute_stats, read_samples, read_source
+from .corpus import write_json, write_jsonl
 from .encode import DEFAULT_MAX_CODE, DEFAULT_MAX_DFG, DEFAULT_MIN_FREQ, Vocabulary
 from .encode import build_vocabulary  # noqa: F401 -- a traced binding in perfbench/spans.py
 from .metrics import evaluate, format_report, rows_to_csv
@@ -46,15 +47,9 @@ def _in_range(convert, low, high=float("inf")):
     return parse
 
 
-def _write_json(path, data, **options):
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(data, fh, indent=2, allow_nan=False, **options)
-        fh.write("\n")
-
-
 def _write_run_config(path, args, **extra):
     """The command's parsed options, and any extra derived ones."""
-    _write_json(path, {**vars(args), **extra}, sort_keys=True)
+    write_json(path, {**vars(args), **extra}, sort_keys=True)
 
 
 @functools.cache  # parse_args leaves the parser as it found it
@@ -175,8 +170,8 @@ def _cmd_train(args):
     out.mkdir(parents=True, exist_ok=True)
     save_model(out / "model.bin", result.params, result.config)
     result.vocab.save(out / "vocab.json")
-    _write_json(out / "history.json", result.history)
-    _write_json(out / "encode_stats.json", result.encode_stats)
+    write_json(out / "history.json", result.history)
+    write_json(out / "encode_stats.json", result.encode_stats)
     _write_run_config(out / "run_config.json", args)
     print(f"model -> {out}")
     return 0
@@ -227,8 +222,8 @@ def _cmd_evaluate(args):
     report["gate"] = args.gate
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    _write_json(out / "report.json", report)
-    _write_json(out / "eval_stats.json", {"split": args.split, "n": stats.pop("samples"), **stats})
+    write_json(out / "report.json", report)
+    write_json(out / "eval_stats.json", {"split": args.split, "n": stats.pop("samples"), **stats})
     with open(out / "report.txt", "w", encoding="utf-8") as fh:
         fh.write(format_report(report))
     with open(out / "per_sample.csv", "w", encoding="utf-8") as fh:

@@ -428,6 +428,13 @@ def write_jsonl(path, dicts):
             fh.write(json.dumps(d, ensure_ascii=False, allow_nan=False) + "\n")
 
 
+def write_json(path, data, **options):
+    """data as one indented JSON document and a newline; options go to json.dump."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(data, fh, indent=2, allow_nan=False, **options)
+        fh.write("\n")
+
+
 def _check_row(row):
     """Raise ValueError unless a decoded corpus row has a sample's shape."""
     if not isinstance(row, dict) or not row.keys() >= set(SAMPLE_KEYS):
@@ -491,7 +498,5 @@ def build_corpus(src_dir, out_dir, with_scope=False, benchmarks_dir=None, seed=0
                 [{"path": r.path, "line": r.line, "reason": r.reason} for r in rejects])
     stats = compute_stats(samples)
     stats["rejects"] = {k: sum(r.reason == k for r in rejects) for k in REJECT_REASONS}
-    with open(out / "stats.json", "w", encoding="utf-8") as fh:
-        json.dump(stats, fh, indent=2, allow_nan=False)
-        fh.write("\n")
+    write_json(out / "stats.json", stats)
     return samples, rejects, stats

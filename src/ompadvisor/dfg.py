@@ -187,23 +187,16 @@ class _Builder:
 
 
 def build_dfg(unit, slots=None):
-    """Build the DataFlowGraph for a parsed unit or snippet.
+    """Build the DataFlowGraph of a unit of block items (a parsed snippet).
 
-    Functions see the file-level state at their definition point; parameters
-    become definitions with no incoming edges. Deterministic for identical
-    input. An occurrence's token index is its name's token span, or its slot
-    in slots (syntax.emit's map from id(node) to token index) when given.
+    Deterministic for identical input. An occurrence's token index is its
+    name's token span, or its slot in slots (syntax.emit's map from id(node)
+    to token index) when given.
     """
     builder = _Builder(slots)
     env = {}
     for item in unit.children:
-        if item.kind == "FunctionDef":
-            fn_env = dict(env)
-            for param in item.children[:-1]:
-                builder.visit_declaration(param, fn_env)
-            builder.visit_stmt(item.children[-1], fn_env)
-        else:
-            builder.visit_stmt(item, env)
+        builder.visit_stmt(item, env)
 
     ordered = sorted(builder.nodes)
     id_of = {tok: i for i, tok in enumerate(ordered)}

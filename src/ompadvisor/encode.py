@@ -1,20 +1,21 @@
 """Vocabulary, model-input encoding and batch padding.
 
 An encoded sample is [CLS] + code token ids + [SEP] + one id per data-flow
-node; it keeps the node alignment and the graph edges, not a mask. Each
-padded batch gets its additive attention mask from build_attention_mask:
-code positions (and CLS/SEP) attend freely, data-flow nodes attend their
-graph neighbours, themselves and their aligned code token, and a pad slot
-attends only to itself. Masked pairs carry a large negative value that
-underflows to an exact zero attention weight after softmax. A sample is cut
-to the vocabulary's max_code code tokens and max_dfg nodes, so a model's
-vocab.json carries its limits with its token ids. The code tokens' lexemes
-are those a sample carries: from extraction (syntax.emit), from renaming, or
-from train's one pass over each train loop, which parses it for its names
-(augment.find_names) or, when no epoch renames, tokenizes it. A sample that
-carries none, as one read from corpus.jsonl, has its text tokenized here.
-A renaming epoch of train encodes no renamed sample: relabel_encoding writes
-the new names' ids at the data-flow nodes' code slots and node positions.
+node; it keeps the node alignment and the graph edges. pad_batch derives
+each padded batch's positions (a code token's slot, else 0) and, from
+build_attention_mask, its additive mask: code positions (and CLS/SEP) attend
+freely, data-flow nodes attend their graph neighbours, themselves and their
+aligned code token, and a pad slot attends only to itself. Masked pairs
+carry a large negative value that underflows to an exact zero attention
+weight after softmax. A sample is cut to the vocabulary's max_code code
+tokens and max_dfg nodes, so a model's vocab.json carries its limits with
+its token ids. The code tokens' lexemes are those a sample carries: from
+extraction (syntax.emit), from renaming, or from train's one pass over each
+train loop, which parses it for its names (augment.find_names) or, when no
+epoch renames, tokenizes it. A sample that carries none, as one read from
+corpus.jsonl, has its text tokenized here. A renaming epoch of train encodes
+no renamed sample: relabel_encoding writes the new names' ids at the
+data-flow nodes' code slots and node positions.
 """
 
 import json
@@ -24,6 +25,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .corpus import write_json
 from .syntax import tokenize
 
 PAD_ID = 0
@@ -75,9 +77,7 @@ class Vocabulary:
         return cls(dict(tokens), *numbers)
 
     def save(self, path):
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_json(), fh, ensure_ascii=False, indent=2, allow_nan=False)
-            fh.write("\n")
+        write_json(path, self.to_json(), ensure_ascii=False)
 
     @classmethod
     def load(cls, path):
@@ -91,7 +91,6 @@ class Vocabulary:
 @dataclass
 class EncodedInput:
     ids: list
-    positions: list
     # The graph the attention mask is built from, per batch, by pad_batch:
     dfg_alignment: list  # per node: code slot index, or None if truncated away
     labels: tuple
@@ -130,14 +129,19 @@ def build_vocabulary(train_samples, min_freq=DEFAULT_MIN_FREQ, max_code=DEFAULT_
     return Vocabulary(token_to_id, min_freq, max_code, max_dfg)
 
 
+def _layout(encodings):
+    """(lengths, node counts, SEP slots, slot indices) of encodings padded to
+    the longest: CLS at 0, code at 1..sep-1, SEP at sep, nodes from sep+1."""
+    lengths = np.array([e.length for e in encodings])
+    n_dfg = np.array([len(e.dfg_alignment) for e in encodings])
+    return lengths, n_dfg, lengths - n_dfg - 1, np.arange(lengths.max())
+
+
 def build_attention_mask(encodings, dtype=np.float32):
     """The additive (B, L, L) mask of encodings padded to the longest: 0 where
     attention is allowed, MASK_NEG elsewhere. Symmetric; every row keeps its
     diagonal open, so a pad slot attends only to itself."""
-    lengths = np.array([e.length for e in encodings])
-    n_dfg = np.array([len(e.dfg_alignment) for e in encodings])
-    sep = lengths - n_dfg - 1  # CLS at 0, code at 1..sep-1, nodes from sep+1
-    slot = np.arange(lengths.max())
+    lengths, n_dfg, sep, slot = _layout(encodings)
     code = slot <= sep[:, None]  # code block including CLS and SEP
     real = slot < lengths[:, None]
     allowed = code[:, :, None] & code[:, None, :]
@@ -174,15 +178,15 @@ def build_attention_mask(encodings, dtype=np.float32):
 
 
 def pad_batch(encodings, dtype=np.float32):
-    """Pad encodings to a common length: (ids, positions, mask, labels). Pad
-    slots use PAD id and position 0, and their mask rows only allow
-    self-attention, so they cannot influence any real slot."""
-    length = max(e.length for e in encodings)
-    ids = np.full((len(encodings), length), PAD_ID, dtype=np.int64)
-    positions = np.zeros((len(encodings), length), dtype=np.int64)
+    """Pad encodings to a common length: (ids, positions, mask, labels). A
+    code token's position is its slot; every other slot's is 0. Pad slots use
+    PAD id, and their mask rows only allow self-attention, so no real slot
+    sees them."""
+    _, _, sep, slot = _layout(encodings)
+    ids = np.full((len(encodings), slot.size), PAD_ID, dtype=np.int64)
     for i, enc in enumerate(encodings):
         ids[i, : enc.length] = enc.ids
-        positions[i, : enc.length] = enc.positions
+    positions = np.where((slot > 0) & (slot < sep[:, None]), slot, 0)
     labels = np.array([e.labels for e in encodings], dtype=dtype)
     return ids, positions, build_attention_mask(encodings, dtype), labels
 
@@ -220,10 +224,8 @@ def encode_sample(sample, vocab):
     alignment = [1 + tok_idx if tok_idx < n_code else None for _, tok_idx in nodes]
     ids = [CLS_ID] + [vocab.lookup(t) for t in lexemes] + [SEP_ID]
     ids += [vocab.lookup(name) for name, _ in nodes]
-    positions = [0] + list(range(1, n_code + 1)) + [0] + [0] * len(nodes)
     return EncodedInput(
-        ids=ids, positions=positions, dfg_alignment=alignment,
-        labels=sample.labels,
+        ids=ids, dfg_alignment=alignment, labels=sample.labels,
         edges=edges, code_truncated=code_truncated, dfg_truncated=dfg_truncated,
     )
 

@@ -19,10 +19,12 @@ with the float operations they would run out of place. Dropout keeps a bool
 keep-pattern per site, drawn from the raw bits of the seeded generator for
 the rows the site computes (so the last layer's for rows 0-1 only), and one
 scale 1/(1-rate) in the parameters' dtype; backward re-applies it with the
-forward's operations. Backward sums the embeddings' gradients over the
-sorted runs of each id and position, not by a scatter. A run is deterministic
-for a given seed per machine and per BLAS thread count: the BLAS matmuls may
-sum in another order on another machine or at another thread count.
+forward's operations. Backward takes each affine map's weight and bias
+gradients from _affine_grads, and sums the embeddings' gradients over the
+sorted runs of each id and position, not by a scatter. A run is
+deterministic for a given seed per machine and per BLAS thread count: the
+BLAS matmuls may sum in another order on another machine or at another
+thread count.
 """
 
 import math
@@ -202,11 +204,11 @@ def _layer_norm_backward(dy, g, ln_cache, workspace):
     return dxhat, dg, db
 
 
-def _weight_grad(a, b):
-    """Σ over batch and position of the outer products a[i, t] ⊗ b[i, t]:
-    the (d, e) gradient of a weight applied as a @ w, as one (B·L)-row matmul
+def _affine_grads(x, dy):
+    """(dw, db) of x @ w + b from its output's gradient dy, each summed over
+    batch and position: dw as one (B·L)-row matmul of x's rows with dy's
     (np.einsum would not dispatch this contraction to BLAS)."""
-    return a.reshape(-1, a.shape[-1]).T @ b.reshape(-1, b.shape[-1])
+    return x.reshape(-1, x.shape[-1]).T @ dy.reshape(-1, dy.shape[-1]), dy.sum(axis=(0, 1))
 
 
 def _embedding_grad(table, index, dx, workspace):
@@ -417,13 +419,11 @@ def backward_batch(params, config, cache, probs, labels, n_total=None, workspace
         dff_out = _dropped(dres2, c["ff_keep"], scale,
                            workspace.take("ddrop", dres2.shape, dres2.dtype))
         ff_hidden = c["ff_hidden"]
-        grads[f"layer{layer}.w2"] = _weight_grad(ff_hidden, dff_out)
-        grads[f"layer{layer}.b2"] = dff_out.sum(axis=(0, 1))
+        grads[f"layer{layer}.w2"], grads[f"layer{layer}.b2"] = _affine_grads(ff_hidden, dff_out)
         dff = workspace.matmul("dff", dff_out, p["w2"].T)
         # ReLU passes the gradient where its input, so its output, is > 0
         dff *= np.greater(ff_hidden, 0, out=workspace.take("ff_on", ff_hidden.shape, bool))
-        grads[f"layer{layer}.w1"] = _weight_grad(c["x1"], dff)
-        grads[f"layer{layer}.b1"] = dff.sum(axis=(0, 1))
+        grads[f"layer{layer}.w1"], grads[f"layer{layer}.b1"] = _affine_grads(c["x1"], dff)
         dx1 = dres2
         dx1 += workspace.matmul("tmp", dff, p["w1"].T)
 
@@ -433,8 +433,7 @@ def backward_batch(params, config, cache, probs, labels, n_total=None, workspace
 
         dproj = _dropped(dres1, c["proj_keep"], scale,
                          workspace.take("ddrop", dres1.shape, dres1.dtype))
-        grads[f"layer{layer}.wo"] = _weight_grad(c["context"], dproj)
-        grads[f"layer{layer}.bo"] = dproj.sum(axis=(0, 1))
+        grads[f"layer{layer}.wo"], grads[f"layer{layer}.bo"] = _affine_grads(c["context"], dproj)
         dcontext_h = _split_heads(workspace.matmul("dcontext", dproj, p["wo"].T), config.n_heads)
 
         attn, keep, vh = c["attn"], c["attn_keep"], c["vh"]
@@ -454,12 +453,9 @@ def backward_batch(params, config, cache, probs, labels, n_total=None, workspace
 
         x_in = c["x_in"]
         n = dq.shape[1]  # the rows this layer computed
-        grads[f"layer{layer}.wq"] = _weight_grad(x_in[:, :n], dq)
-        grads[f"layer{layer}.bq"] = dq.sum(axis=(0, 1))
-        grads[f"layer{layer}.wk"] = _weight_grad(x_in, dk)
-        grads[f"layer{layer}.bk"] = dk.sum(axis=(0, 1))
-        grads[f"layer{layer}.wv"] = _weight_grad(x_in, dv)
-        grads[f"layer{layer}.bv"] = dv.sum(axis=(0, 1))
+        grads[f"layer{layer}.wq"], grads[f"layer{layer}.bq"] = _affine_grads(x_in[:, :n], dq)
+        grads[f"layer{layer}.wk"], grads[f"layer{layer}.bk"] = _affine_grads(x_in, dk)
+        grads[f"layer{layer}.wv"], grads[f"layer{layer}.bv"] = _affine_grads(x_in, dv)
 
         if n == x_in.shape[1]:
             dx = dres1
@@ -488,31 +484,29 @@ def threshold_labels(probs, gate):
     return tuple(labels)
 
 
-def batch_gradients(params, config, encodings, dtype=np.float32, rng=None, workspace=None):
-    """Forward and backward of one batch as length_batches sub-batches, each
-    padded to its own longest member: (probs and labels in input order, the
-    gradients of compute_loss over the whole batch summed over sub-batches).
-    Each sub-batch keeps its samples in input order, so a budget that fits the
-    whole batch pads it once, exactly as one pad_batch would. Every sub-batch
-    reuses one workspace (a new one when none is given)."""
+def batch_gradients(params, config, encodings, rng=None, workspace=None):
+    """The one train-mode path: forward and backward of one batch as
+    length_batches sub-batches in the parameters' dtype, as forward_pass runs
+    them: (probs and labels in input order, the gradients of compute_loss over
+    the whole batch summed over sub-batches). Each sub-batch keeps its samples
+    in input order, so a budget that fits the whole batch pads it once, as one
+    pad_batch would. One workspace serves all (new when none is given)."""
     workspace = Workspace() if workspace is None else workspace
-    parts, order, grads = [], [], None
+    probs = np.empty((len(encodings), len(LABELS)), dtype=params["tok_emb"].dtype)
+    grads = None
     for batch in length_batches(encodings):
         batch = sorted(batch)
-        ids, positions, mask, labels = pad_batch([encodings[i] for i in batch], dtype=dtype)
-        probs, cache = forward_batch(params, config, ids, positions, mask, train=True, rng=rng,
-                                     workspace=workspace)
-        sub_grads = backward_batch(params, config, cache, probs, labels, n_total=len(encodings),
-                                   workspace=workspace)
+        ids, positions, mask, labels = pad_batch([encodings[i] for i in batch], dtype=probs.dtype)
+        probs[batch], cache = forward_batch(params, config, ids, positions, mask, train=True,
+                                            rng=rng, workspace=workspace)
+        sub_grads = backward_batch(params, config, cache, probs[batch], labels,
+                                   n_total=len(encodings), workspace=workspace)
         if grads is None:
             grads = sub_grads
         else:
             for key, grad in sub_grads.items():
                 grads[key] += grad
-        parts.append(probs)
-        order.extend(batch)
-    probs = np.concatenate(parts)[np.argsort(order)]
-    return probs, np.array([e.labels for e in encodings], dtype=dtype), grads
+    return probs, np.array([e.labels for e in encodings], dtype=probs.dtype), grads
 
 
 def forward_pass(params, config, encodings, workspace=None):
@@ -694,16 +688,13 @@ def _random_check_input(config, rng, lengths, mask_mode="random"):
     encodings = []
     for length in lengths:
         ids = rng.integers(1, config.vocab_size, size=length)
-        positions = rng.integers(0, min(config.max_len, length + 1), size=length)
         n_dfg = 0 if mask_mode == "open" else int(rng.integers(0, length - 1))
         n_code = length - 2 - n_dfg
         slots = rng.integers(0, n_code + 1, size=n_dfg)  # 0: truncated away
         edges = np.argwhere(np.triu(rng.random((n_dfg, n_dfg)) < 0.5, 1))
         encodings.append(EncodedInput(
-            ids=list(ids), positions=list(positions),
-            dfg_alignment=[int(s) if s else None for s in slots],
-            labels=tuple(rng.integers(0, 2, size=3)),
-            edges=[tuple(e) for e in edges.tolist()]))
+            ids=list(ids), dfg_alignment=[int(s) if s else None for s in slots],
+            labels=tuple(rng.integers(0, 2, size=3)), edges=[tuple(e) for e in edges.tolist()]))
     return encodings
 
 
@@ -736,8 +727,7 @@ def check_gradients(config=None, n_coords=20, h=1e-5, seed=0, mask_mode="random"
         params[key] = params[key] + rng.normal(0.0, 0.5, size=params[key].shape)
 
     encodings = _random_check_input(config, rng, lengths, mask_mode)
-    _, _, grads = batch_gradients(params, config, encodings, dtype=np.float64,
-                                  rng=np.random.default_rng(seed))
+    _, _, grads = batch_gradients(params, config, encodings, rng=np.random.default_rng(seed))
     ids, positions, mask, labels = pad_batch(encodings, dtype=np.float64)
 
     def loss_at():

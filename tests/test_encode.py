@@ -107,7 +107,7 @@ def test_hand_constructed_mask_for_two_token_graph():
     enc = encode_sample(sample, vocab)
     assert enc.length == 8  # CLS + 4 code + SEP + 2 dfg
     assert enc.ids[0] == CLS_ID and enc.ids[5] == SEP_ID
-    assert enc.positions == [0, 1, 2, 3, 4, 0, 0, 0]
+    assert pad_batch([enc])[1].tolist() == [[0, 1, 2, 3, 4, 0, 0, 0]]
     assert enc.dfg_alignment == [1, 3]
 
     z, n = 0.0, MASK_NEG
@@ -136,8 +136,8 @@ def test_empty_dfg_mask_all_open():
 
 def graph_encoding(n_code, dfg_alignment, edges):
     length = 1 + n_code + 1 + len(dfg_alignment)
-    return EncodedInput(ids=[CLS_ID] * length, positions=[0] * length,
-                        dfg_alignment=dfg_alignment, labels=(0, 0, 0), edges=edges)
+    return EncodedInput(ids=[CLS_ID] * length, dfg_alignment=dfg_alignment, labels=(0, 0, 0),
+                        edges=edges)
 
 
 def test_mask_rejects_bad_alignment():
@@ -233,8 +233,31 @@ def test_padded_mask_equals_reference_on_shuffled_mixed_batches(dtype):
         assert np.array_equal(mask, reference_batch_mask(batch, dtype))
         for row, enc in enumerate(batch):
             assert ids[row, : enc.length].tolist() == enc.ids
-            assert positions[row, : enc.length].tolist() == enc.positions
+            assert positions[row].tolist() == expected_positions(enc, ids.shape[1])
             assert tuple(labels[row]) == enc.labels
+
+
+def expected_positions(enc, length):
+    """A code token's position is its slot; CLS, SEP, nodes and pads get 0."""
+    n_code = enc.length - 2 - len(enc.dfg_alignment)
+    return [0] + list(range(1, n_code + 1)) + [0] * (length - n_code - 1)
+
+
+def test_positions_of_truncated_code_and_nodes():
+    """Batches with a sample cut at max_code, at max_dfg and at both give each
+    kept code token its slot as position, and every other slot 0."""
+    terms = " + ".join(f"v{i}" for i in range(20))  # 42 code tokens, 21 nodes
+    cut = snippet_sample(f"x = {terms};")
+    short = snippet_sample("y = x + 1;")  # 6 code tokens, 2 nodes
+    vocab = build_vocabulary([cut, short], min_freq=1)
+    for max_code, max_dfg in ((16, 32), (256, 8), (16, 8)):
+        limited = replace(vocab, max_code=max_code, max_dfg=max_dfg)
+        batch = [encode_sample(cut, limited), encode_sample(short, limited)]
+        assert (batch[0].code_truncated, batch[0].dfg_truncated) == (max_code < 42, max_dfg < 21)
+        _, positions, _, _ = pad_batch(batch)
+        n_code, n_nodes = min(max_code, 42), min(max_dfg, 21)
+        assert positions[0].tolist() == [0] + list(range(1, n_code + 1)) + [0] * (1 + n_nodes)
+        assert positions[1].tolist() == [0, 1, 2, 3, 4, 5, 6] + [0] * (n_code + n_nodes - 5)
 
 
 # ---------------------------------------------------------------------------
@@ -287,7 +310,7 @@ def test_rename_robustness_hook():
 
     assert enc_renamed.length == enc.length
     assert np.array_equal(mask_of(enc_renamed), mask_of(enc))
-    assert enc_renamed.positions == enc.positions
+    assert np.array_equal(pad_batch([enc_renamed])[1], pad_batch([enc])[1])
 
     tokens = tokenize(sample.source_text())
     n_code = len(tokens)

@@ -20,8 +20,8 @@ from ompadvisor.encode import (
 )
 from ompadvisor.metrics import predict_rows
 from ompadvisor.model import (
-    HEADER, LABELS, MAGIC, Adam, ModelConfig, TrainingDiverged, Workspace, _drop_scale, _dropped,
-    _keep_pattern, _random_check_input, _weight_grad, backward_batch, batch_gradients,
+    HEADER, LABELS, MAGIC, Adam, ModelConfig, TrainingDiverged, Workspace, _affine_grads,
+    _drop_scale, _dropped, _keep_pattern, _random_check_input, backward_batch, batch_gradients,
     check_gradients, compute_loss, forward_batch, forward_pass, init_params, load_model,
     masked_softmax, pad_batch, param_layout, predict_source, relative_error, save_model,
     small_config, threshold_labels, train,
@@ -482,10 +482,12 @@ def test_weight_grad_equals_einsum(dtype, rtol):
     b = rng.normal(size=(3, 7, 4)).astype(dtype)
     strided = rng.normal(size=(3, 14, 4)).astype(dtype)[:, ::2]  # not contiguous
     for right in (b, strided):
-        got = _weight_grad(a, right)
-        assert got.shape == (5, 4) and got.dtype == dtype
-        np.testing.assert_allclose(got, np.einsum("bld,ble->de", a, right),
+        dw, db = _affine_grads(a, right)
+        assert dw.shape == (5, 4) and dw.dtype == dtype
+        assert db.shape == (4,) and db.dtype == dtype
+        np.testing.assert_allclose(dw, np.einsum("bld,ble->de", a, right),
                                    rtol=rtol, atol=rtol * 10)
+        np.testing.assert_allclose(db, np.einsum("ble->e", right), rtol=rtol, atol=rtol * 10)
 
 
 def test_embedding_gradients_match_add_at(monkeypatch):

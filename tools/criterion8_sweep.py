@@ -20,11 +20,10 @@ import json
 import sys
 
 from ompadvisor.augment import rename_variables
+from ompadvisor.corpus import LABELS
 from ompadvisor.metrics import predict_rows
 from ompadvisor.model import train
 from ompadvisor.synthetic import generate_synthetic_corpus
-
-LABELS = ("pragma", "private", "reduction")
 
 
 def label_accuracies(result, samples):
