@@ -1,13 +1,14 @@
 """Vocabulary, model-input encoding and batch padding.
 
 An encoded sample is [CLS] + code token ids + [SEP] + one id per data-flow
-node; it keeps the node alignment and the graph edges. pad_batch derives
-each padded batch's positions (a code token's slot, else 0) and, from
-build_attention_mask, its additive mask: code positions (and CLS/SEP) attend
-freely, data-flow nodes attend their graph neighbours, themselves and their
-aligned code token, and a pad slot attends only to itself. Masked pairs
-carry a large negative value that underflows to an exact zero attention
-weight after softmax. A sample is cut to the vocabulary's max_code code
+node; it keeps the node alignment and the graph edges. pad_batch builds a
+batch's layout only: its ids, its positions (a code token's slot, else 0)
+and, from build_attention_mask, its additive float32 mask: code positions
+(and CLS/SEP) attend freely, data-flow nodes attend their graph neighbours,
+themselves and their aligned code token, and a pad slot attends only to
+itself. Masked pairs carry a large negative value that underflows to an
+exact zero attention weight after softmax; 0 and that value are exact in
+float32, so a float64 forward adds the same numbers. A sample is cut to the vocabulary's max_code code
 tokens and max_dfg nodes, so a model's vocab.json carries its limits with
 its token ids. The code tokens' lexemes are those a sample carries: from
 extraction (syntax.emit), from renaming, or from train's one pass over each
@@ -137,10 +138,10 @@ def _layout(encodings):
     return lengths, n_dfg, lengths - n_dfg - 1, np.arange(lengths.max())
 
 
-def build_attention_mask(encodings, dtype=np.float32):
-    """The additive (B, L, L) mask of encodings padded to the longest: 0 where
-    attention is allowed, MASK_NEG elsewhere. Symmetric; every row keeps its
-    diagonal open, so a pad slot attends only to itself."""
+def build_attention_mask(encodings):
+    """The additive float32 (B, L, L) mask of encodings padded to the longest:
+    0 where attention is allowed, MASK_NEG elsewhere. Symmetric; every row
+    keeps its diagonal open, so a pad slot attends only to itself."""
     lengths, n_dfg, sep, slot = _layout(encodings)
     code = slot <= sep[:, None]  # code block including CLS and SEP
     real = slot < lengths[:, None]
@@ -171,24 +172,23 @@ def build_attention_mask(encodings, dtype=np.float32):
     cols = np.concatenate([aligned[2], base[edges[0]] + edges[2]])
     allowed[batch, rows, cols] = True
     allowed[batch, cols, rows] = True
-    mask = allowed.astype(dtype)  # 1 open, 0 closed
+    mask = allowed.astype(np.float32)  # 1 open, 0 closed
     mask -= 1.0
     mask *= -MASK_NEG
     return mask
 
 
-def pad_batch(encodings, dtype=np.float32):
-    """Pad encodings to a common length: (ids, positions, mask, labels). A
-    code token's position is its slot; every other slot's is 0. Pad slots use
-    PAD id, and their mask rows only allow self-attention, so no real slot
-    sees them."""
+def pad_batch(encodings):
+    """Pad encodings to a common length: (ids, positions, mask). A code
+    token's position is its slot; every other slot's is 0. Pad slots use PAD
+    id, and their mask rows only allow self-attention, so no real slot sees
+    them."""
     _, _, sep, slot = _layout(encodings)
     ids = np.full((len(encodings), slot.size), PAD_ID, dtype=np.int64)
     for i, enc in enumerate(encodings):
         ids[i, : enc.length] = enc.ids
     positions = np.where((slot > 0) & (slot < sep[:, None]), slot, 0)
-    labels = np.array([e.labels for e in encodings], dtype=dtype)
-    return ids, positions, build_attention_mask(encodings, dtype), labels
+    return ids, positions, build_attention_mask(encodings)
 
 
 def length_batches(encodings):

@@ -55,6 +55,7 @@ _LN_EPS = 1e-5
 _ADAM_BETA1, _ADAM_BETA2, _ADAM_EPS = 0.9, 0.999, 1e-8
 _PROB_CLAMP = 1e-7
 _INIT_SCALE = 0.02
+_CHECK_COORDS, _CHECK_STEP = 20, 1e-5  # check_gradients' coordinates per group, step h
 
 
 class TrainingDiverged(RuntimeError):
@@ -156,13 +157,13 @@ class Workspace:
     def matmul(self, name, a, b):
         """a @ b, written into the named buffer."""
         shape = a.shape[:-1] + b.shape[-1:]
-        return np.matmul(a, b, out=self.take(name, shape, np.result_type(a, b)))
+        return np.matmul(a, b, out=self.take(name, shape, a.dtype))
 
     def matmul_merged(self, name, a, b):
         """The (B, H, T, ·) @ (B, H, ·, dh) product with its heads merged, as
         (B, T, H·dh), written into the named buffer through a transposed view."""
         batch, heads, rows, _ = a.shape
-        out = self.take(name, (batch, rows, heads * b.shape[-1]), np.result_type(a, b))
+        out = self.take(name, (batch, rows, heads * b.shape[-1]), a.dtype)
         np.matmul(a, b, out=out.reshape(batch, rows, heads, -1).transpose(0, 2, 1, 3))
         return out
 
@@ -183,7 +184,7 @@ def _layer_norm(x, g, b, workspace, name):
     square = np.square(xhat, out=workspace.take("tmp", xhat.shape, xhat.dtype))
     inv = 1.0 / np.sqrt(square.mean(axis=-1, keepdims=True) + _LN_EPS)
     xhat *= inv
-    y = np.multiply(xhat, g, out=workspace.take(name, xhat.shape, np.result_type(xhat, g)))
+    y = np.multiply(xhat, g, out=workspace.take(name, xhat.shape, xhat.dtype))
     y += b
     return y, (xhat, inv)
 
@@ -191,7 +192,7 @@ def _layer_norm(x, g, b, workspace, name):
 def _layer_norm_backward(dy, g, ln_cache, workspace):
     """(dx, dg, db) of _layer_norm; dx is written over dy."""
     xhat, inv = ln_cache
-    tmp = workspace.take("tmp", dy.shape, np.result_type(dy, xhat))
+    tmp = workspace.take("tmp", dy.shape, dy.dtype)
     dg = np.multiply(dy, xhat, out=tmp).sum(axis=(0, 1))
     db = dy.sum(axis=(0, 1))
     dxhat = dy
@@ -336,8 +337,6 @@ def forward_batch(params, config, ids, positions, mask, train=False, rng=None, w
         qh, kh, vh = (_split_heads(t, config.n_heads) for t in (q, k, v))
         scores = workspace.matmul(name("attn"), qh, kh.transpose(0, 1, 3, 2))
         scores /= config.attn_scale
-        # A wider mask widens the scores, as an out-of-place sum would.
-        scores = scores.astype(np.result_type(scores, mask), copy=False)
         scores += mask[:, None, :rows.shape[1]]
         attn = masked_softmax(scores, out=scores)
         attn_keep = _keep_pattern(drop_rng, config.dropout_rate, attn.shape, workspace,
@@ -444,7 +443,7 @@ def backward_batch(params, config, cache, probs, labels, n_total=None, workspace
         _dropped(dattn, keep, scale, dattn)
         # softmax backward, in dattn: dscores = (dattn - Σ_j dattn·attn)·attn
         product = np.multiply(dattn, attn, out=workspace.take(
-            "attn_dropped", attn.shape, np.result_type(dattn, attn)))
+            "attn_dropped", attn.shape, dattn.dtype))
         dattn -= product.sum(axis=-1, keepdims=True)
         dattn *= attn
         dattn /= config.attn_scale
@@ -493,20 +492,21 @@ def batch_gradients(params, config, encodings, rng=None, workspace=None):
     pad_batch would. One workspace serves all (new when none is given)."""
     workspace = Workspace() if workspace is None else workspace
     probs = np.empty((len(encodings), len(LABELS)), dtype=params["tok_emb"].dtype)
+    labels = np.array([e.labels for e in encodings], dtype=probs.dtype)
     grads = None
     for batch in length_batches(encodings):
         batch = sorted(batch)
-        ids, positions, mask, labels = pad_batch([encodings[i] for i in batch], dtype=probs.dtype)
+        ids, positions, mask = pad_batch([encodings[i] for i in batch])
         probs[batch], cache = forward_batch(params, config, ids, positions, mask, train=True,
                                             rng=rng, workspace=workspace)
-        sub_grads = backward_batch(params, config, cache, probs[batch], labels,
+        sub_grads = backward_batch(params, config, cache, probs[batch], labels[batch],
                                    n_total=len(encodings), workspace=workspace)
         if grads is None:
             grads = sub_grads
         else:
             for key, grad in sub_grads.items():
                 grads[key] += grad
-    return probs, np.array([e.labels for e in encodings], dtype=probs.dtype), grads
+    return probs, labels, grads
 
 
 def forward_pass(params, config, encodings, workspace=None):
@@ -516,7 +516,7 @@ def forward_pass(params, config, encodings, workspace=None):
     workspace = Workspace() if workspace is None else workspace
     probs = np.empty((len(encodings), len(LABELS)), dtype=params["tok_emb"].dtype)
     for batch in length_batches(encodings):
-        ids, positions, mask, _ = pad_batch([encodings[i] for i in batch], dtype=probs.dtype)
+        ids, positions, mask = pad_batch([encodings[i] for i in batch])
         probs[batch], _ = forward_batch(params, config, ids, positions, mask, workspace=workspace)
     return probs
 
@@ -540,17 +540,11 @@ class Adam:
             m, v = self.m[key], self.v[key]
             m *= _ADAM_BETA1
             v *= _ADAM_BETA2
-            wide = np.result_type(m, g)
-            if wide != m.dtype:
-                # A wider gradient widens the moments, as an out-of-place
-                # update would.
-                self.m[key] = m = m.astype(wide)
-                self.v[key] = v = v.astype(wide)
             m += (1.0 - _ADAM_BETA1) * g
             v += (1.0 - _ADAM_BETA2) * g * g
             m_hat = m / b1c
             v_hat = v / b2c
-            params[key] -= (self.lr * m_hat / (np.sqrt(v_hat) + _ADAM_EPS)).astype(params[key].dtype)
+            params[key] -= self.lr * m_hat / (np.sqrt(v_hat) + _ADAM_EPS)
 
 
 # ---------------------------------------------------------------------------
@@ -704,8 +698,7 @@ def relative_error(analytic, numeric):
     return abs(analytic - numeric) / max(abs(analytic), abs(numeric))
 
 
-def check_gradients(config=None, n_coords=20, h=1e-5, seed=0, mask_mode="random",
-                    lengths=(6,)):
+def check_gradients(config=None, seed=0, mask_mode="random", lengths=(6,)):
     """Compare analytic gradients with central finite differences in float64.
 
     The input is a batch with one random sample per entry of lengths. The
@@ -714,8 +707,8 @@ def check_gradients(config=None, n_coords=20, h=1e-5, seed=0, mask_mode="random"
     the train-mode loss of the whole batch padded once to its longest. Every
     pass draws dropout from a fresh generator seeded with seed, so with
     config.dropout_rate > 0 each replays the analytic pass's keep-patterns
-    as long as the batch is one sub-batch. Samples n_coords coordinates per
-    parameter group; returns (max_relative_error, per-group dict).
+    as long as the batch is one sub-batch. Moves _CHECK_COORDS coordinates per
+    group by ±_CHECK_STEP; returns (max_relative_error, per-group dict).
     """
     config = config or small_config()
     params = {k: v.astype(np.float64) for k, v in init_params(config).items()}
@@ -727,8 +720,8 @@ def check_gradients(config=None, n_coords=20, h=1e-5, seed=0, mask_mode="random"
         params[key] = params[key] + rng.normal(0.0, 0.5, size=params[key].shape)
 
     encodings = _random_check_input(config, rng, lengths, mask_mode)
-    _, _, grads = batch_gradients(params, config, encodings, rng=np.random.default_rng(seed))
-    ids, positions, mask, labels = pad_batch(encodings, dtype=np.float64)
+    _, labels, grads = batch_gradients(params, config, encodings, rng=np.random.default_rng(seed))
+    ids, positions, mask = pad_batch(encodings)
 
     def loss_at():
         p, _ = forward_batch(params, config, ids, positions, mask, train=True,
@@ -738,17 +731,17 @@ def check_gradients(config=None, n_coords=20, h=1e-5, seed=0, mask_mode="random"
     per_group = {}
     for key, arr in params.items():
         flat = arr.reshape(-1)
-        n = min(n_coords, flat.size)
+        n = min(_CHECK_COORDS, flat.size)
         coords = rng.choice(flat.size, size=n, replace=False)
         worst = 0.0
         for coord in coords:
             original = flat[coord]
-            flat[coord] = original + h
+            flat[coord] = original + _CHECK_STEP
             up = loss_at()
-            flat[coord] = original - h
+            flat[coord] = original - _CHECK_STEP
             down = loss_at()
             flat[coord] = original
-            numeric = (up - down) / (2.0 * h)
+            numeric = (up - down) / (2.0 * _CHECK_STEP)
             analytic = grads[key].reshape(-1)[coord]
             worst = max(worst, relative_error(analytic, numeric))
         per_group[key] = worst

@@ -429,7 +429,8 @@ def reference_batch_mask(encodings, dtype=np.float32):
 def reference_train_step(params, config, optimizer, chunk, rng):
     """One optimizer step on chunk as one padded batch, as model.train ran
     it before length sub-batches. Returns (probs, grads)."""
-    ids, positions, mask, labels = pad_batch(chunk)
+    ids, positions, mask = pad_batch(chunk)
+    labels = np.array([e.labels for e in chunk], dtype=params["tok_emb"].dtype)
     probs, cache = forward_batch(params, config, ids, positions, mask,
                                  train=True, rng=rng)
     loss = compute_loss(probs, labels)

@@ -101,8 +101,7 @@ def test_criterion_2_dfg_oracle_equivalence():
 def test_criterion_3_gradient_verification():
     results = {}
     for mask_mode in ("open", "random"):
-        err, _ = check_gradients(config=small_config(), n_coords=20, h=1e-5,
-                                 seed=11, mask_mode=mask_mode)
+        err, _ = check_gradients(config=small_config(), seed=11, mask_mode=mask_mode)
         results[mask_mode] = err
     worst = max(results.values())
     report(3, worst < 1e-3,

@@ -95,7 +95,7 @@ def test_predict_rows_match_single_sample_runs_in_input_order(mixed):
     samples, vocab, params, config = mixed
     single = {}
     for sample in samples:
-        ids, positions, mask, _ = pad_batch([encode_sample(sample, vocab)])
+        ids, positions, mask = pad_batch([encode_sample(sample, vocab)])
         single[sample.id] = forward_batch(params, config, ids, positions, mask)[0][0]
     spread = np.ptp(np.array(list(single.values())), axis=0)
     assert spread.min() > 1e-2  # rows out of order could not pass unnoticed
@@ -204,7 +204,7 @@ def test_summed_sub_batch_gradients_match_one_padded_batch(mixed):
     for (new_probs, _), (old_probs, _) in steps:
         np.testing.assert_allclose(new_probs, old_probs, rtol=0, atol=2e-7)
     for chunk in chunks:
-        ids, positions, mask, _ = pad_batch(chunk)
+        ids, positions, mask = pad_batch(chunk)
         np.testing.assert_allclose(forward_batch(new, config, ids, positions, mask)[0],
                                    forward_batch(old, config, ids, positions, mask)[0],
                                    rtol=0, atol=2e-7)

@@ -199,8 +199,7 @@ def mixed_eval_batch(n_layers, dtype, seed):
     truncated = [encode_sample(s, limited) for s in samples[:6]]
     assert any(e.code_truncated for e in truncated)
     encodings += truncated
-    ids, positions, mask, _ = pad_batch([encodings[i] for i in rng.permutation(len(encodings))],
-                                        dtype=dtype)
+    ids, positions, mask = pad_batch([encodings[i] for i in rng.permutation(len(encodings))])
     assert (ids == PAD_ID).any()
     return params, config, ids, positions, mask
 
@@ -406,8 +405,7 @@ def test_gradient_check_padded_batch():
     gradients sum over every (sample, slot) row, pad rows included."""
     config = small_config()
     lengths = (3, 6, 9)
-    ids, _, mask, _ = pad_batch(_random_check_input(config, np.random.default_rng(0), lengths),
-                                dtype=np.float64)
+    ids, _, mask = pad_batch(_random_check_input(config, np.random.default_rng(0), lengths))
     assert ids.shape == (3, 9)
     assert [int((row == PAD_ID).sum()) for row in ids] == [6, 3, 0]
     assert np.all(mask[0, 3:, 3:] == np.where(np.eye(6) == 1, 0.0, MASK_NEG))
@@ -439,7 +437,8 @@ def test_gradient_check_with_dropout(mask_mode):
     config, lengths = dataclasses.replace(small_config(), dropout_rate=0.3), (3, 6, 9)
     encodings = _random_check_input(config, np.random.default_rng(0), lengths)
     assert len(length_batches(encodings)) == 1
-    ids, positions, mask, labels = pad_batch(encodings, dtype=np.float64)
+    ids, positions, mask = pad_batch(encodings)
+    labels = [e.labels for e in encodings]
     params = {k: v.astype(np.float64) for k, v in init_params(config).items()}
     losses = {compute_loss(forward_batch(params, config, ids, positions, mask, train=True,
                                          rng=np.random.default_rng(seed))[0], labels)
@@ -466,10 +465,10 @@ def test_gradient_check_masks_come_from_the_graph():
     """"open" draws no data-flow nodes, so every real pair attends; "random"
     draws nodes, alignments and edges, which close some pairs."""
     config, lengths = small_config(), (3, 6, 9)
-    _, _, opened, _ = pad_batch(
-        _random_check_input(config, np.random.default_rng(0), lengths, "open"), np.float64)
-    _, _, graph, _ = pad_batch(
-        _random_check_input(config, np.random.default_rng(0), lengths, "random"), np.float64)
+    _, _, opened = pad_batch(
+        _random_check_input(config, np.random.default_rng(0), lengths, "open"))
+    _, _, graph = pad_batch(
+        _random_check_input(config, np.random.default_rng(0), lengths, "random"))
     for row, n in enumerate(lengths):
         assert np.all(opened[row, :n, :n] == 0.0)
     assert np.any(graph[2] == MASK_NEG)
@@ -537,23 +536,6 @@ def test_masked_softmax_leaves_scores_untouched():
     np.testing.assert_allclose(weights.sum(axis=-1), 1.0, rtol=1e-12)
 
 
-def test_wider_inputs_widen_attention_and_adam_moments():
-    """float32 params with a float64 mask compute attention in float64, and
-    float64 gradients widen Adam's moments; nothing narrows in place."""
-    config = small_config()
-    params = init_params(config)
-    ids, positions, mask, labels = tiny_inputs(config, 5, seed=1)
-    probs, cache = forward_batch(params, config, ids, positions, mask, train=True)
-    assert cache["layers"][0]["attn"].dtype == np.float64
-    grads = backward_batch(params, config, cache, probs, labels)
-    assert grads["layer0.wq"].dtype == np.float64
-    optimizer = Adam(params)
-    optimizer.step(params, grads)
-    assert optimizer.m["layer0.wq"].dtype == np.float64
-    assert optimizer.v["layer0.wq"].dtype == np.float64
-    assert params["layer0.wq"].dtype == np.float32
-
-
 def test_relative_error_degenerate_rule():
     assert relative_error(0.0, 0.0) == 0.0
     assert relative_error(5e-11, -5e-11) == 0.0
@@ -610,7 +592,7 @@ def test_forward_pass_returns_prediction():
     assert probs.shape == (len(encodings), 3) and probs.dtype == np.float32
     assert np.all((0.0 < probs) & (probs < 1.0))
     for enc, row in zip(encodings, probs):
-        ids, positions, mask, _ = pad_batch([enc])
+        ids, positions, mask = pad_batch([enc])
         alone, cache = forward_batch(params, config, ids, positions, mask, train=True)
         assert cache["hidden"].shape == (1, 2, config.d_model)  # the rows up to CLS
         np.testing.assert_allclose(row, alone[0], rtol=0, atol=2e-7)
@@ -676,7 +658,7 @@ void f(int n, double *a, double *b, double s) {
     assert [e.length for e in encodings] != sorted(e.length for e in encodings)
     alone = []
     for enc in encodings:
-        ids, positions, mask, _ = pad_batch([enc])
+        ids, positions, mask = pad_batch([enc])
         alone.append(forward_batch(params, config, ids, positions, mask)[0][0])
     # rows out of loop order could not pass unnoticed
     assert min(np.abs(a - b).max() for a, b in itertools.combinations(alone, 2)) > 1e-6

@@ -42,7 +42,7 @@ def test_batch_mask_is_traced_inside_pad_batch():
     encodings, _ = encode_corpus(samples, build_vocabulary(samples, min_freq=1))
     rec = spans.Recorder()
     with spans.installed(rec):
-        _, _, mask, _ = ompadvisor.model.pad_batch(encodings)
+        _, _, mask = ompadvisor.model.pad_batch(encodings)
     length = max(e.length for e in encodings)
     assert mask.shape == (10, length, length) and mask.dtype == np.float32
     assert rec.names == ["model.pad_batch", "encode.mask"]
