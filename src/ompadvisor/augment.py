@@ -17,12 +17,14 @@ text (augment), and encode.relabel_encoding at those of an encoding's ids
 import random
 from dataclasses import replace
 
+from .corpus import naming
 from .dfg import build_dfg  # noqa: F401 -- a traced binding in perfbench/spans.py
 from .pragmas import parse_omp_pragma  # noqa: F401 -- a traced binding in perfbench/spans.py
 from .pragmas import relabel_clause_variables
-from .syntax import ParseError, parse_snippet
+from .syntax import parse_snippet
 
 CURRICULUM_CAP = 0.4
+_NEW_NAMES = 10_000  # draw_mapping's new names: var0 ... var9999
 
 
 def curriculum_ratio(epoch):
@@ -61,20 +63,17 @@ def find_corpus_names(samples):
     """find_names of each sample, in turn; a sample that fails it raises
     ValueError naming its id and source path."""
     for sample in samples:
-        try:
-            yield find_names(sample)
-        except ParseError as err:
-            raise ValueError(f"sample {sample.id} from {sample.path}: its code does not "
-                             f"parse at {err}") from None
-        except ValueError as err:
-            raise ValueError(f"sample {sample.id} from {sample.path}: {err}") from None
+        with naming(sample):
+            tokens = find_names(sample)
+        yield tokens
 
 
 def draw_mapping(nodes, lexemes, fraction, seed):
     """The seeded {old: new} names that rename ⌊fraction·|V|⌋ of the node
     names V: a shuffle of the sorted names picks them, and var<k> redraws k
     in [0, 9999] while a lexeme (only an identifier can read var<k>) or an
-    earlier new name reads it."""
+    earlier new name reads it. Raises ValueError when fewer of those names
+    are free than it must draw."""
     variables = sorted({name for name, _ in nodes})
     count = int(fraction * len(variables))
     if count == 0:
@@ -82,10 +81,15 @@ def draw_mapping(nodes, lexemes, fraction, seed):
     rng = random.Random(seed)
     rng.shuffle(variables)
     taken = set(lexemes)
+    if count + len(taken) > _NEW_NAMES:  # so few may be free: count them
+        free = sum(f"var{k}" not in taken for k in range(_NEW_NAMES))
+        if free < count:
+            raise ValueError(f"it renames {count} variables, but only {free} of the names "
+                             f"var0 ... var{_NEW_NAMES - 1} are free")
     mapping = {}
     for name in variables[:count]:
         while True:
-            candidate = f"var{rng.randint(0, 9999)}"
+            candidate = f"var{rng.randint(0, _NEW_NAMES - 1)}"
             if candidate not in taken:
                 break
         taken.add(candidate)
@@ -102,7 +106,8 @@ def rename_variables(sample, fraction, seed, tokens=None):
     tokens = find_names(sample) if tokens is None else tokens
     lexemes = [t.lexeme for t in tokens]
     nodes = sample.dfg["nodes"]
-    mapping = draw_mapping(nodes, lexemes, fraction, seed)
+    with naming(sample):
+        mapping = draw_mapping(nodes, lexemes, fraction, seed)
     if not mapping:
         return replace(sample, lexemes=lexemes)
 

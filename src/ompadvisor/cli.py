@@ -15,7 +15,7 @@ from pathlib import Path
 
 from . import __version__
 from .augment import find_corpus_names, fraction_for_mode, rename_variables
-from .corpus import LABELS, build_corpus, compute_stats, read_samples, read_source
+from .corpus import LABELS, SPLITS, build_corpus, compute_stats, read_samples, read_source
 from .corpus import write_json, write_jsonl
 from .encode import DEFAULT_MAX_CODE, DEFAULT_MAX_DFG, DEFAULT_MIN_FREQ, Vocabulary
 from .encode import build_vocabulary  # noqa: F401 -- a traced binding in perfbench/spans.py
@@ -104,7 +104,7 @@ def build_parser():
     p.add_argument("model_dir")
     p.add_argument("corpus")
     p.add_argument("--gate", action="store_true")
-    p.add_argument("--split", choices=("test", "valid", "train", "none", "all"), default="test",
+    p.add_argument("--split", choices=(*SPLITS, "all"), default="test",
                    help="the split to score; none is every benchmarks.jsonl row and held-out "
                         "twin, all is every row")
     p.add_argument("-o", "--out", required=True)

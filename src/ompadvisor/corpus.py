@@ -8,6 +8,7 @@ split 80/10/10 with optional benchmark holdout.
 
 import json
 import random
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from itertools import chain
 from pathlib import Path
@@ -22,6 +23,7 @@ _LABEL_KEYS = tuple(f"label_{label}" for label in LABELS)
 SAMPLE_KEYS = ("id", "path", "loop_code", "context_code", "pragma_raw", *_LABEL_KEYS,
                "dfg", "split")
 _TEXT_KEYS = ("id", "path", "loop_code", "context_code", "split")
+SPLITS = ("test", "valid", "train", "none")  # a row's split; evaluate --split adds all
 
 BLOCKING_DIRECTIVES = frozenset({"barrier", "critical", "atomic"})
 POSITIVE_DIRECTIVES = frozenset({"parallel_for", "for"})
@@ -59,6 +61,19 @@ class Sample:
     @classmethod
     def from_json_dict(cls, data):
         return cls(**{key: data[key] for key in SAMPLE_KEYS})
+
+
+@contextmanager
+def naming(sample):
+    """Re-raise a ParseError or ValueError about sample as a ValueError that
+    names it by its id and source path."""
+    try:
+        yield
+    except ParseError as err:
+        raise ValueError(f"sample {sample.id} from {sample.path}: its code does not "
+                         f"parse at {err}") from None
+    except ValueError as err:
+        raise ValueError(f"sample {sample.id} from {sample.path}: {err}") from None
 
 
 REJECT_REASONS = ("parse_error", "empty_loop", "barrier_critical_atomic", "nested_duplicate")
@@ -443,6 +458,8 @@ def _check_row(row):
             and isinstance(row["pragma_raw"], (str, type(None)))
             and all(type(row[key]) is int and 0 <= row[key] <= 1 for key in _LABEL_KEYS)):
         raise ValueError("its text fields are strings (pragma_raw may be null), its labels 0 or 1")
+    if row["split"] not in SPLITS:
+        raise ValueError(f"its split {row['split']!r} is none of " + ", ".join(SPLITS))
     dfg = row["dfg"] if isinstance(row["dfg"], dict) else {}
     nodes, edges = dfg.get("nodes"), dfg.get("edges")
     if not (isinstance(nodes, list) and isinstance(edges, list) and all(

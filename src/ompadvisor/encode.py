@@ -8,15 +8,16 @@ and, from build_attention_mask, its additive float32 mask: code positions
 themselves and their aligned code token, and a pad slot attends only to
 itself. Masked pairs carry a large negative value that underflows to an
 exact zero attention weight after softmax; 0 and that value are exact in
-float32, so a float64 forward adds the same numbers. A sample is cut to the vocabulary's max_code code
-tokens and max_dfg nodes, so a model's vocab.json carries its limits with
-its token ids. The code tokens' lexemes are those a sample carries: from
-extraction (syntax.emit), from renaming, or from train's one pass over each
-train loop, which parses it for its names (augment.find_names) or, when no
-epoch renames, tokenizes it. A sample that carries none, as one read from
-corpus.jsonl, has its text tokenized here. A renaming epoch of train encodes
-no renamed sample: relabel_encoding writes the new names' ids at the
-data-flow nodes' code slots and node positions.
+float32, so a float64 forward adds the same numbers. A sample is cut to the
+vocabulary's max_code code tokens and max_dfg nodes, so a model's vocab.json
+carries its limits with its token ids. The code tokens' lexemes are those a
+sample carries: from extraction (syntax.emit), from renaming, or from
+train's one pass over each train loop, which parses it for its names
+(augment.find_names) or, when no epoch renames, tokenizes it. A sample that
+carries none, as one read from corpus.jsonl, has its text tokenized here. A
+renaming epoch of train encodes no renamed sample: relabel_encoding writes
+the new names' ids at the data-flow nodes' code slots and node positions. A
+sample whose text does not tokenize raises ValueError that names it.
 """
 
 import json
@@ -26,7 +27,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .corpus import write_json
+from .corpus import naming, write_json
 from .syntax import tokenize
 
 PAD_ID = 0
@@ -106,8 +107,10 @@ class EncodedInput:
 
 def sample_lexemes(sample):
     """The lexemes the sample carries, else its text's, interned as train
-    holds those of every train loop at once."""
-    return sample.lexemes or [sys.intern(t.lexeme) for t in tokenize(sample.source_text())]
+    holds those of every train loop at once. Text that does not tokenize
+    raises ValueError naming the sample."""
+    with naming(sample):
+        return sample.lexemes or [sys.intern(t.lexeme) for t in tokenize(sample.source_text())]
 
 
 def build_vocabulary(train_samples, min_freq=DEFAULT_MIN_FREQ, max_code=DEFAULT_MAX_CODE,

@@ -2,14 +2,17 @@
 three-label sigmoid head.
 
 Attention per head is softmax(Q·Kᵀ/√d_head + M)·V, with d_head =
-d_model/n_heads and M the additive 0/-1e9 mask from the encoder. All
-gradients are hand-derived so they can be verified against finite
-differences. The head reads the last layer's CLS row only,
-so in training and inference alike that layer runs at rows 0-1 after its
-keys and values. forward_pass is the one eval-mode path: the validation
-pass of train, metrics.predict_rows and predict_source all run their
-encodings through it, and threshold_labels is the one gating rule. A
-renaming epoch of train relabels the base encodings (encode.relabel_encoding).
+d_model/n_heads and M the additive 0/-1e9 mask from the encoder. The
+parameters own a run's one float type: every array a forward, a backward or
+an Adam step makes takes their dtype, and the mask, float32 always, adds the
+same numbers to float64 scores. All gradients are hand-derived so they can
+be verified against finite differences. The head reads the last layer's CLS
+row only, so in training and inference alike that layer runs at rows 0-1
+after its keys and values. forward_pass is the one eval-mode path: the
+validation pass of train, metrics.predict_rows and predict_source all run
+their encodings through it, and threshold_labels is the one gating rule. A
+renaming epoch of train relabels the base encodings
+(encode.relabel_encoding).
 
 Every batch-sized array of a forward and a backward is written through out=
 into a Workspace: train owns one for the whole run and lends it to its
@@ -37,7 +40,7 @@ import numpy as np
 
 from .augment import draw_mapping, find_corpus_names, fraction_for_mode
 from .augment import rename_variables  # noqa: F401 -- a traced binding in perfbench/spans.py
-from .corpus import LABELS, extract_for_prediction
+from .corpus import LABELS, extract_for_prediction, naming
 from .encode import (
     DEFAULT_MAX_CODE, DEFAULT_MAX_DFG, DEFAULT_MIN_FREQ, EncodedInput, build_vocabulary,
     encode_corpus, encode_sample, length_batches, pad_batch, relabel_encoding, sample_lexemes,
@@ -295,18 +298,18 @@ def _dropped(x, keep, scale, out):
 def forward_batch(params, config, ids, positions, mask, train=False, rng=None, workspace=None):
     """Run the encoder on a padded batch.
 
-    ids, positions: (B, L) int arrays; mask: (B, L, L) additive mask.
-    Returns (probs (B, 3), cache). After its keys and values, which cover
-    every row, the last layer runs at rows 0-1 only: the head reads row 0
-    (CLS), every later op is row-wise, and two rows keep numpy's products on
-    BLAS gemm, which sums row 0 as the full product does (gemv, which a
-    one-row product gets, sums in another order). train=True keeps the cache
-    backward_batch reads, with dropout when rng is given; its "hidden" is
-    the last layer's (B, 2, d) output. Each site draws its keep-pattern at
-    the shape of the rows it computes, in site order (attention, projection,
-    FFN) layer by layer: (B, H, L, L) and (B, L, d) below the last layer,
-    (B, H, 2, L) and (B, 2, d) in it, so no draw decides a cell that is not
-    computed. Otherwise the cache is None.
+    ids, positions: (B, L) int arrays; mask: (B, L, L) additive mask, as
+    pad_batch builds it. Returns (probs (B, 3), cache). After its keys and
+    values, which cover every row, the last layer runs at rows 0-1 only: the
+    head reads row 0 (CLS), every later op is row-wise, and two rows keep
+    numpy's products on BLAS gemm, which sums row 0 as the full product does
+    (gemv, which a one-row product gets, sums in another order). train=True
+    keeps the cache backward_batch reads, with dropout when rng is given;
+    its "hidden" is the last layer's (B, 2, d) output. Each site draws its
+    keep-pattern at the shape of the rows it computes, in site order
+    (attention, projection, FFN) layer by layer: (B, H, L, L) and (B, L, d)
+    below the last layer, (B, H, 2, L) and (B, 2, d) in it, so no draw
+    decides a cell that is not computed. Otherwise the cache is None.
 
     Every batch-sized array is written into a buffer of workspace (a new
     Workspace when none is given): the scores, softmaxed in place into the
@@ -619,7 +622,8 @@ def train(samples, arch=None, epochs=10, aug_mode="none", seed=0, min_freq=DEFAU
         else:
             encodings = []  # each base encoding relabeled at its data-flow nodes' slots
             for base, sample, lex in zip(base_encodings, train_samples, lexemes):
-                mapping = draw_mapping(sample.dfg["nodes"], lex, fraction, seed + epoch)
+                with naming(sample):
+                    mapping = draw_mapping(sample.dfg["nodes"], lex, fraction, seed + epoch)
                 encodings.append(relabel_encoding(base, sample.dfg["nodes"], mapping, vocab))
 
         order = rng.permutation(len(encodings))

@@ -81,6 +81,20 @@ def test_exact_rename_count(reduction_sample, fraction):
     assert all(re.fullmatch(r"var\d{1,4}", name) for name in after - before)
 
 
+def test_a_draw_needing_more_new_names_than_are_free_raises():
+    """var<k> takes k in 0..9999: a draw that needs more of those names than
+    are free raises rather than redrawing forever, and one that needs
+    exactly as many as are free still draws them."""
+    every = [f"var{k}" for k in range(10_000)]
+    with pytest.raises(ValueError, match="it renames 1 variables, but only 0 of the names"):
+        draw_mapping([["x", 0]], ["x", *every], 1.0, seed=0)
+    nodes = [[f"v{k}", k] for k in range(10_001)]
+    with pytest.raises(ValueError, match="it renames 10001 variables, but only 10000 of the names"):
+        draw_mapping(nodes, [name for name, _ in nodes], 1.0, seed=0)
+    mapping = draw_mapping([["x", 0], ["y", 2]], ["x", "+", "y", *every[:-2]], 1.0, seed=0)
+    assert sorted(mapping.values()) == ["var9998", "var9999"]
+
+
 def test_full_rename_example():
     source = "void f(int n) { int i; double s; for (i = 0; i < n; i++) s += a[i]; }"
     samples, _ = extract_from_source(source, "t.c")

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import shutil
 import struct
@@ -11,7 +13,9 @@ from hypothesis import strategies as st
 
 from ompadvisor.augment import rename_variables
 from ompadvisor.cli import UsageError, build_parser, execute_command
-from ompadvisor.corpus import extract_for_prediction, extract_from_source, read_samples
+from ompadvisor.corpus import (
+    SAMPLE_KEYS, extract_for_prediction, extract_from_source, read_samples,
+)
 from ompadvisor.encode import Vocabulary, encode_corpus
 from ompadvisor.metrics import report_from_rows, rows_from_csv
 from ompadvisor.model import load_model
@@ -647,6 +651,7 @@ MALFORMED_ROWS = {
     "dfg_edge_negative": _edit_row(lambda row: row["dfg"]["edges"].append([-1, 0])),
     "dfg_edge_triple": _edit_row(lambda row: row["dfg"]["edges"].append([0, 0, 0])),
     "dfg_edge_bool": _edit_row(lambda row: row["dfg"]["edges"].append([True, 0])),
+    "split_typo": _edit_row(lambda row: row.update(split="tset")),
 }
 
 # how a train row's first data-flow node is moved off its variable: a row of
@@ -684,6 +689,25 @@ def test_a_data_flow_node_off_its_variable_is_named_before_any_work(corpus_dir, 
     slot, so augment, and a renaming train, stop at a row whose node is not."""
     err = named_before_any_work(corpus_dir, tmp_path, capsys, argv, NODES_OFF_THEIR_NAMES[case])
     assert ": its data-flow node 0 is not " in err
+
+
+def test_a_row_whose_code_does_not_tokenize_is_named_alike(corpus_dir, model_dir, tmp_path,
+                                                          capsys):
+    """evaluate, train without renaming and a renaming train all stop at a
+    row whose code does not tokenize with one line, which names its id and
+    source path and the position of the bad character."""
+    _, model = model_dir
+    commands = RENAMING_COMMANDS + [
+        ["train", "{dir}", "--epochs", "1", "--d-model", "16", "--n-heads", "2",
+         "--n-layers", "1", "--d-ff", "32", "-o", "{out}"],
+        ["evaluate", str(model), "{corpus}", "--split", "all", "-o", "{out}"],
+    ]
+    errors = {named_before_any_work(corpus_dir, tmp_path, capsys, argv,
+                                    lambda row: row.update(loop_code="@" + row["loop_code"]))
+              for argv in commands}
+    assert len(errors) == 1
+    assert errors.pop().endswith(": its code does not parse at 1:1: expected a token, "
+                                 "got '@'\n")
 
 
 def test_data_flow_edge_outside_the_nodes_is_a_data_error(model_dir, tmp_path, capsys):
@@ -980,3 +1004,52 @@ def test_predict_exits_zero_or_two_on_arbitrary_text(model_dir, fuzz_source, tex
     fuzz_source.write_text(text, encoding="utf-8")
     argv = ["predict", str(trained), str(fuzz_source), "--json"]
     assert execute_command(argv + ["--with-scope"] * scope) in (0, 2)
+
+
+# One field of a valid row changed: to another JSON type, out of its range,
+# removed, or to the NaN and Infinity literals json reads as floats.
+ODD_VALUES = st.sampled_from([None, True, 0, 2, -1, 1.5, "", "tset", "Train", [], {}, [0, 0],
+                              float("nan"), float("inf"), float("-inf")])
+ROW_CHANGES = st.one_of(
+    st.tuples(st.sampled_from(SAMPLE_KEYS), ODD_VALUES).map(
+        lambda change: lambda row: row.__setitem__(*change)),
+    st.sampled_from(SAMPLE_KEYS).map(lambda key: lambda row: row.pop(key)),
+    st.tuples(st.sampled_from(("nodes", "edges")), ODD_VALUES).map(
+        lambda change: lambda row: row["dfg"].__setitem__(*change)),
+    st.sampled_from(("nodes", "edges")).map(lambda key: lambda row: row["dfg"].pop(key)),
+    st.tuples(st.integers(0, 1), st.one_of(ODD_VALUES, st.integers(-3, 3))).map(
+        lambda change: lambda row: row["dfg"]["nodes"][0].__setitem__(*change)),
+    st.lists(st.one_of(ODD_VALUES, st.integers(-2, 40)), min_size=0, max_size=3).map(
+        lambda edge: lambda row: row["dfg"]["edges"].append(edge)),
+)
+
+
+@pytest.fixture(scope="module")
+def changed_corpus(tmp_path_factory):
+    return tmp_path_factory.mktemp("changed") / "corpus.jsonl"
+
+
+@settings(max_examples=100, deadline=None)
+@given(index=st.integers(0, 999), change=ROW_CHANGES)
+def test_a_changed_row_exits_zero_or_two_and_names_itself(corpus_dir, model_dir,
+                                                          changed_corpus, index, change):
+    """stats and evaluate --split all on a fixture corpus with one field of
+    one row changed exit 0 or 2, never with a traceback; on 2 stderr is one
+    error line that names the corpus path and the row's line, or its sample."""
+    _, model = model_dir
+    rows = [json.loads(text) for text in (corpus_dir / "corpus.jsonl").read_text().splitlines()]
+    line = index % len(rows) + 1
+    sample = f"sample {rows[line - 1]['id']} from {rows[line - 1]['path']}: "
+    change(rows[line - 1])
+    changed_corpus.write_text("".join(json.dumps(row) + "\n" for row in rows))
+    for argv in (["stats", str(changed_corpus)],
+                 ["evaluate", str(model), str(changed_corpus), "--split", "all",
+                  "-o", str(changed_corpus.parent / "eval")]):
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = execute_command(argv)
+        assert code in (0, 2), argv[0]
+        if code == 2:
+            assert err.getvalue().count("\n") == 1
+            assert err.getvalue().startswith((f"error: {changed_corpus}:{line}: ",
+                                              f"error: {sample}"))

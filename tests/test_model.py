@@ -219,6 +219,20 @@ def test_eval_forward_matches_every_row_reference(n_layers, dtype, rtol, atol):
         np.testing.assert_allclose(probs, ref, rtol=rtol, atol=atol)
 
 
+def test_float64_forward_adds_the_float32_mask_exactly():
+    """pad_batch's mask is float32 whatever the parameters' dtype: its 0 and
+    MASK_NEG are exact there, so a float64 forward on it is, bit for bit,
+    the forward on that mask cast to float64, in eval and train mode."""
+    params, config, ids, positions, mask = mixed_eval_batch(2, np.float64, 0)
+    assert mask.dtype == np.float32 and np.isin(mask, (0.0, MASK_NEG)).all()
+    for train in (False, True):
+        probs, _ = forward_batch(params, config, ids, positions, mask, train=train,
+                                 rng=np.random.default_rng(1))
+        wide, _ = forward_batch(params, config, ids, positions, mask.astype(np.float64),
+                                train=train, rng=np.random.default_rng(1))
+        assert probs.dtype == np.float64 and np.array_equal(probs, wide)
+
+
 def test_train_forward_without_rng_is_the_reference_forward():
     """train=True keeps the cache, with the last layer at its rows up to CLS
     as in eval mode; without an rng it draws no dropout, so its
