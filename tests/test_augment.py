@@ -86,10 +86,10 @@ def test_a_draw_needing_more_new_names_than_are_free_raises():
     are free raises rather than redrawing forever, and one that needs
     exactly as many as are free still draws them."""
     every = [f"var{k}" for k in range(10_000)]
-    with pytest.raises(ValueError, match="it renames 1 variables, but only 0 of the names"):
+    with pytest.raises(ValueError, match="renames 1 variables, but only 0 of the names"):
         draw_mapping([["x", 0]], ["x", *every], 1.0, seed=0)
     nodes = [[f"v{k}", k] for k in range(10_001)]
-    with pytest.raises(ValueError, match="it renames 10001 variables, but only 10000 of the names"):
+    with pytest.raises(ValueError, match="renames 10001 variables, but only 10000 of the names"):
         draw_mapping(nodes, [name for name, _ in nodes], 1.0, seed=0)
     mapping = draw_mapping([["x", 0], ["y", 2]], ["x", "+", "y", *every[:-2]], 1.0, seed=0)
     assert sorted(mapping.values()) == ["var9998", "var9999"]
