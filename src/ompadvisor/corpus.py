@@ -243,7 +243,7 @@ def _build_sample(func, loop, with_scope, path, pragma, seen=None):
         used = _used_variables(loop)
         context = [p for p in func.children[:-1] if _declared_name(p) in used]
         _context_statements(func.children[-1], loop, used, context)
-    texts, slots, lexemes = emit(context + [loop], strip_pragmas=True)
+    texts, slots, lexemes = emit(context + [loop])
     sample_id = "" if seen is None else content_hash(texts[-1])
     if seen is not None and sample_id in seen:
         return None

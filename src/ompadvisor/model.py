@@ -383,12 +383,12 @@ def compute_loss(probs, labels):
     return float(np.mean(-(y * np.log(p) + (1.0 - y) * np.log(1.0 - p))))
 
 
-def backward_batch(params, config, cache, probs, labels, n_total=None, workspace=None):
+def backward_batch(params, config, cache, probs, labels, n_total, workspace):
     """Gradients of compute_loss w.r.t. every parameter. Returns a dict with
     the same keys as params.
 
-    n_total: the size of the whole batch when this is one sub-batch of it;
-    the loss is then the mean over n_total samples, so the gradients of the
+    n_total: the size of the whole batch, of which this may be a sub-batch;
+    the loss is the mean over n_total samples, so the gradients of the
     sub-batches sum to the whole batch's. Dropout is re-applied from the
     cache's keep-patterns with the forward's operations, and every
     batch-sized gradient is written into a workspace buffer. A layer that
@@ -397,11 +397,9 @@ def backward_batch(params, config, cache, probs, labels, n_total=None, workspace
     at every row, which past those rows holds only the key and value
     terms. The embeddings' gradients are sums over the sorted runs of each
     id and each position (_embedding_grad)."""
-    workspace = Workspace() if workspace is None else workspace
     scale = _drop_scale(config.dropout_rate, params["tok_emb"].dtype)
     y = np.asarray(labels, dtype=probs.dtype)
-    batch = probs.shape[0] if n_total is None else n_total
-    dlogits = (probs - y) / (3.0 * batch)
+    dlogits = (probs - y) / (3.0 * n_total)
 
     grads = {"head_w": cache["cls"].T @ dlogits}
     grads["head_b"] = dlogits.sum(axis=0)

@@ -1,8 +1,8 @@
-"""Parsing of `#pragma omp` directive lines, and relabeling of their clause
-variables in place."""
+"""Parsing of `#pragma omp` directive lines into their directive and clause
+names, and relabeling of their clause variables in place."""
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 REDUCTION_OPS = frozenset({"+", "*", "-", "&", "|", "^", "&&", "||", "min", "max"})
 
@@ -21,20 +21,13 @@ class PragmaError(Exception):
 
 
 @dataclass
-class Clause:
-    name: str
-    args: list = field(default_factory=list)
-    reduction_op: str = None
-
-
-@dataclass
 class OmpPragma:
     directive: str  # parallel_for | for | parallel | barrier | critical | atomic | other
-    clauses: list = field(default_factory=list)
-    raw: str = ""
+    clauses: tuple  # clause names, in line order
+    raw: str
 
     def has_clause(self, name):
-        return any(c.name == name for c in self.clauses)
+        return name in self.clauses
 
 
 # A pragma line's words, parens, commas, colons and operators: "&&" and "||"
@@ -49,10 +42,11 @@ def _split_words(raw):
 
 
 def parse_omp_pragma(raw):
-    """Parse a `#pragma omp ...` line into directive and clause structure.
+    """Parse a `#pragma omp ...` line into its directive and clause names.
 
-    Unknown clause names are preserved verbatim with their raw arguments.
-    Raises PragmaError on unbalanced parentheses or a bad reduction clause.
+    Clause arguments are only checked: a reduction holds an operator of
+    REDUCTION_OPS and ':', and it and a variable-list clause list variables.
+    Raises PragmaError on unbalanced parentheses or a bad clause.
     """
     words = _split_words(raw.strip())
     if len(words) < 2 or words[0] != "#pragma" or words[1] != "omp":
@@ -75,44 +69,26 @@ def parse_omp_pragma(raw):
                 end += 1
             if depth:
                 raise PragmaError(f"unbalanced parentheses in clause {name!r}: {raw!r}")
-            clauses.append(_build_clause(name, words[pos + 1:end - 1], raw))
+            _check_clause(name, words[pos + 1:end - 1], raw)
             pos = end
-        else:
-            clauses.append(Clause(name))
+        clauses.append(name)
 
-    return OmpPragma(directive, clauses, raw.strip())
+    return OmpPragma(directive, tuple(clauses), raw.strip())
 
 
-def _build_clause(name, body, raw):
+def _check_clause(name, body, raw):
+    """Raise PragmaError when a reduction's or variable-list clause's body is malformed."""
     if name == "reduction":
         if ":" not in body:
             raise PragmaError(f"reduction clause missing ':' separator: {raw!r}")
         sep = body.index(":")
         op = "".join(body[:sep])
-        args = [w for w in body[sep + 1 :] if w != ","]
-        if not op or op not in REDUCTION_OPS:
+        if op not in REDUCTION_OPS:
             raise PragmaError(f"bad reduction operator {op!r}: {raw!r}")
-        if not args:
+        if all(w == "," for w in body[sep + 1:]):
             raise PragmaError(f"reduction clause lists no variables: {raw!r}")
-        return Clause(name, args, reduction_op=op)
-    if name in VAR_LIST_CLAUSES:
-        args = [w for w in body if w != ","]
-        if not args:
-            raise PragmaError(f"clause {name!r} lists no variables: {raw!r}")
-        return Clause(name, args)
-    # schedule, collapse, num_threads, if, default and anything unknown:
-    # keep the arguments as comma-separated groups of raw text.
-    args = []
-    current = []
-    for w in body:
-        if w == ",":
-            args.append(" ".join(current))
-            current = []
-        else:
-            current.append(w)
-    if current:
-        args.append(" ".join(current))
-    return Clause(name, args)
+    elif name in VAR_LIST_CLAUSES and all(w == "," for w in body):
+        raise PragmaError(f"clause {name!r} lists no variables: {raw!r}")
 
 
 def relabel_clause_variables(raw, mapping):

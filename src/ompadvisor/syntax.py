@@ -3,8 +3,9 @@
 The grammar covers the loop kernels found in scientific C code: basic types,
 one-level array/pointer declarators, function definitions, if/else, for,
 while, compound and expression statements, and the usual expression operators.
-`#pragma omp` lines survive preprocessing as single pragma-line tokens; every
-other preprocessor line and all comments are stripped before lexing.
+`#pragma omp` lines survive preprocessing as single pragma-line tokens, and
+the parser keeps them as nodes, which the renderer leaves out; every other
+preprocessor line and all comments are stripped before lexing.
 """
 
 import re
@@ -631,8 +632,7 @@ class _Emitter:
     charges the frames _Parser charges reading the text back, so text too
     deeply nested to re-read is its ParseError, at the same token."""
 
-    def __init__(self, strip_pragmas):
-        self.strip_pragmas = strip_pragmas
+    def __init__(self):
         self.parts = []  # tokens and the " " and "\n" between them
         self.lexemes = []  # the tokens alone
         self.slots = {}  # id(Identifier or Call node) -> its name's token index
@@ -668,8 +668,8 @@ class _Emitter:
                 self.expr(piece, _EXPRESSION_FRAMES)
 
     def items(self, nodes):
-        """Block items, one per line; whether any was written."""
-        nodes = [n for n in nodes if n.kind != "PragmaDirective" or not self.strip_pragmas]
+        """Block items but pragma lines, one per line; whether any was written."""
+        nodes = [n for n in nodes if n.kind != "PragmaDirective"]
         for k, node in enumerate(nodes):
             frames = _STATEMENT_FRAMES if node.kind in _STATEMENT_KINDS else 0
             self.frames += frames
@@ -698,8 +698,6 @@ class _Emitter:
             self.put("return", " " if c else "", *c, ";")
         elif kind == "Empty":
             self.token(";")
-        elif kind == "PragmaDirective":
-            self.token(node.attrs["raw"])
         elif kind == "FunctionDef":
             self.put(node.attrs["type"], " ", "*" if node.attrs.get("pointer") else "",
                      node.attrs["name"], "(", c[:-1], ")", " ", c[-1])
@@ -758,14 +756,15 @@ class _Emitter:
             self.token(")")
 
 
-def emit(nodes, strip_pragmas=False):
-    """Render nodes as the consecutive lines of one snippet, in one walk.
+def emit(nodes):
+    """Render nodes as the consecutive lines of one snippet, in one walk,
+    leaving every pragma line out (a pragma node's text is empty).
 
     Returns (texts, slots, lexemes): each node's canonical text, the token
     index in "\n".join(texts) of every Identifier and Call name by id(node),
-    and the lexemes tokenize reads in it. strip_pragmas leaves pragmas out.
-    Raises the ParseError parse_snippet would raise reading the text back."""
-    emitter = _Emitter(strip_pragmas)
+    and the lexemes tokenize reads in it. Raises the ParseError parse_snippet
+    would raise reading the text back."""
+    emitter = _Emitter()
     texts = []
     for node in nodes:
         start = len(emitter.parts)

