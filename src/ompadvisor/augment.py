@@ -9,9 +9,10 @@ rename only relabels: the id and the data-flow edges stay as they are.
 A sample's data-flow nodes, [name, code slot], are the one source of its
 variable sites. find_names parses a sample once and checks what a rename
 trusts of it (find_corpus_names names a sample that fails); draw_mapping
-draws the new names; rename_variables writes them at the node slots of the
-text (augment), and encode.relabel_encoding at those of an encoding's ids
-(train's renaming epochs).
+draws the new names, after check_free_names finds enough of them free;
+rename_variables writes them at the node slots of the text (augment), and
+encode.relabel_encoding at those of an encoding's ids (train's renaming
+epochs).
 """
 
 import random
@@ -68,24 +69,36 @@ def find_corpus_names(samples):
         yield tokens
 
 
-def draw_mapping(nodes, lexemes, fraction, seed):
-    """The seeded {old: new} names that rename ⌊fraction·|V|⌋ of the node
-    names V: a shuffle of the sorted names picks them, and var<k> redraws k
-    in [0, 9999] while a lexeme (only an identifier can read var<k>) or an
-    earlier new name reads it. Raises ValueError when fewer of those names
-    are free than it must draw."""
-    variables = sorted({name for name, _ in nodes})
-    count = int(fraction * len(variables))
-    if count == 0:
-        return {}
-    rng = random.Random(seed)
-    rng.shuffle(variables)
-    taken = set(lexemes)
+def check_free_names(count, taken):
+    """Raise ValueError when fewer than count of the names var0 ... var9999
+    are free, that is, not in the set taken."""
     if count + len(taken) > _NEW_NAMES:  # so few may be free: count them
         free = sum(f"var{k}" not in taken for k in range(_NEW_NAMES))
         if free < count:
             raise ValueError(f"it renames {count} variables, but only {free} of the names "
                              f"var0 ... var{_NEW_NAMES - 1} are free")
+
+
+def rename_count(variables, fraction):
+    """⌊fraction·|V|⌋, how many of the distinct node names V a rename at
+    fraction draws; it never falls as fraction grows."""
+    return int(fraction * len(variables))
+
+
+def draw_mapping(nodes, lexemes, fraction, seed):
+    """The seeded {old: new} names that rename rename_count of the node
+    names: a shuffle of the sorted names picks them, and var<k> redraws k
+    in [0, 9999] while a lexeme (only an identifier can read var<k>) or an
+    earlier new name reads it. Raises ValueError when fewer of those names
+    are free than it must draw (check_free_names)."""
+    variables = sorted({name for name, _ in nodes})
+    count = rename_count(variables, fraction)
+    if count == 0:
+        return {}
+    rng = random.Random(seed)
+    rng.shuffle(variables)
+    taken = set(lexemes)
+    check_free_names(count, taken)
     mapping = {}
     for name in variables[:count]:
         while True:

@@ -83,11 +83,12 @@ def build_parser():
     p.add_argument("--seed", type=_in_range(int, 0, 2**63), default=0)
     p.add_argument("--batch-size", type=positive, default=32)
     p.add_argument("--lr", type=_in_range(float, 0.0), default=1e-3)
-    p.add_argument("--d-model", type=positive, default=64)
-    p.add_argument("--n-heads", type=positive, default=4)
-    p.add_argument("--n-layers", type=positive, default=2)
-    p.add_argument("--d-ff", type=positive, default=256)
-    p.add_argument("--dropout", type=_in_range(float, 0.0, 1.0), default=0.1)
+    p.add_argument("--d-model", type=positive, default=ModelConfig.d_model)
+    p.add_argument("--n-heads", type=positive, default=ModelConfig.n_heads)
+    p.add_argument("--n-layers", type=positive, default=ModelConfig.n_layers)
+    p.add_argument("--d-ff", type=positive, default=ModelConfig.d_ff)
+    p.add_argument("--dropout", type=_in_range(float, 0.0, 1.0),
+                   default=ModelConfig.dropout_rate)
     p.add_argument("--min-freq", type=non_negative, default=DEFAULT_MIN_FREQ)
     p.add_argument("--max-code", type=non_negative, default=DEFAULT_MAX_CODE)
     p.add_argument("--max-dfg", type=non_negative, default=DEFAULT_MAX_DFG)

@@ -63,17 +63,23 @@ class Sample:
         return cls(**{key: data[key] for key in SAMPLE_KEYS})
 
 
+def _name(sample):
+    """The words `sample <id> from <path>`, each non-printable character
+    written as its escape, so no row's id or path splits or forges a line."""
+    return "".join(c if c.isprintable() else c.encode("unicode_escape").decode("ascii")
+                   for c in f"sample {sample.id} from {sample.path}")
+
+
 @contextmanager
 def naming(sample):
     """Re-raise a ParseError or ValueError about sample as a ValueError that
-    names it by its id and source path."""
+    names it by its id and source path (_name)."""
     try:
         yield
     except ParseError as err:
-        raise ValueError(f"sample {sample.id} from {sample.path}: its code does not "
-                         f"parse at {err}") from None
+        raise ValueError(f"{_name(sample)}: its code does not parse at {err}") from None
     except ValueError as err:
-        raise ValueError(f"sample {sample.id} from {sample.path}: {err}") from None
+        raise ValueError(f"{_name(sample)}: {err}") from None
 
 
 REJECT_REASONS = ("parse_error", "empty_loop", "barrier_critical_atomic", "nested_duplicate")

@@ -38,7 +38,9 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .augment import draw_mapping, find_corpus_names, fraction_for_mode
+from .augment import (
+    check_free_names, draw_mapping, find_corpus_names, fraction_for_mode, rename_count,
+)
 from .augment import rename_variables  # noqa: F401 -- a traced binding in perfbench/spans.py
 from .corpus import LABELS, extract_for_prediction, naming
 from .encode import (
@@ -577,7 +579,9 @@ def train(samples, arch=None, epochs=10, aug_mode="none", seed=0, min_freq=DEFAU
     batch order and dropout. Attention divides by √d_head, as GraphCodeBERT's
     does; no argument changes that.
     aug_mode: none (original data), curriculum (the epoch schedule), or
-    replaced (every variable renamed every epoch). Each optimizer step takes
+    replaced (every variable renamed every epoch); a train row that leaves
+    too few new names free at the largest fraction raises ValueError before
+    epoch 1. Each optimizer step takes
     the next batch_size samples of a seeded permutation and runs them as
     length sub-batches under encode.BATCH_CELLS (batch_gradients), with
     their gradients summed. Deterministic for a given seed per machine and
@@ -590,10 +594,18 @@ def train(samples, arch=None, epochs=10, aug_mode="none", seed=0, min_freq=DEFAU
 
     # Each train loop's front end runs once: parsed, which checks what a
     # rename trusts, when some epoch renames, else tokenized. The vocabulary
-    # and the base encodings read the lexemes this gives.
-    if any(fraction_for_mode(aug_mode, epoch) for epoch in range(1, epochs + 1)):
-        lexemes = [[sys.intern(t.lexeme) for t in tokens]
-                   for tokens in find_corpus_names(train_samples)]
+    # and the base encodings read the lexemes this gives. A renaming run
+    # checks each loop's free names at its largest fraction, before epoch 1:
+    # a loop's rename_count never falls as the fraction grows.
+    top = max((fraction_for_mode(aug_mode, epoch) for epoch in range(1, epochs + 1)),
+              default=0.0)
+    if top:
+        lexemes = []
+        for sample, tokens in zip(train_samples, find_corpus_names(train_samples)):
+            lexemes.append([sys.intern(t.lexeme) for t in tokens])
+            with naming(sample):
+                variables = {name for name, _ in sample.dfg["nodes"]}
+                check_free_names(rename_count(variables, top), set(lexemes[-1]))
         lexed = [replace(s, lexemes=lex) for s, lex in zip(train_samples, lexemes)]
     else:
         lexemes = None

@@ -1,6 +1,10 @@
+import argparse
 import contextlib
+import dataclasses
+import inspect
 import io
 import json
+import re
 import shutil
 import struct
 import time
@@ -18,7 +22,7 @@ from ompadvisor.corpus import (
 )
 from ompadvisor.encode import Vocabulary, encode_corpus
 from ompadvisor.metrics import report_from_rows, rows_from_csv
-from ompadvisor.model import load_model
+from ompadvisor.model import ModelConfig, load_model, train
 from ompadvisor.synthetic import generate_synthetic_corpus
 from ompadvisor.syntax import ParseError
 
@@ -344,6 +348,39 @@ def test_a_train_loop_that_does_not_parse_is_named_before_any_work(corpus_dir, t
     err = named_before_any_work(corpus_dir, tmp_path, capsys, argv,
                                 lambda row: row.update(loop_code="for (i = 0; i < n; i++) {"))
     assert err.endswith(":26: expected }, got 'end of input'\n")
+
+
+@pytest.mark.parametrize("argv", RENAMING_COMMANDS)
+def test_a_train_loop_short_of_new_names_is_named_before_any_work(corpus_dir, tmp_path,
+                                                                  capsys, argv):
+    """A loop whose lexemes hold var0 ... var9999 leaves a rename no free
+    name: augment, and a renaming train, which checks each loop at its
+    largest fraction (0.2 here, where the row's 5 names give 1 to rename),
+    stop before epoch 1."""
+    err = named_before_any_work(
+        corpus_dir, tmp_path, capsys, argv,
+        lambda row: row.update(loop_code=row["loop_code"][:-1]
+                               + "".join(f"var{k};\n" for k in range(10_000)) + "}"))
+    assert re.search(r": it renames [15] variables, but only 0 of the names var0 \.\.\. "
+                     r"var9999 are free\n$", err)
+
+
+def test_train_option_defaults_are_the_api_defaults():
+    """Every train option's default is that of the ModelConfig field or the
+    train() parameter it feeds, so training through the API trains the
+    CLI's model."""
+    subcommands = next(a for a in build_parser()._actions
+                       if isinstance(a, argparse._SubParsersAction))
+    options = {a.dest: a.default for a in subcommands.choices["train"]._actions
+               if a.dest not in ("help", "corpus_dir", "out")}
+    fields = {f.name: f.default for f in dataclasses.fields(ModelConfig)}
+    parameters = {name: p.default for name, p in inspect.signature(train).parameters.items()}
+    fed = {"aug": "aug_mode", "dropout": "dropout_rate"}
+    api = {dest: fields.get(fed.get(dest, dest), parameters.get(fed.get(dest, dest)))
+           for dest in options}
+    assert options == api
+    assert {"d_model", "n_heads", "n_layers", "d_ff", "dropout", "epochs", "batch_size", "lr",
+            "seed", "min_freq", "max_code", "max_dfg", "aug"} == set(options)
 
 
 def test_usage_errors_exit_one(capsys):
@@ -708,6 +745,25 @@ def test_a_row_whose_code_does_not_tokenize_is_named_alike(corpus_dir, model_dir
     assert len(errors) == 1
     assert errors.pop().endswith(": its code does not parse at 1:1: expected a token, "
                                  "got '@'\n")
+
+
+@pytest.mark.parametrize("path, shown", [
+    ("f01.c\nwarning: spoofed", "f01.c\\nwarning: spoofed"),
+    ("f\r\x1b[2K\u2028.c", "f\\r\\x1b[2K\\u2028.c"),
+    ("proj/é ß\tx.c", "proj/é ß\\tx.c"),
+])
+def test_a_named_row_prints_one_error_line(corpus_dir, model_dir, tmp_path, capsys, path, shown):
+    """An error that names a row writes its path's non-printable characters
+    as escapes, so a path cannot split or forge the error line; printable
+    ones, non-ASCII included, print as they are."""
+    _, model = model_dir
+    rows = [json.loads(line) for line in (corpus_dir / "corpus.jsonl").read_text().splitlines()]
+    rows[0].update(path=path, loop_code="@" + rows[0]["loop_code"])
+    (tmp_path / "corpus.jsonl").write_text("".join(json.dumps(row) + "\n" for row in rows))
+    assert execute_command(["evaluate", str(model), str(tmp_path / "corpus.jsonl"),
+                            "--split", "all", "-o", str(tmp_path / "eval")]) == 2
+    assert capsys.readouterr().err == (f"error: sample {rows[0]['id']} from {shown}: its code "
+                                       "does not parse at 1:1: expected a token, got '@'\n")
 
 
 def test_data_flow_edge_outside_the_nodes_is_a_data_error(model_dir, tmp_path, capsys):
